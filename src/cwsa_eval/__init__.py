@@ -28,7 +28,6 @@ from .core import (
     validate_threshold,
 )
 from .dataio import IngestError, ingest, write_predictions_csv
-from .kernels import BACKEND as KERNEL_BACKEND
 from .metrics import (
     GRADIENT_ABSTAINED,
     GRADIENT_INTERIOR,
@@ -66,7 +65,6 @@ from .synthgen import (
 __all__ = [
     "TOOL_NAME",
     "__version__",
-    "KERNEL_BACKEND",
     # core
     "PredictionRecord",
     "EvaluationSet",

@@ -13,6 +13,7 @@ from typing import List
 import numpy as np
 
 from .core import EvaluationSet
+from .kernels import sequential_sum
 
 __all__ = [
     "BinningSpec",
@@ -25,6 +26,9 @@ __all__ = [
     "risk_coverage_points",
 ]
 
+# Upper limit on ``BinningSpec.bin_count``; every bin is allocated up front.
+MAX_BIN_COUNT = 100_000
+
 
 @dataclass(frozen=True)
 class BinningSpec:
@@ -32,14 +36,16 @@ class BinningSpec:
 
     The top bin is closed at 1.0.  Per-bin confidence is the mean of the
     member confidences, not the bin midpoint.  15 bins is the common
-    convention.
+    convention.  At most ``MAX_BIN_COUNT`` bins.
     """
 
     bin_count: int = 15
 
     def __post_init__(self) -> None:
-        if self.bin_count < 1:
-            raise ValueError(f"bin_count must be >= 1, got {self.bin_count}")
+        if not 1 <= self.bin_count <= MAX_BIN_COUNT:
+            raise ValueError(
+                f"bin_count must be in [1, {MAX_BIN_COUNT}], got {self.bin_count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,7 @@ def aurc(dataset: EvaluationSet) -> float:
     k = 1..n.  The final reduction is sequential so the result matches a
     naive per-prefix loop bit for bit.
     """
-    risks = _prefix_risks(dataset)
-    return sum(risks.tolist()) / len(dataset)
+    return sequential_sum(_prefix_risks(dataset)) / len(dataset)
 
 
 def eaurc(dataset: EvaluationSet) -> float:
@@ -127,7 +132,7 @@ def eaurc(dataset: EvaluationSet) -> float:
     n_correct = int(dataset.correct_u8.sum())
     k = np.arange(1, n + 1, dtype=np.float64)
     oracle = np.maximum(0.0, k - n_correct) / k
-    return sum(risks.tolist()) / n - sum(oracle.tolist()) / n
+    return sequential_sum(risks) / n - sequential_sum(oracle) / n
 
 
 def risk_coverage_points(dataset: EvaluationSet) -> List[RiskCoveragePoint]:

@@ -92,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evaluate(args) -> int:
+    bins = BinningSpec(args.bins)
+    grid = ThresholdGrid.parse(args.grid) if args.grid else ThresholdGrid()
     dataset = ingest(args.input, args.format, args.class_count)
     digest = file_digest(args.input)
-    bins = BinningSpec(args.bins)
     if args.tau is not None:
         doc = point_report_doc(dataset, args.tau, bins, digest)
     else:
-        grid = ThresholdGrid.parse(args.grid) if args.grid else ThresholdGrid()
         report = sweep(dataset, grid, bins)
         doc = sweep_report_doc(report, dataset, bins, digest)
     write_report(doc, args.output)

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 PROBS_TOLERANCE = 1e-6
+# Labels are stored as int64.
+MAX_LABEL = int(np.iinfo(np.int64).max)
 
 AUMCC_POLICY = (
     "trapezoid over coverage ascending; duplicate coverages averaged; "
@@ -80,6 +82,8 @@ def _parse_label(raw: object, name: str, where: str) -> int:
         raise IngestError(f"{where}: {name} must be an integer, got {raw!r}")
     if value < 0:
         raise IngestError(f"{where}: {name} must be non-negative, got {value}")
+    if value > MAX_LABEL:
+        raise IngestError(f"{where}: {name} {value} exceeds the largest label {MAX_LABEL}")
     return value
 
 
@@ -88,18 +92,27 @@ def _parse_fraction(raw: object, name: str, where: str) -> float:
         raise IngestError(f"{where}: {name} must be a number, got {raw!r}")
     try:
         value = float(raw)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise IngestError(f"{where}: {name} must be a number, got {raw!r}") from None
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise IngestError(f"{where}: {name} {raw!r} outside [0, 1]")
     return value
 
 
+def _csv_rows(reader, path: Path):
+    """The rows of ``reader``, with ``csv.Error`` turned into an :class:`IngestError`."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
 def _rows_from_csv(path: Path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        rows = _csv_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
         columns = {name.strip(): i for i, name in enumerate(header)}
@@ -109,7 +122,7 @@ def _rows_from_csv(path: Path):
         credit_col = columns.get("credit")
 
         required_width = max(columns[c] for c in ("y_true", "y_pred", "confidence")) + 1
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(rows, start=2):
             if not row:
                 continue
             where = f"{path}:{line_no}"
@@ -129,20 +142,25 @@ def _reduce_probs(obj: dict, where: str):
     probs = obj["probs"]
     if not isinstance(probs, list) or not probs:
         raise IngestError(f"{where}: probs must be a non-empty list of numbers")
-    values: List[float] = []
     for p in probs:
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise IngestError(f"{where}: probs must be a non-empty list of numbers")
-        values.append(float(p))
-    total = math.fsum(values)
-    if abs(total - 1.0) > PROBS_TOLERANCE:
+    try:
+        values = [float(p) for p in probs]
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # beyond the float range, or inf - inf
+        total = math.nan
+    # A NaN or infinite entry makes the total NaN or infinite, which fails here.
+    if not abs(total - 1.0) <= PROBS_TOLERANCE:
         raise IngestError(f"{where}: probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
     top = max(values)
     top_index = values.index(top)  # lowest index wins ties
-    if "confidence" in obj and abs(float(obj["confidence"]) - top) > PROBS_TOLERANCE:
-        raise IngestError(
-            f"{where}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
-        )
+    if "confidence" in obj:
+        conf = _parse_fraction(obj["confidence"], "confidence", where)
+        if abs(conf - top) > PROBS_TOLERANCE:
+            raise IngestError(
+                f"{where}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
+            )
     return top_index, top
 
 
@@ -154,8 +172,8 @@ def _rows_from_jsonl(path: Path):
             where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{where}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                raise IngestError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(obj, dict):
                 raise IngestError(f"{where}: expected a JSON object")
             if "y_true" not in obj:

@@ -39,6 +39,9 @@ CURVE_METRICS = THRESHOLD_METRICS + ("coverage",)
 
 THREADS_ENV_VAR = "CWSA_EVAL_THREADS"
 
+# Upper limit on the number of thresholds in a ``ThresholdGrid``.
+MAX_GRID_POINTS = 100_000
+
 
 class InsufficientDataError(ValueError):
     """A curve does not span enough distinct coverage to integrate."""
@@ -50,7 +53,9 @@ class ThresholdGrid:
 
     Thresholds are generated by integer multiples of ``step`` (rounded to
     10 decimals) so the default 0.50..0.99 grid is exactly 50 clean
-    points with no accumulated float drift.
+    points with no accumulated float drift.  A grid holds at most
+    ``MAX_GRID_POINTS`` thresholds; the count is checked before any
+    threshold is built.
     """
 
     start: float = 0.50
@@ -62,16 +67,22 @@ class ThresholdGrid:
             raise ValueError(
                 f"grid must satisfy 0 <= start <= end < 1, got [{self.start}, {self.end}]"
             )
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
+        # Compared as a float first: an extreme quotient may be inf.
+        steps = (self.end - self.start) / self.step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid [{self.start}, {self.end}] with step {self.step} has more than "
+                f"{MAX_GRID_POINTS} thresholds"
+            )
+        object.__setattr__(self, "_count", int(math.floor(steps)) + 1)
 
     def thresholds(self) -> List[float]:
-        span = self.end - self.start
-        count = int(math.floor(span / self.step + 1e-9)) + 1
-        return [round(self.start + i * self.step, 10) for i in range(count)]
+        return [round(self.start + i * self.step, 10) for i in range(self._count)]
 
     def __len__(self) -> int:
-        return len(self.thresholds())
+        return self._count
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdGrid":

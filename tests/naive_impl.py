@@ -26,6 +26,45 @@ def cwsa_naive(records: Sequence[Record], tau: float) -> float:
     return total / retained
 
 
+def point_sums_naive(records: Sequence[Record], tau: float) -> Tuple[int, int, float, float]:
+    """(retained, hits, s_correct, s_wrong), each weight sum taken left to right."""
+    retained = 0
+    hits = 0
+    s_correct = 0.0
+    s_wrong = 0.0
+    for confidence, correct in records:
+        if confidence >= tau:
+            retained += 1
+            if correct:
+                hits += 1
+                s_correct += weight(confidence, tau)
+            else:
+                s_wrong += weight(confidence, tau)
+    return retained, hits, s_correct, s_wrong
+
+
+def credit_sum_naive(
+    records: Sequence[Record], credits: Sequence[float], tau: float
+) -> Tuple[int, float]:
+    """(retained, sum of weight * (2 * credit - 1)) taken left to right."""
+    retained = 0
+    total = 0.0
+    for (confidence, _), credit in zip(records, credits):
+        if confidence >= tau:
+            retained += 1
+            total += weight(confidence, tau) * (2.0 * credit - 1.0)
+    return retained, total
+
+
+def cwsa_generalized_naive(
+    records: Sequence[Record], credits: Sequence[float], tau: float
+) -> float:
+    retained, total = credit_sum_naive(records, credits, tau)
+    if retained == 0:
+        return 0.0
+    return total / retained
+
+
 def cwsa_plus_naive(records: Sequence[Record], tau: float) -> float:
     total = 0.0
     retained = 0

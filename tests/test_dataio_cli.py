@@ -144,6 +144,35 @@ class TestIngestJsonl:
         assert len(ingest(path)) == 1
 
 
+_CSV_HEADER = "y_true,y_pred,confidence\n"
+
+# file name -> (contents, line the error must name)
+MALFORMED_FILES = {
+    "nan_probs.jsonl": ('{"y_true":0,"probs":[0.9,NaN,0.1]}\n', 1),
+    "inf_probs.jsonl": ('{"y_true":0,"probs":[0.9,1e400]}\n', 1),
+    "huge_probs.jsonl": ('{"y_true":0,"probs":[1' + "0" * 400 + ",0.1]}\n", 1),
+    "overflowing_probs.jsonl": ('{"y_true":0,"probs":[1e308,1e308]}\n', 1),
+    "opposite_inf_probs.jsonl": ('{"y_true":0,"probs":[1e400,-1e400]}\n', 1),
+    "huge_label.csv": (_CSV_HEADER + "0,0,0.5\n99999999999999999999999,0,0.5\n", 3),
+    "huge_label.jsonl": ('{"y_true":9223372036854775808,"y_pred":0,"confidence":0.5}\n', 1),
+    "text_confidence.jsonl": ('{"y_true":0,"confidence":"abc","probs":[0.9,0.1]}\n', 1),
+    "null_confidence.jsonl": ('{"y_true":0,"confidence":null,"probs":[0.9,0.1]}\n', 1),
+    "huge_confidence.jsonl": ('{"y_true":0,"y_pred":0,"confidence":1' + "0" * 400 + "}\n", 1),
+    "long_int.jsonl": ('{"y_true":1' + "0" * 5000 + "}\n", 1),
+    "deep_nesting.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}\n' + "[" * 100_000 + "\n", 2),
+    "unclosed_quote.csv": (_CSV_HEADER + '0,0,"' + "x" * 140_000 + "\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FILES))
+def test_malformed_line_names_file_and_line(tmp_path, name):
+    text, line = MALFORMED_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(IngestError, match=rf"{name}:{line}: "):
+        ingest(path)
+
+
 class TestFormatInference:
     def test_unknown_suffix_requires_explicit_format(self, tmp_path):
         path = tmp_path / "p.dat"
@@ -256,6 +285,17 @@ class TestCliEvaluate:
                         "--output", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    def test_oversized_grid_and_bins_are_exit_1(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        pred.write_text("y_true,y_pred,confidence\n0,0,0.9\n")
+        out = str(tmp_path / "r.json")
+        assert run_cli(["evaluate", "--input", str(pred), "--grid", "0.5:0.9:1e-12",
+                        "--output", out]) == 1
+        assert "thresholds" in capsys.readouterr().err
+        assert run_cli(["evaluate", "--input", str(pred), "--bins", "1000000000",
+                        "--output", out]) == 1
+        assert "bin_count" in capsys.readouterr().err
 
 
 class TestCliSynthDeterminism:

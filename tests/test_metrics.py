@@ -7,6 +7,7 @@ from cwsa_eval import (
     GRADIENT_ABSTAINED,
     GRADIENT_INTERIOR,
     GRADIENT_KINK,
+    coverage,
     cwsa,
     cwsa_generalized,
     cwsa_gradient,
@@ -14,6 +15,7 @@ from cwsa_eval import (
     point_metrics,
     selective_accuracy,
 )
+from cwsa_eval import kernels
 from conftest import make_set, random_pairs
 import naive_impl
 
@@ -60,9 +62,7 @@ class TestCwsaPlus:
         for _ in range(200):
             pairs = random_pairs(rng, int(rng.integers(1, 60)))
             tau = float(rng.uniform(0, 0.95))
-            assert cwsa_plus(make_set(pairs), tau) == pytest.approx(
-                naive_impl.cwsa_plus_naive(pairs, tau), abs=1e-12
-            )
+            assert cwsa_plus(make_set(pairs), tau) == naive_impl.cwsa_plus_naive(pairs, tau)
 
 
 class TestSelectiveAccuracy:
@@ -147,21 +147,54 @@ class TestPointMetrics:
         assert pm.retained_count > 0
 
 
-class TestBackends:
-    def test_fallback_agrees_with_selected_backend(self):
-        from cwsa_eval import _kernels_py
+class TestExactness:
+    """Weighted sums equal a left-to-right loop bit for bit, on data whose
+    sums round (uniform confidences, not a dyadic lattice)."""
 
+    TAUS = (0.0, 0.1, 0.37, 0.5, 0.73, 0.9)
+
+    @pytest.fixture
+    def data(self):
         rng = np.random.default_rng(27)
-        conf = rng.uniform(0, 1, 400)
-        correct = (rng.random(400) < 0.5).astype(np.uint8)
-        for tau in (0.0, 0.37, 0.5, 0.75, 0.9):
-            ds_res = __import__("cwsa_eval.kernels", fromlist=["kernels"]).point_accumulate(
-                conf, correct, tau
+        pairs = random_pairs(rng, 5000, p_correct=0.6)
+        credits = rng.uniform(0, 1, len(pairs)).tolist()
+        return pairs, credits
+
+    def test_point_accumulate_equals_sequential_loop(self, data):
+        pairs, _ = data
+        ds = make_set(pairs)
+        for tau in self.TAUS:
+            got = kernels.point_accumulate(ds.confidence, ds.correct_u8, tau)
+            assert got == naive_impl.point_sums_naive(pairs, tau)
+
+    def test_credit_accumulate_equals_sequential_loop(self, data):
+        pairs, credits = data
+        ds = make_set(pairs, credits=credits)
+        for tau in self.TAUS:
+            retained, signed, first_missing = kernels.credit_accumulate(
+                ds.confidence, ds.credit, tau
             )
-            py_res = _kernels_py.point_accumulate(conf, correct, tau)
-            assert ds_res[0] == py_res[0] and ds_res[1] == py_res[1]
-            assert ds_res[2] == pytest.approx(py_res[2], rel=1e-13)
-            assert ds_res[3] == pytest.approx(py_res[3], rel=1e-13)
+            assert first_missing == -1
+            assert (retained, signed) == naive_impl.credit_sum_naive(pairs, credits, tau)
+
+    def test_metrics_equal_naive_oracles(self, data):
+        pairs, credits = data
+        ds = make_set(pairs, credits=credits)
+        for tau in self.TAUS:
+            retained, _, s_correct, s_wrong = naive_impl.point_sums_naive(pairs, tau)
+            assert cwsa(ds, tau) == (s_correct - s_wrong) / retained
+            assert cwsa_plus(ds, tau) == naive_impl.cwsa_plus_naive(pairs, tau)
+            assert selective_accuracy(ds, tau) == naive_impl.selective_accuracy_naive(pairs, tau)
+            assert coverage(ds, tau) == naive_impl.coverage_naive(pairs, tau)
+            assert cwsa_generalized(ds, tau) == naive_impl.cwsa_generalized_naive(
+                pairs, credits, tau
+            )
+
+    def test_sequential_sum_of_tenths(self):
+        # pairwise or compensated summation would give exactly 1.0 here
+        assert kernels.sequential_sum(np.full(10, 0.1)) == 0.9999999999999999
+        assert kernels.sequential_sum(np.empty(0)) == 0.0
+        assert str(kernels.sequential_sum(np.array([-0.0, -0.0]))) == "0.0"
 
 
 class TestGeneralized:

@@ -13,6 +13,7 @@ from cwsa_eval import (
     rank,
     sweep,
 )
+from cwsa_eval.sweep import MAX_GRID_POINTS
 from conftest import make_set, random_pairs
 
 
@@ -42,11 +43,29 @@ class TestThresholdGrid:
             {"start": 0.9, "end": 0.5},
             {"step": 0.0},
             {"step": -0.01},
+            {"step": float("nan")},
         ],
     )
     def test_rejects_bad_bounds(self, kwargs):
         with pytest.raises(ValueError):
             ThresholdGrid(**kwargs)
+
+    def test_len_is_the_threshold_count(self):
+        for grid in (ThresholdGrid(), ThresholdGrid(0.5, 0.55, 0.02), ThresholdGrid(0.1, 0.9, 0.05)):
+            assert len(grid) == len(grid.thresholds())
+
+    def test_point_count_is_capped(self, monkeypatch):
+        # the cap is checked before any threshold is built
+        def banned(self):
+            raise AssertionError("thresholds built for an oversized grid")
+
+        monkeypatch.setattr(ThresholdGrid, "thresholds", banned)
+        assert len(ThresholdGrid(0.0, 0.5, 0.5 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
+        for step in (0.5 / MAX_GRID_POINTS, 1e-12, 5e-324):
+            with pytest.raises(ValueError, match="thresholds"):
+                ThresholdGrid(0.0, 0.5, step)
+        with pytest.raises(ValueError, match="thresholds"):
+            ThresholdGrid.parse("0.5:0.9:1e-12")
 
     def test_parse(self):
         assert ThresholdGrid.parse("0.5:0.9:0.1") == ThresholdGrid(0.5, 0.9, 0.1)
