@@ -8,7 +8,7 @@ baselines the weighted selective scores are judged against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "brier",
     "aurc",
     "eaurc",
+    "baseline_scalars",
     "risk_coverage_points",
 ]
 
@@ -60,8 +61,8 @@ class RiskCoveragePoint:
     risk: float
 
 
-def _bin_gaps(dataset: EvaluationSet, bins: BinningSpec):
-    """Per-bin (occupancy, |accuracy - mean confidence|) over non-empty bins."""
+def _calibration_errors(dataset: EvaluationSet, bins: BinningSpec) -> Tuple[float, float]:
+    """(ECE, MCE) from one binning, over the non-empty bins."""
     b = bins.bin_count
     conf = dataset.confidence
     correct = dataset.correct_u8.astype(np.float64)
@@ -72,21 +73,19 @@ def _bin_gaps(dataset: EvaluationSet, bins: BinningSpec):
     occupied = counts > 0
     acc = sum_correct[occupied] / counts[occupied]
     avg_conf = sum_conf[occupied] / counts[occupied]
-    return counts[occupied], np.abs(acc - avg_conf)
+    gaps = np.abs(acc - avg_conf)
+    return float(np.sum((counts[occupied] / len(dataset)) * gaps)), float(gaps.max())
 
 
 def ece(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) -> float:
     """Expected calibration error: occupancy-weighted mean gap between
     per-bin accuracy and per-bin mean confidence."""
-    counts, gaps = _bin_gaps(dataset, bins)
-    n = len(dataset)
-    return float(np.sum((counts / n) * gaps))
+    return _calibration_errors(dataset, bins)[0]
 
 
 def mce(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) -> float:
     """Maximum calibration error: the largest per-bin gap."""
-    _, gaps = _bin_gaps(dataset, bins)
-    return float(gaps.max())
+    return _calibration_errors(dataset, bins)[1]
 
 
 def brier(dataset: EvaluationSet) -> float:
@@ -119,20 +118,36 @@ def aurc(dataset: EvaluationSet) -> float:
     return sequential_sum(_prefix_risks(dataset)) / len(dataset)
 
 
-def eaurc(dataset: EvaluationSet) -> float:
-    """Excess AURC over the best achievable ordering.
+def _oracle_area(dataset: EvaluationSet) -> float:
+    """AURC of the best ordering, which puts every correct record first.
 
-    The oracle orders every correct record ahead of every wrong one, so
-    its prefix risks are ``max(0, k - n_correct) / k``.  Those dominate
-    the actual prefix risks elementwise, which keeps the result
+    Its prefix risks are ``max(0, k - n_correct) / k``.  Those are
+    elementwise below the actual prefix risks, which keeps E-AURC
     non-negative even in floating point.
     """
     n = len(dataset)
-    risks = _prefix_risks(dataset)
     n_correct = int(dataset.correct_u8.sum())
     k = np.arange(1, n + 1, dtype=np.float64)
-    oracle = np.maximum(0.0, k - n_correct) / k
-    return sequential_sum(risks) / n - sequential_sum(oracle) / n
+    return sequential_sum(np.maximum(0.0, k - n_correct) / k) / n
+
+
+def eaurc(dataset: EvaluationSet) -> float:
+    """Excess AURC over the best achievable ordering."""
+    return aurc(dataset) - _oracle_area(dataset)
+
+
+def baseline_scalars(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) -> Dict[str, float]:
+    """ECE, MCE, Brier, AURC and E-AURC in report order, from one binning
+    and one confidence sort; each equals its single-metric function."""
+    ece_value, mce_value = _calibration_errors(dataset, bins)
+    area = aurc(dataset)
+    return {
+        "ece": ece_value,
+        "mce": mce_value,
+        "brier": brier(dataset),
+        "aurc": area,
+        "eaurc": area - _oracle_area(dataset),
+    }
 
 
 def risk_coverage_points(dataset: EvaluationSet) -> List[RiskCoveragePoint]:

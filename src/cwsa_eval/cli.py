@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ._version import TOOL_NAME, __version__
@@ -123,6 +124,13 @@ def _cmd_compare(args) -> int:
     paths = [p for p in args.inputs.split(",") if p]
     if not paths:
         raise ValueError("no input files given")
+    # Reports are keyed by source id, which ingest takes from the file name.
+    by_name = {}
+    for path in paths:
+        name = Path(path).name
+        if name in by_name:
+            raise ValueError(f"inputs {by_name[name]} and {path} share the source id {name!r}")
+        by_name[name] = path
     grid = ThresholdGrid.parse(args.grid) if args.grid else ThresholdGrid()
     bins = BinningSpec(args.bins)
     reports = []

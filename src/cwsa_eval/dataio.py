@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ._version import TOOL_NAME, __version__
-from .baselines import BinningSpec, aurc, brier, eaurc, ece, mce
+from .baselines import BinningSpec, baseline_scalars
 from .core import EvaluationSet
 from .metrics import point_metrics
 from .sweep import SweepReport
@@ -97,6 +97,21 @@ def _parse_fraction(raw: object, name: str, where: str) -> float:
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise IngestError(f"{where}: {name} {raw!r} outside [0, 1]")
     return value
+
+
+def _not_utf8(path: Path) -> IngestError:
+    """The error for a file that is not UTF-8, naming its first bad line.
+
+    Called only once decoding has failed, so valid files are read once;
+    the line is found by re-reading the file in binary.
+    """
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})")
+    return IngestError(f"{path}: not valid UTF-8")
 
 
 def _csv_rows(reader, path: Path):
@@ -216,12 +231,15 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     confidence: List[float] = []
     credit: List[float] = []
     any_credit = False
-    for yt, yp, conf, cr in rows:
-        y_true.append(yt)
-        y_pred.append(yp)
-        confidence.append(conf)
-        credit.append(math.nan if cr is None else cr)
-        any_credit = any_credit or cr is not None
+    try:
+        for yt, yp, conf, cr in rows:
+            y_true.append(yt)
+            y_pred.append(yp)
+            confidence.append(conf)
+            credit.append(math.nan if cr is None else cr)
+            any_credit = any_credit or cr is not None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not y_true:
         raise IngestError(f"{path}: no prediction rows")
 
@@ -276,16 +294,6 @@ def file_digest(path) -> str:
 # Report documents
 
 
-def _baseline_block(dataset: EvaluationSet, bins: BinningSpec) -> Dict[str, object]:
-    return {
-        "ece": ece(dataset, bins),
-        "mce": mce(dataset, bins),
-        "brier": brier(dataset),
-        "aurc": aurc(dataset),
-        "eaurc": eaurc(dataset),
-    }
-
-
 def point_report_doc(
     dataset: EvaluationSet, tau: float, bins: BinningSpec, input_digest: str
 ) -> Dict[str, object]:
@@ -306,7 +314,7 @@ def point_report_doc(
         "selective_accuracy": pm.selective_accuracy,
         "cwsa": pm.cwsa,
         "cwsa_plus": pm.cwsa_plus,
-        "baselines": _baseline_block(dataset, bins),
+        "baselines": baseline_scalars(dataset, bins),
     }
 
 
@@ -504,6 +512,8 @@ def write_curves(report_doc: Dict[str, object], out_dir) -> List[Path]:
     """Emit one CSV and one SVG per metric curve of a sweep report."""
     if report_doc.get("report_type") != "sweep":
         raise ValueError("curve emission needs a sweep report (report_type == 'sweep')")
+    if "curves" not in report_doc:
+        raise ValueError("sweep report has no 'curves' key")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []

@@ -9,14 +9,12 @@ behavior stay comparable under a single scalar.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .baselines import BinningSpec, aurc, brier, eaurc, ece, mce
+from .baselines import BinningSpec, baseline_scalars
 from .core import EvaluationSet
-from .metrics import PointMetrics, point_metrics
+from .metrics import point_metrics
 
 __all__ = [
     "THRESHOLD_METRICS",
@@ -36,8 +34,6 @@ THRESHOLD_METRICS = ("cwsa", "cwsa_plus", "selective_accuracy")
 # Coverage is carried as a curve of its own for plotting, but a
 # coverage-vs-coverage area would be meaningless, so it gets no scalar.
 CURVE_METRICS = THRESHOLD_METRICS + ("coverage",)
-
-THREADS_ENV_VAR = "CWSA_EVAL_THREADS"
 
 # Upper limit on the number of thresholds in a ``ThresholdGrid``.
 MAX_GRID_POINTS = 100_000
@@ -173,15 +169,6 @@ def _collapse_by_coverage(points: Sequence[CurvePoint]) -> List[Tuple[float, flo
     return collapsed
 
 
-def _trapezoid_mean_height(collapsed: Sequence[Tuple[float, float]]) -> float:
-    area = math.fsum(
-        (v0 + v1) * 0.5 * (c1 - c0)
-        for (c0, v0), (c1, v1) in zip(collapsed, collapsed[1:])
-    )
-    span = collapsed[-1][0] - collapsed[0][0]
-    return area / span
-
-
 def aumcc(curve: MetricCurve) -> float:
     """Area under the metric-coverage curve, normalized by the coverage span.
 
@@ -199,17 +186,14 @@ def aumcc(curve: MetricCurve) -> float:
         raise InsufficientDataError(
             f"curve {curve.metric_name!r} has {usable} defined point(s); need at least 2"
         )
-    collapsed = _collapse_by_coverage(curve.points)
-    if len(collapsed) == 1:
-        return collapsed[0][1]
-    return _trapezoid_mean_height(collapsed)
+    return _curve_scalar(curve)
 
 
 def _curve_scalar(curve: MetricCurve) -> Optional[float]:
-    """Sweep-report scalar for a curve; degenerate curves fall back gracefully.
+    """Sweep-report scalar for a curve: the area summary of :func:`aumcc`.
 
-    Same computation as :func:`aumcc`, except that a single defined point
-    (a one-threshold grid) yields that value and an all-undefined curve
+    Degenerate curves fall back gracefully: a single defined point (a
+    one-threshold grid) yields that value and an all-undefined curve
     yields ``None`` instead of an error.
     """
     collapsed = _collapse_by_coverage(curve.points)
@@ -217,44 +201,24 @@ def _curve_scalar(curve: MetricCurve) -> Optional[float]:
         return None
     if len(collapsed) == 1:
         return collapsed[0][1]
-    return _trapezoid_mean_height(collapsed)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, value)
+    area = math.fsum(
+        (v0 + v1) * 0.5 * (c1 - c0)
+        for (c0, v0), (c1, v1) in zip(collapsed, collapsed[1:])
+    )
+    return area / (collapsed[-1][0] - collapsed[0][0])
 
 
 def sweep(
     dataset: EvaluationSet,
     grid: ThresholdGrid = ThresholdGrid(),
     bins: BinningSpec = BinningSpec(),
-    threads: Optional[int] = None,
 ) -> SweepReport:
     """Evaluate every metric across ``grid`` and summarize.
 
-    Threshold evaluations are independent; with ``threads > 1`` (or the
-    ``CWSA_EVAL_THREADS`` environment variable set) they run in a thread
-    pool.  The report is assembled in grid order either way, so the
-    output is identical regardless of parallelism.
+    Each threshold is evaluated on the full set, in grid order; the
+    whole-set baselines are computed once, from one sort and one binning.
     """
-    taus = grid.thresholds()
-    if threads is None:
-        threads = _thread_count()
-
-    if threads > 1 and len(taus) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points: List[PointMetrics] = list(
-                pool.map(lambda t: point_metrics(dataset, t), taus)
-            )
-    else:
-        points = [point_metrics(dataset, t) for t in taus]
+    points = [point_metrics(dataset, t) for t in grid.thresholds()]
 
     curves: Dict[str, MetricCurve] = {}
     for name in CURVE_METRICS:
@@ -267,11 +231,7 @@ def sweep(
     scalars: Dict[str, Optional[float]] = {}
     for name in THRESHOLD_METRICS:
         scalars[f"auc_mcc_{name}"] = _curve_scalar(curves[name])
-    scalars["ece"] = ece(dataset, bins)
-    scalars["mce"] = mce(dataset, bins)
-    scalars["brier"] = brier(dataset)
-    scalars["aurc"] = aurc(dataset)
-    scalars["eaurc"] = eaurc(dataset)
+    scalars.update(baseline_scalars(dataset, bins))
 
     return SweepReport(source_id=dataset.source_id, grid=grid, curves=curves, scalars=scalars)
 

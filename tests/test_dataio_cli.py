@@ -161,14 +161,16 @@ MALFORMED_FILES = {
     "long_int.jsonl": ('{"y_true":1' + "0" * 5000 + "}\n", 1),
     "deep_nesting.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}\n' + "[" * 100_000 + "\n", 2),
     "unclosed_quote.csv": (_CSV_HEADER + '0,0,"' + "x" * 140_000 + "\n", 2),
+    "not_utf8.csv": (_CSV_HEADER.encode() + b"0,0,0.5\n1,1,0.\xff\n", 3),
+    "not_utf8.jsonl": (b'{"y_true":0,"y_pred":0,"confidence":0.5}\n' * 3 + b'{"y_true":"\xff"}\n', 4),
 }
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_FILES))
 def test_malformed_line_names_file_and_line(tmp_path, name):
-    text, line = MALFORMED_FILES[name]
+    content, line = MALFORMED_FILES[name]
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(IngestError, match=rf"{name}:{line}: "):
         ingest(path)
 
@@ -343,6 +345,19 @@ class TestCliCompare:
         assert lines[0].split() == ["rank", "source_id", "auc_mcc_cwsa_plus"]
         assert lines[1].split()[1] == "perfect.csv"
 
+    def test_inputs_sharing_a_file_name_are_rejected(self, tmp_path, capsys):
+        paths = []
+        for kind in ("perfect", "random"):
+            (tmp_path / kind).mkdir()
+            paths.append(tmp_path / kind / "p.csv")
+            run_cli(["synth", "--kind", kind, "--n", "20", "--output", str(paths[-1])])
+        out = tmp_path / "rank.json"
+        assert run_cli(["compare", "--inputs", ",".join(map(str, paths)), "--by", "cwsa",
+                        "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not out.exists()
+
     def test_by_flag_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["compare", "--inputs", "a.csv", "--output", "r.json"])
@@ -375,6 +390,12 @@ class TestCliCurves:
         run_cli(["evaluate", "--input", str(pred), "--tau", "0.5", "--output", str(report)])
         assert run_cli(["curves", "--report", str(report),
                         "--output", str(tmp_path / "c")]) == 1
+
+    def test_report_without_curves_is_exit_1(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text('{"report_type": "sweep"}\n')
+        assert run_cli(["curves", "--report", str(report), "--output", str(tmp_path / "c")]) == 1
+        assert "'curves'" in capsys.readouterr().err
 
     def test_undefined_values_leave_gaps(self, tmp_path):
         pred = tmp_path / "p.csv"
@@ -411,16 +432,6 @@ class TestEvaluateDeterminism:
         run_cli(["synth", "--kind", "calibrated", "--seed", "31", "--output", str(pred)])
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["evaluate", "--input", str(pred), "--output", str(a)])
-        run_cli(["evaluate", "--input", str(pred), "--output", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_env_var_does_not_change_bytes(self, tmp_path, monkeypatch):
-        pred = tmp_path / "p.csv"
-        run_cli(["synth", "--kind", "random", "--seed", "32", "--output", str(pred)])
-        a = tmp_path / "a.json"
-        run_cli(["evaluate", "--input", str(pred), "--output", str(a)])
-        monkeypatch.setenv("CWSA_EVAL_THREADS", "4")
-        b = tmp_path / "b.json"
         run_cli(["evaluate", "--input", str(pred), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 

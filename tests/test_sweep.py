@@ -3,16 +3,23 @@ import pytest
 
 from cwsa_eval import (
     ArchetypeSpec,
+    BinningSpec,
     CurvePoint,
     InsufficientDataError,
     MetricCurve,
     ThresholdGrid,
     aumcc,
+    aurc,
+    brier,
+    eaurc,
+    ece,
     generate,
+    mce,
     point_metrics,
     rank,
     sweep,
 )
+from cwsa_eval.dataio import point_report_doc
 from cwsa_eval.sweep import MAX_GRID_POINTS
 from conftest import make_set, random_pairs
 
@@ -199,13 +206,28 @@ class TestSweep:
         assert all(curve.taus() == taus for curve in report.curves.values())
         assert taus == report.grid.thresholds()
 
-    def test_thread_pool_output_is_identical(self):
+    def test_one_sort_and_one_binning_per_report(self, monkeypatch):
         ds = make_set(random_pairs(np.random.default_rng(45), 300))
-        sequential = sweep(ds, threads=1)
-        threaded = sweep(ds, threads=4)
-        for name in sequential.curves:
-            assert threaded.curves[name].values() == sequential.curves[name].values()
-        assert threaded.scalars == sequential.scalars
+        bins = BinningSpec(9)
+        calls = {"argsort": 0, "bincount": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+
+        report = sweep(ds, ThresholdGrid(0.1, 0.9, 0.1), bins)
+        assert calls == {"argsort": 1, "bincount": 3}
+        calls.update(argsort=0, bincount=0)
+        doc = point_report_doc(ds, 0.7, bins, "sha256:0")
+        assert calls == {"argsort": 1, "bincount": 3}
+
+        alone = {"ece": ece(ds, bins), "mce": mce(ds, bins), "brier": brier(ds),
+                 "aurc": aurc(ds), "eaurc": eaurc(ds)}
+        assert doc["baselines"] == alone
+        assert list(doc["baselines"]) == list(alone)
+        assert {name: report.scalars[name] for name in alone} == alone
 
 
 class TestRank:
