@@ -18,15 +18,7 @@ from .baselines import (
     mce,
     risk_coverage_points,
 )
-from .core import (
-    EvaluationSet,
-    PredictionRecord,
-    RetainedSubset,
-    confidence_weight,
-    coverage,
-    select,
-    validate_threshold,
-)
+from .core import EvaluationSet, validate_threshold
 from .dataio import IngestError, ingest, write_predictions_csv
 from .metrics import (
     GRADIENT_ABSTAINED,
@@ -66,13 +58,8 @@ __all__ = [
     "TOOL_NAME",
     "__version__",
     # core
-    "PredictionRecord",
     "EvaluationSet",
-    "RetainedSubset",
     "validate_threshold",
-    "select",
-    "confidence_weight",
-    "coverage",
     # metrics
     "PointMetrics",
     "GradientEntry",

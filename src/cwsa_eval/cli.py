@@ -168,7 +168,10 @@ def _cmd_curves(args) -> int:
     import json
 
     with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.report}: JSON nested too deeply") from None
     write_curves(doc, args.output)
     return 0
 

@@ -1,26 +1,20 @@
 """Shared domain types for selective-prediction evaluation.
 
 Everything downstream (metrics, baselines, sweeps) consumes the types
-defined here: single prediction records, validated evaluation sets, the
-threshold filter, and the linear confidence weight that rescales the
-retained confidence range onto [0, 1].
+defined here: validated evaluation sets and the threshold check.  The
+record rules live in one place, :func:`_first_bad_record`, which both
+:class:`EvaluationSet` and file ingestion call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "PredictionRecord",
     "EvaluationSet",
-    "RetainedSubset",
     "validate_threshold",
-    "select",
-    "confidence_weight",
-    "coverage",
 ]
 
 
@@ -37,50 +31,11 @@ def validate_threshold(tau: float) -> float:
     return tau
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One model prediction together with its confidence.
-
-    Attributes
-    ----------
-    true_label : int
-        Ground-truth class index, non-negative.
-    predicted_label : int
-        Predicted class index, non-negative.
-    confidence : float
-        Top-1 confidence in [0, 1].  Taken as given: the metrics exist to
-        judge the supplied confidences, so no clipping or renormalizing.
-    credit : float, optional
-        Graded-correctness score in [0, 1] for structured outputs;
-        ``None`` for plain right/wrong classification.
-    """
-
-    true_label: int
-    predicted_label: int
-    confidence: float
-    credit: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.true_label < 0 or self.predicted_label < 0:
-            raise ValueError(
-                f"labels must be non-negative, got ({self.true_label}, {self.predicted_label})"
-            )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence!r}")
-        if self.credit is not None and not 0.0 <= self.credit <= 1.0:
-            raise ValueError(f"credit must lie in [0, 1], got {self.credit!r}")
-
-    @property
-    def correct(self) -> bool:
-        return self.true_label == self.predicted_label
-
-
 class EvaluationSet:
     """An immutable, validated collection of predictions from one model.
 
     Stores column arrays internally so metric evaluation can run as a
-    single pass over contiguous memory; record-level access is available
-    through iteration and :meth:`record`.
+    single pass over contiguous memory.
 
     Parameters
     ----------
@@ -88,7 +43,7 @@ class EvaluationSet:
         Ground-truth and predicted class indices, both in
         ``[0, class_count)``.
     confidence : array-like of float
-        Top-1 confidences in [0, 1].
+        Top-1 confidences in [0, 1], taken as given: no clipping.
     credit : array-like of float, optional
         Graded-correctness values in [0, 1]; NaN marks "absent".  ``None``
         when no record carries a credit.
@@ -119,33 +74,25 @@ class EvaluationSet:
         if n == 0:
             raise ValueError("an evaluation set must contain at least one record")
 
-        if class_count is None:
-            class_count = int(max(y_true.max(), y_pred.max())) + 1
-        class_count = int(class_count)
-        if class_count < 1:
-            raise ValueError(f"class_count must be positive, got {class_count}")
-
-        self._check_labels(y_true, class_count, "y_true")
-        self._check_labels(y_pred, class_count, "y_pred")
-        bad = np.flatnonzero((confidence < 0.0) | (confidence > 1.0) | np.isnan(confidence))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"record {i}: confidence {confidence[i]!r} outside [0, 1]")
-
         if credit is not None:
             credit = np.ascontiguousarray(credit, dtype=np.float64)
             if credit.shape != confidence.shape:
                 raise ValueError("credit must match the record count")
-            present = ~np.isnan(credit)
-            bad = np.flatnonzero(present & ((credit < 0.0) | (credit > 1.0)))
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(f"record {i}: credit {credit[i]!r} outside [0, 1]")
-            credit.setflags(write=False)
+        if class_count is not None:
+            class_count = int(class_count)
+            if class_count < 1:
+                raise ValueError(f"class_count must be positive, got {class_count}")
+
+        bad = _first_bad_record(y_true, y_pred, confidence, credit, class_count)
+        if bad is not None:
+            raise ValueError(f"record {bad[0]}: {bad[1]}")
+        if class_count is None:
+            class_count = int(max(y_true.max(), y_pred.max())) + 1
 
         correct_u8 = np.ascontiguousarray(y_true == y_pred, dtype=np.uint8)
-        for arr in (y_true, y_pred, confidence, correct_u8):
-            arr.setflags(write=False)
+        for arr in (y_true, y_pred, confidence, credit, correct_u8):
+            if arr is not None:
+                arr.setflags(write=False)
 
         self.y_true = y_true
         self.y_pred = y_pred
@@ -155,54 +102,8 @@ class EvaluationSet:
         self.source_id = source_id
         self.correct_u8 = correct_u8
 
-    @staticmethod
-    def _check_labels(labels: np.ndarray, class_count: int, name: str) -> None:
-        bad = np.flatnonzero((labels < 0) | (labels >= class_count))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"record {i}: {name} {labels[i]} outside [0, {class_count})"
-            )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[PredictionRecord],
-        class_count: Optional[int] = None,
-        source_id: str = "",
-    ) -> "EvaluationSet":
-        """Build a set from :class:`PredictionRecord` instances."""
-        records = list(records)
-        if not records:
-            raise ValueError("an evaluation set must contain at least one record")
-        y_true = np.array([r.true_label for r in records], dtype=np.int64)
-        y_pred = np.array([r.predicted_label for r in records], dtype=np.int64)
-        confidence = np.array([r.confidence for r in records], dtype=np.float64)
-        if any(r.credit is not None for r in records):
-            credit = np.array(
-                [np.nan if r.credit is None else r.credit for r in records], dtype=np.float64
-            )
-        else:
-            credit = None
-        return cls(y_true, y_pred, confidence, credit, class_count, source_id)
-
-    def record(self, i: int) -> PredictionRecord:
-        credit = None
-        if self.credit is not None and not np.isnan(self.credit[i]):
-            credit = float(self.credit[i])
-        return PredictionRecord(
-            true_label=int(self.y_true[i]),
-            predicted_label=int(self.y_pred[i]),
-            confidence=float(self.confidence[i]),
-            credit=credit,
-        )
-
     def __len__(self) -> int:
         return int(self.y_true.shape[0])
-
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
 
     def __repr__(self) -> str:
         return (
@@ -211,51 +112,27 @@ class EvaluationSet:
         )
 
 
-@dataclass(frozen=True)
-class RetainedSubset:
-    """Positions of the records whose confidence clears a threshold.
+def _first_bad_record(y_true, y_pred, confidence, credit, class_count) -> Optional[Tuple[int, str]]:
+    """The first record that breaks a record rule, as ``(index, reason)``, or ``None``.
 
-    ``indices`` is strictly increasing, i.e. input order is preserved.
+    Labels lie in ``[0, class_count)``, of which only the lower bound
+    applies while ``class_count`` is ``None`` (still to be inferred);
+    confidence lies in [0, 1]; credit, where not NaN ("absent"), lies in [0, 1].
     """
-
-    indices: np.ndarray
-    tau: float
-
-
-def select(dataset: EvaluationSet, tau: float) -> RetainedSubset:
-    """Filter ``dataset`` down to the records with confidence >= ``tau``.
-
-    Ties at the threshold are retained (they later receive confidence
-    weight exactly 0, so they count toward coverage but contribute
-    nothing to the weighted metrics).  The result may be empty.
-    """
-    tau = validate_threshold(tau)
-    indices = np.flatnonzero(dataset.confidence >= tau)
-    indices.setflags(write=False)
-    return RetainedSubset(indices=indices, tau=tau)
-
-
-def confidence_weight(confidence: float, tau: float) -> float:
-    """Linear weight ``(confidence - tau) / (1 - tau)`` on the retained range.
-
-    Maps the retained confidence interval [tau, 1] onto [0, 1]: a record
-    sitting exactly at the threshold weighs 0, a fully confident record
-    weighs 1.  Callers must filter first; confidence below ``tau`` is a
-    contract violation.
-    """
-    tau = validate_threshold(tau)
-    confidence = float(confidence)
-    if confidence < tau:
-        raise ValueError(
-            f"confidence {confidence!r} is below the threshold {tau!r}; filter before weighting"
-        )
-    if confidence > 1.0:
-        raise ValueError(f"confidence must lie in [0, 1], got {confidence!r}")
-    return (confidence - tau) / (1.0 - tau)
-
-
-def coverage(dataset: EvaluationSet, tau: float) -> float:
-    """Fraction of records retained at ``tau``."""
-    tau = validate_threshold(tau)
-    retained = int(np.count_nonzero(dataset.confidence >= tau))
-    return retained / len(dataset)
+    bounds = "[0, class_count)" + ("" if class_count is None else f" with class_count {class_count}")
+    checks = []
+    for name, labels in (("y_true", y_true), ("y_pred", y_pred)):
+        bad = labels < 0
+        if class_count is not None:
+            bad |= labels >= class_count
+        checks.append((name, labels, bounds, bad))
+    # NaN fails both comparisons, so a NaN confidence is out of range...
+    checks.append(("confidence", confidence, "[0, 1]", ~((confidence >= 0.0) & (confidence <= 1.0))))
+    if credit is not None:  # ...and a NaN credit, which marks "absent", is not
+        checks.append(("credit", credit, "[0, 1]", (credit < 0.0) | (credit > 1.0)))
+    first = None
+    for name, values, within, bad in checks:
+        i = int(bad.argmax())
+        if bad[i] and (first is None or i < first[0]):
+            first = (i, f"{name} {values[i].item()!r} outside {within}")
+    return first

@@ -15,6 +15,7 @@ Formats
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec, baseline_scalars
-from .core import EvaluationSet
+from .core import EvaluationSet, _first_bad_record
 from .metrics import point_metrics
 from .sweep import SweepReport
 
@@ -45,7 +46,8 @@ __all__ = [
 
 PROBS_TOLERANCE = 1e-6
 # Labels are stored as int64.
-MAX_LABEL = int(np.iinfo(np.int64).max)
+INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 AUMCC_POLICY = (
     "trapezoid over coverage ascending; duplicate coverages averaged; "
@@ -66,37 +68,41 @@ def _infer_format(path: Path) -> str:
     raise IngestError(f"{path}: cannot infer format from suffix {suffix!r}; pass format explicitly")
 
 
-def _parse_label(raw: object, name: str, where: str) -> int:
-    if isinstance(raw, bool):
-        raise IngestError(f"{where}: {name} must be an integer, got {raw!r}")
-    if isinstance(raw, int):
-        value = raw
-    elif isinstance(raw, float) and raw.is_integer():
-        value = int(raw)
-    elif isinstance(raw, str):
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            raise IngestError(f"{where}: {name} must be an integer, got {raw!r}") from None
-    else:
-        raise IngestError(f"{where}: {name} must be an integer, got {raw!r}")
-    if value < 0:
-        raise IngestError(f"{where}: {name} must be non-negative, got {value}")
-    if value > MAX_LABEL:
-        raise IngestError(f"{where}: {name} {value} exceeds the largest label {MAX_LABEL}")
-    return value
-
-
-def _parse_fraction(raw: object, name: str, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise IngestError(f"{where}: {name} must be a number, got {raw!r}")
+def _label(raw: object, name: str, path: Path, line_no: int) -> int:
+    """A label cell as an int that fits in int64: ``int()`` of text, or a
+    JSON int or integral float.  The range is checked on the column."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
     try:
-        value = float(raw)
-    except (ValueError, OverflowError):
-        raise IngestError(f"{where}: {name} must be a number, got {raw!r}") from None
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise IngestError(f"{where}: {name} {raw!r} outside [0, 1]")
+        if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+            raise ValueError
+        value = int(raw)
+    except ValueError:
+        raise IngestError(f"{path}:{line_no}: {name} must be an integer, got {raw!r}") from None
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise IngestError(f"{path}:{line_no}: {name} {value} does not fit in int64")
     return value
+
+
+def _number(raw: object, name: str, path: Path, line_no: int) -> float:
+    """A number cell as ``float()`` of text or of a JSON number.  The range
+    is checked on the column."""
+    if isinstance(raw, (str, int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
+            pass
+    raise IngestError(f"{path}:{line_no}: {name} must be a number, got {raw!r}")
+
+
+def _add_credit(credit: List[float], index: int, raw: object, path: Path, line_no: int) -> None:
+    """Set the credit of record ``index``; NaN pads the records before it
+    that have none, so the list stays empty until some record has one."""
+    value = _number(raw, "credit", path, line_no)
+    if math.isnan(value):  # NaN would read as "absent" in the column
+        raise IngestError(f"{path}:{line_no}: credit {raw!r} outside [0, 1]")
+    credit.extend([math.nan] * (index - len(credit)))
+    credit.append(value)
 
 
 def _not_utf8(path: Path) -> IngestError:
@@ -114,52 +120,50 @@ def _not_utf8(path: Path) -> IngestError:
     return IngestError(f"{path}: not valid UTF-8")
 
 
-def _csv_rows(reader, path: Path):
-    """The rows of ``reader``, with ``csv.Error`` turned into an :class:`IngestError`."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
-
-
-def _rows_from_csv(path: Path):
+def _read_csv(path: Path, columns, skipped: List[int]) -> None:
+    """Append the records of a CSV file to ``columns``, and the record
+    count at each blank row to ``skipped``."""
+    y_true, y_pred, confidence, credit = columns
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = _csv_rows(reader, path)
         try:
-            header = next(rows)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        columns = {name.strip(): i for i, name in enumerate(header)}
-        for required in ("y_true", "y_pred", "confidence"):
-            if required not in columns:
-                raise IngestError(f"{path}: missing required column {required!r}")
-        credit_col = columns.get("credit")
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file")
+            index = {name.strip(): i for i, name in enumerate(header)}
+            for required in ("y_true", "y_pred", "confidence"):
+                if required not in index:
+                    raise IngestError(f"{path}: missing required column {required!r}")
+            i_true, i_pred, i_conf = index["y_true"], index["y_pred"], index["confidence"]
+            i_credit = index.get("credit", -1)
+            width = max(i_true, i_pred, i_conf) + 1
 
-        required_width = max(columns[c] for c in ("y_true", "y_pred", "confidence")) + 1
-        for line_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            where = f"{path}:{line_no}"
-            if len(row) < required_width:
-                raise IngestError(f"{where}: expected {required_width} columns, got {len(row)}")
-            y_true = _parse_label(row[columns["y_true"]], "y_true", where)
-            y_pred = _parse_label(row[columns["y_pred"]], "y_pred", where)
-            conf = _parse_fraction(row[columns["confidence"]], "confidence", where)
-            credit = None
-            if credit_col is not None and credit_col < len(row) and row[credit_col].strip():
-                credit = _parse_fraction(row[credit_col], "credit", where)
-            yield y_true, y_pred, conf, credit
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    skipped.append(len(y_true))
+                    continue
+                if len(row) < width:
+                    raise IngestError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
+                t = _label(row[i_true], "y_true", path, line_no)
+                p = _label(row[i_pred], "y_pred", path, line_no)
+                c = _number(row[i_conf], "confidence", path, line_no)
+                if 0 <= i_credit < len(row) and row[i_credit].strip():
+                    _add_credit(credit, len(y_true), row[i_credit], path, line_no)
+                y_true.append(t)
+                y_pred.append(p)
+                confidence.append(c)
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
 
 
-def _reduce_probs(obj: dict, where: str):
+def _reduce_probs(obj: dict, path: Path, line_no: int):
     """Apply the argmax reduction for rows carrying a ``probs`` vector."""
     probs = obj["probs"]
     if not isinstance(probs, list) or not probs:
-        raise IngestError(f"{where}: probs must be a non-empty list of numbers")
+        raise IngestError(f"{path}:{line_no}: probs must be a non-empty list of numbers")
     for p in probs:
         if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise IngestError(f"{where}: probs must be a non-empty list of numbers")
+            raise IngestError(f"{path}:{line_no}: probs must be a non-empty list of numbers")
     try:
         values = [float(p) for p in probs]
         total = math.fsum(values)
@@ -167,50 +171,73 @@ def _reduce_probs(obj: dict, where: str):
         total = math.nan
     # A NaN or infinite entry makes the total NaN or infinite, which fails here.
     if not abs(total - 1.0) <= PROBS_TOLERANCE:
-        raise IngestError(f"{where}: probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
+        raise IngestError(f"{path}:{line_no}: probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
     top = max(values)
     top_index = values.index(top)  # lowest index wins ties
     if "confidence" in obj:
-        conf = _parse_fraction(obj["confidence"], "confidence", where)
+        conf = _number(obj["confidence"], "confidence", path, line_no)
         if abs(conf - top) > PROBS_TOLERANCE:
             raise IngestError(
-                f"{where}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
+                f"{path}:{line_no}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
             )
     return top_index, top
 
 
-def _rows_from_jsonl(path: Path):
+def _read_jsonl(path: Path, columns, skipped: List[int]) -> None:
+    """Append the records of a JSONL file to ``columns``, as :func:`_read_csv` does."""
+    y_true, y_pred, confidence, credit = columns
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
+                skipped.append(len(y_true))
                 continue
-            where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                raise IngestError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+                raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(obj, dict):
-                raise IngestError(f"{where}: expected a JSON object")
+                raise IngestError(f"{path}:{line_no}: expected a JSON object")
             if "y_true" not in obj:
-                raise IngestError(f"{where}: missing key 'y_true'")
-            y_true = _parse_label(obj["y_true"], "y_true", where)
+                raise IngestError(f"{path}:{line_no}: missing key 'y_true'")
+            t = _label(obj["y_true"], "y_true", path, line_no)
 
             if "probs" in obj:
-                top_index, top = _reduce_probs(obj, where)
-                y_pred_raw = obj.get("y_pred", top_index)
-                conf_raw = obj.get("confidence", top)
+                top_index, top = _reduce_probs(obj, path, line_no)
+                p_raw = obj.get("y_pred", top_index)
+                c_raw = obj.get("confidence", top)
             else:
                 if "y_pred" not in obj or "confidence" not in obj:
-                    raise IngestError(f"{where}: need y_pred and confidence (or probs)")
-                y_pred_raw = obj["y_pred"]
-                conf_raw = obj["confidence"]
+                    raise IngestError(f"{path}:{line_no}: need y_pred and confidence (or probs)")
+                p_raw = obj["y_pred"]
+                c_raw = obj["confidence"]
 
-            y_pred = _parse_label(y_pred_raw, "y_pred", where)
-            conf = _parse_fraction(conf_raw, "confidence", where)
-            credit = None
+            p = _label(p_raw, "y_pred", path, line_no)
+            c = _number(c_raw, "confidence", path, line_no)
             if obj.get("credit") is not None:
-                credit = _parse_fraction(obj["credit"], "credit", where)
-            yield y_true, y_pred, conf, credit
+                _add_credit(credit, len(y_true), obj["credit"], path, line_no)
+            y_true.append(t)
+            y_pred.append(p)
+            confidence.append(c)
+
+
+def _checked_arrays(path: Path, columns, class_count: Optional[int], first_line: int, skipped: List[int]):
+    """The columns as arrays, once every record keeps the record rules; a
+    record that breaks one raises :class:`IngestError` naming its line."""
+    y_true, y_pred, confidence, credit = columns
+    if credit:  # pad the records after the last one with a credit
+        credit.extend([math.nan] * (len(y_true) - len(credit)))
+    arrays = (
+        np.array(y_true, dtype=np.int64),
+        np.array(y_pred, dtype=np.int64),
+        np.array(confidence, dtype=np.float64),
+        np.array(credit, dtype=np.float64) if credit else None,
+    )
+    bad = _first_bad_record(*arrays, class_count) if y_true else None
+    if bad is not None:
+        index, reason = bad
+        line_no = first_line + index + bisect.bisect_right(skipped, index)
+        raise IngestError(f"{path}:{line_no}: {reason}")
+    return arrays
 
 
 def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -> EvaluationSet:
@@ -225,38 +252,20 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
-    rows = _rows_from_csv(path) if fmt == "csv" else _rows_from_jsonl(path)
-    y_true: List[int] = []
-    y_pred: List[int] = []
-    confidence: List[float] = []
-    credit: List[float] = []
-    any_credit = False
+    read, first_line = (_read_csv, 2) if fmt == "csv" else (_read_jsonl, 1)
+    columns = ([], [], [], [])  # y_true, y_pred, confidence, credit
+    skipped: List[int] = []  # the record count at each skipped blank row
     try:
-        for yt, yp, conf, cr in rows:
-            y_true.append(yt)
-            y_pred.append(yp)
-            confidence.append(conf)
-            credit.append(math.nan if cr is None else cr)
-            any_credit = any_credit or cr is not None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if not y_true:
+        read(path, columns, skipped)
+    except (IngestError, UnicodeDecodeError) as exc:
+        stop = _not_utf8(path) if isinstance(exc, UnicodeDecodeError) else exc
+        # A record rule broken on an earlier line is the first fault.
+        _checked_arrays(path, columns, class_count, first_line, skipped)
+        raise stop from None
+    if not columns[0]:
         raise IngestError(f"{path}: no prediction rows")
-
-    if class_count is not None:
-        bound = max(max(y_true), max(y_pred))
-        if bound >= class_count:
-            raise IngestError(
-                f"{path}: label {bound} outside the declared class_count {class_count}"
-            )
-    return EvaluationSet(
-        np.array(y_true, dtype=np.int64),
-        np.array(y_pred, dtype=np.int64),
-        np.array(confidence, dtype=np.float64),
-        np.array(credit, dtype=np.float64) if any_credit else None,
-        class_count=class_count,
-        source_id=path.name,
-    )
+    arrays = _checked_arrays(path, columns, class_count, first_line, skipped)
+    return EvaluationSet(*arrays, class_count=class_count, source_id=path.name)
 
 
 def write_predictions_csv(dataset: EvaluationSet, path) -> None:
@@ -508,12 +517,30 @@ def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional
     return "\n".join(parts) + "\n"
 
 
+def _check_curve(name: str, curve: object) -> None:
+    """Raise ``ValueError`` unless ``curve`` holds ``tau``, ``coverage`` and ``value``
+    lists of numbers (``value`` may hold null) of one shared, non-zero length."""
+    if name in ("", ".", "..") or Path(name).name != name:  # it names the output files
+        raise ValueError(f"curve name {name!r} is not a file name")
+    if not isinstance(curve, dict):
+        raise ValueError(f"curve {name!r} must be an object")
+    for key in ("tau", "coverage", "value"):
+        points = curve.get(key)
+        if not isinstance(points, list) or not points or len(points) != len(curve["tau"]):
+            raise ValueError(f"curve {name!r}: {key!r} must be a non-empty list as long as 'tau'")
+        numbers = [v for v in points if not (key == "value" and v is None)]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+            raise ValueError(f"curve {name!r}: {key!r} must hold numbers")
+
+
 def write_curves(report_doc: Dict[str, object], out_dir) -> List[Path]:
     """Emit one CSV and one SVG per metric curve of a sweep report."""
-    if report_doc.get("report_type") != "sweep":
+    if not isinstance(report_doc, dict) or report_doc.get("report_type") != "sweep":
         raise ValueError("curve emission needs a sweep report (report_type == 'sweep')")
-    if "curves" not in report_doc:
-        raise ValueError("sweep report has no 'curves' key")
+    if not isinstance(report_doc.get("curves"), dict):
+        raise ValueError("sweep report has no 'curves' object")
+    for name, curve in report_doc["curves"].items():
+        _check_curve(name, curve)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cwsa_eval import EvaluationSet
+from cwsa_eval import EvaluationSet, cwsa_plus
 
 
 def make_set(pairs, class_count=2, source_id="test", credits=None):
@@ -28,3 +28,8 @@ def random_pairs(rng, n, p_correct=0.5, low=0.0, high=1.0):
     confidence = rng.uniform(low, high, n)
     correct = rng.random(n) < p_correct
     return list(zip(confidence.tolist(), correct.tolist()))
+
+
+def weight_of(confidence, tau):
+    """The confidence weight of one record: cwsa_plus of a correct singleton."""
+    return cwsa_plus(make_set([(confidence, True)]), tau)

@@ -77,7 +77,7 @@ class TestIngestCsv:
     def test_explicit_class_count_checked(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("y_true,y_pred,confidence\n4,0,0.5\n")
-        with pytest.raises(IngestError, match="class_count"):
+        with pytest.raises(IngestError, match=r"p\.csv:2: .*class_count"):
             ingest(path, class_count=3)
         assert ingest(path, class_count=5).class_count == 5
 
@@ -163,6 +163,15 @@ MALFORMED_FILES = {
     "unclosed_quote.csv": (_CSV_HEADER + '0,0,"' + "x" * 140_000 + "\n", 2),
     "not_utf8.csv": (_CSV_HEADER.encode() + b"0,0,0.5\n1,1,0.\xff\n", 3),
     "not_utf8.jsonl": (b'{"y_true":0,"y_pred":0,"confidence":0.5}\n' * 3 + b'{"y_true":"\xff"}\n', 4),
+    "nan_confidence.csv": (_CSV_HEADER + "0,0,0.5\n0,0,nan\n", 3),
+    "nan_credit.csv": ("y_true,y_pred,confidence,credit\n0,0,0.5,\n0,0,0.5,nan\n", 3),
+    "negative_label.csv": (_CSV_HEADER + "0,0,0.5\n0,-1,0.5\n", 3),
+    "negative_label.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}\n\n{"y_true":-2,"y_pred":0,"confidence":0.5}\n', 3),
+    "bool_label.jsonl": ('{"y_true":true,"y_pred":0,"confidence":0.5}\n', 1),
+    # blank rows before the bad record shift its line
+    "blank_rows.csv": (_CSV_HEADER + "0,0,0.5\n\n\n1,1,0.5\n\n0,0,1.5\n", 7),
+    # a range fault on line 3 comes before the type fault on line 5
+    "range_before_type.csv": (_CSV_HEADER + "0,0,0.5\n0,0,1.5\n0,0,0.5\n0,zero,0.5\n", 3),
 }
 
 
@@ -396,6 +405,32 @@ class TestCliCurves:
         report.write_text('{"report_type": "sweep"}\n')
         assert run_cli(["curves", "--report", str(report), "--output", str(tmp_path / "c")]) == 1
         assert "'curves'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[]", "sweep report"),
+            ('{"report_type": "sweep", "curves": [1, 2]}', "'curves' object"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [0.5], "value": [0.1]}}}',
+             "'cwsa': 'coverage'"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [], "coverage": [], "value": []}}}',
+             "'cwsa': 'tau'"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [0.5, 0.6], "coverage": [1.0, 1.0],'
+             ' "value": [0.1]}}}', "'cwsa': 'value'"),
+            ('{"report_type": "sweep", "curves": {"../up": {"tau": [0.5], "coverage": [1.0],'
+             ' "value": [0.1]}}}', "'../up' is not a file name"),
+            ("[" * 100_000, "nested too deeply"),
+        ],
+        ids=["not_an_object", "curves_not_an_object", "no_coverage", "empty_lists", "unequal_lengths",
+             "name_leaves_output_dir", "deep_nesting"],
+    )
+    def test_malformed_report_is_exit_1(self, tmp_path, capsys, doc, message):
+        report = tmp_path / "r.json"
+        report.write_text(doc)
+        outdir = tmp_path / "c"
+        assert run_cli(["curves", "--report", str(report), "--output", str(outdir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not outdir.exists() and not (tmp_path / "up.csv").exists()
 
     def test_undefined_values_leave_gaps(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -7,7 +7,6 @@ from cwsa_eval import (
     GRADIENT_ABSTAINED,
     GRADIENT_INTERIOR,
     GRADIENT_KINK,
-    coverage,
     cwsa,
     cwsa_generalized,
     cwsa_gradient,
@@ -185,7 +184,7 @@ class TestExactness:
             assert cwsa(ds, tau) == (s_correct - s_wrong) / retained
             assert cwsa_plus(ds, tau) == naive_impl.cwsa_plus_naive(pairs, tau)
             assert selective_accuracy(ds, tau) == naive_impl.selective_accuracy_naive(pairs, tau)
-            assert coverage(ds, tau) == naive_impl.coverage_naive(pairs, tau)
+            assert point_metrics(ds, tau).coverage == naive_impl.coverage_naive(pairs, tau)
             assert cwsa_generalized(ds, tau) == naive_impl.cwsa_generalized_naive(
                 pairs, credits, tau
             )

@@ -16,7 +16,6 @@ from cwsa_eval import (
     MetricCurve,
     aurc,
     brier,
-    coverage,
     cwsa,
     cwsa_plus,
     eaurc,
@@ -24,10 +23,8 @@ from cwsa_eval import (
     mce,
     BinningSpec,
     point_metrics,
-    select,
-    confidence_weight,
 )
-from conftest import make_set
+from conftest import make_set, weight_of
 
 lattice_confidence = st.integers(min_value=0, max_value=64).map(lambda i: i / 64)
 lattice_tau = st.integers(min_value=0, max_value=15).map(lambda i: i / 16)
@@ -143,10 +140,14 @@ def test_signed_score_identity(pairs, tau):
 def test_coverage_non_increasing_and_selection_nested(pairs, tau_a, tau_b):
     lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
     ds = make_set(pairs)
-    assert coverage(ds, hi) <= coverage(ds, lo)
-    kept_hi = set(select(ds, hi).indices.tolist())
-    kept_lo = set(select(ds, lo).indices.tolist())
-    assert kept_hi <= kept_lo
+    at_lo, at_hi = point_metrics(ds, lo), point_metrics(ds, hi)
+    assert at_hi.coverage <= at_lo.coverage
+    assert at_hi.retained_count <= at_lo.retained_count
+    # what hi keeps lies inside what lo keeps
+    kept_lo = [(c, corr) for c, corr in pairs if c >= lo]
+    assert at_lo.retained_count == len(kept_lo)
+    if kept_lo:
+        assert point_metrics(make_set(kept_lo), hi).retained_count == at_hi.retained_count
 
 
 @given(lattice_tau, lattice_confidence, lattice_confidence)
@@ -155,7 +156,7 @@ def test_weight_strictly_monotone_in_confidence(tau, c1, c2):
     lo, hi = min(c1, c2), max(c1, c2)
     if lo < tau or lo == hi:
         return
-    assert confidence_weight(hi, tau) > confidence_weight(lo, tau)
+    assert weight_of(hi, tau) > weight_of(lo, tau)
 
 
 @given(lattice_confidence, lattice_tau, lattice_tau)
@@ -163,7 +164,7 @@ def test_weight_strictly_monotone_in_confidence(tau, c1, c2):
 def test_weight_strictly_decreasing_in_threshold(c, tau_a, tau_b):
     lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
     if c < 1.0 and lo < hi <= c:
-        assert confidence_weight(c, hi) < confidence_weight(c, lo)
+        assert weight_of(c, hi) < weight_of(c, lo)
 
 
 @given(record_lists)
