@@ -36,9 +36,7 @@ from .metrics import (
 from .sweep import (
     CURVE_METRICS,
     THRESHOLD_METRICS,
-    CurvePoint,
     InsufficientDataError,
-    MetricCurve,
     SweepReport,
     ThresholdGrid,
     aumcc,
@@ -83,8 +81,6 @@ __all__ = [
     "risk_coverage_points",
     # sweep
     "ThresholdGrid",
-    "CurvePoint",
-    "MetricCurve",
     "SweepReport",
     "InsufficientDataError",
     "THRESHOLD_METRICS",

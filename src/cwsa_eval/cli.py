@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -20,6 +21,7 @@ from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec
 from .dataio import (
     IngestError,
+    compare_report_doc,
     file_digest,
     ingest,
     point_report_doc,
@@ -28,7 +30,7 @@ from .dataio import (
     write_predictions_csv,
     write_report,
 )
-from .sweep import THRESHOLD_METRICS, ThresholdGrid, rank, sweep
+from .sweep import THRESHOLD_METRICS, ThresholdGrid, sweep
 from .synthgen import KINDS, ArchetypeSpec, expected_point_metrics, generate
 
 __all__ = ["main", "entrypoint"]
@@ -100,8 +102,7 @@ def _cmd_evaluate(args) -> int:
     if args.tau is not None:
         doc = point_report_doc(dataset, args.tau, bins, digest)
     else:
-        report = sweep(dataset, grid, bins)
-        doc = sweep_report_doc(report, dataset, bins, digest)
+        doc = sweep_report_doc(dataset, grid, bins, digest)
     write_report(doc, args.output)
     return 0
 
@@ -139,34 +140,19 @@ def _cmd_compare(args) -> int:
         dataset = ingest(path)
         digests[dataset.source_id] = file_digest(path)
         reports.append(sweep(dataset, grid, bins))
-    ranking = rank(reports, args.by)
-
-    doc = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "report_type": "compare",
-        "by": args.by,
-        "grid": {"start": grid.start, "end": grid.end, "step": grid.step},
-        "ranking": [
-            {"rank": i + 1, "source_id": sid, f"auc_mcc_{args.by}": value}
-            for i, (sid, value) in enumerate(ranking)
-        ],
-        "scalars_by_source": {r.source_id: dict(r.scalars) for r in reports},
-        "input_digests": digests,
-    }
+    doc = compare_report_doc(reports, args.by, digests)
     write_report(doc, args.output)
 
-    width = max(len("source_id"), max(len(sid) for sid, _ in ranking))
-    print(f"{'rank':>4}  {'source_id':<{width}}  auc_mcc_{args.by}")
-    for i, (sid, value) in enumerate(ranking, start=1):
-        shown = "n/a" if value is None else f"{value:.6f}"
-        print(f"{i:>4}  {sid:<{width}}  {shown}")
+    key = f"auc_mcc_{args.by}"
+    width = max(len("source_id"), max(len(e["source_id"]) for e in doc["ranking"]))
+    print(f"{'rank':>4}  {'source_id':<{width}}  {key}")
+    for entry in doc["ranking"]:
+        shown = "n/a" if entry[key] is None else f"{entry[key]:.6f}"
+        print(f"{entry['rank']:>4}  {entry['source_id']:<{width}}  {shown}")
     return 0
 
 
 def _cmd_curves(args) -> int:
-    import json
-
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

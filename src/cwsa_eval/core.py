@@ -65,9 +65,9 @@ class EvaluationSet:
         class_count: Optional[int] = None,
         source_id: str = "",
     ) -> None:
-        y_true = np.ascontiguousarray(y_true, dtype=np.int64)
-        y_pred = np.ascontiguousarray(y_pred, dtype=np.int64)
-        confidence = np.ascontiguousarray(confidence, dtype=np.float64)
+        y_true = _own_column(y_true, np.int64)
+        y_pred = _own_column(y_pred, np.int64)
+        confidence = _own_column(confidence, np.float64)
         if y_true.ndim != 1 or y_true.shape != y_pred.shape or y_true.shape != confidence.shape:
             raise ValueError("y_true, y_pred and confidence must be 1-d arrays of equal length")
         n = y_true.shape[0]
@@ -75,7 +75,7 @@ class EvaluationSet:
             raise ValueError("an evaluation set must contain at least one record")
 
         if credit is not None:
-            credit = np.ascontiguousarray(credit, dtype=np.float64)
+            credit = _own_column(credit, np.float64)
             if credit.shape != confidence.shape:
                 raise ValueError("credit must match the record count")
         if class_count is not None:
@@ -110,6 +110,15 @@ class EvaluationSet:
             f"EvaluationSet(n={len(self)}, class_count={self.class_count}, "
             f"source_id={self.source_id!r})"
         )
+
+
+def _own_column(values, dtype) -> np.ndarray:
+    """``values`` as a contiguous array no caller can write to: a caller's array is
+    copied unless it is read-only and owns its data, like another set's column."""
+    column = np.ascontiguousarray(values, dtype=dtype)
+    if not column.flags.owndata or (column is values and column.flags.writeable):
+        column = column.copy()
+    return column
 
 
 def _first_bad_record(y_true, y_pred, confidence, credit, class_count) -> Optional[Tuple[int, str]]:

@@ -29,7 +29,7 @@ from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec, baseline_scalars
 from .core import EvaluationSet, _first_bad_record
 from .metrics import point_metrics
-from .sweep import SweepReport
+from .sweep import CURVE_METRICS, SweepReport, ThresholdGrid, rank, sweep
 
 __all__ = [
     "IngestError",
@@ -38,6 +38,7 @@ __all__ = [
     "file_digest",
     "point_report_doc",
     "sweep_report_doc",
+    "compare_report_doc",
     "dumps_report",
     "write_report",
     "write_curves",
@@ -237,6 +238,9 @@ def _checked_arrays(path: Path, columns, class_count: Optional[int], first_line:
         index, reason = bad
         line_no = first_line + index + bisect.bisect_right(skipped, index)
         raise IngestError(f"{path}:{line_no}: {reason}")
+    for column in arrays:  # fresh, so the set need not copy them
+        if column is not None:
+            column.setflags(write=False)
     return arrays
 
 
@@ -270,25 +274,18 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
 
 def write_predictions_csv(dataset: EvaluationSet, path) -> None:
     """Write ``dataset`` in the canonical CSV layout (LF endings, shortest
-    round-trip float formatting)."""
-    path = Path(path)
-    with_credit = dataset.credit is not None
+    round-trip float formatting, an empty cell for an absent credit)."""
+    columns = [dataset.y_true.tolist(), dataset.y_pred.tolist(), dataset.confidence.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["y_true", "y_pred", "confidence"]
-        if with_credit:
-            header.append("credit")
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [
-                int(dataset.y_true[i]),
-                int(dataset.y_pred[i]),
-                repr(float(dataset.confidence[i])),
-            ]
-            if with_credit:
-                c = dataset.credit[i]
-                row.append("" if np.isnan(c) else repr(float(c)))
-            writer.writerow(row)
+        if dataset.credit is None:
+            fh.write("y_true,y_pred,confidence\n")
+            fh.writelines(f"{t},{p},{c!r}\n" for t, p, c in zip(*columns))
+        else:
+            fh.write("y_true,y_pred,confidence,credit\n")
+            fh.writelines(
+                f"{t},{p},{c!r},{'' if math.isnan(r) else repr(r)}\n"
+                for t, p, c, r in zip(*columns, dataset.credit.tolist())
+            )
 
 
 def file_digest(path) -> str:
@@ -303,20 +300,27 @@ def file_digest(path) -> str:
 # Report documents
 
 
+def _report_head(report_type: str, dataset: EvaluationSet, bins: BinningSpec, input_digest: str):
+    """The keys that open every single-set report, in their fixed order."""
+    return {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "report_type": report_type,
+        "source_id": dataset.source_id,
+        "input_digest": input_digest,
+        "record_count": len(dataset),
+        "class_count": dataset.class_count,
+        "bin_count": bins.bin_count,
+    }
+
+
 def point_report_doc(
     dataset: EvaluationSet, tau: float, bins: BinningSpec, input_digest: str
 ) -> Dict[str, object]:
     """Single-threshold report document (fixed key order)."""
     pm = point_metrics(dataset, tau)
     return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "report_type": "point",
-        "source_id": dataset.source_id,
-        "input_digest": input_digest,
-        "record_count": len(dataset),
-        "class_count": dataset.class_count,
-        "bin_count": bins.bin_count,
+        **_report_head("point", dataset, bins, input_digest),
         "tau": pm.tau,
         "retained_count": pm.retained_count,
         "coverage": pm.coverage,
@@ -328,33 +332,45 @@ def point_report_doc(
 
 
 def sweep_report_doc(
-    report: SweepReport, dataset: EvaluationSet, bins: BinningSpec, input_digest: str
+    dataset: EvaluationSet, grid: ThresholdGrid, bins: BinningSpec, input_digest: str
 ) -> Dict[str, object]:
-    """Full sweep report document (fixed key order)."""
-    curves = {}
-    for name, curve in report.curves.items():
-        curves[name] = {
-            "tau": curve.taus(),
-            "coverage": curve.coverages(),
-            "value": curve.values(),
-        }
+    """Full sweep report document (fixed key order): one curve per metric
+    of :data:`CURVE_METRICS` over the thresholds of ``grid``."""
+    report = sweep(dataset, grid, bins)
+    taus = [p.tau for p in report.points]
+    coverages = [p.coverage for p in report.points]
+    curves = {
+        name: {"tau": taus, "coverage": coverages, "value": [getattr(p, name) for p in report.points]}
+        for name in CURVE_METRICS
+    }
     return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "report_type": "sweep",
-        "source_id": report.source_id,
-        "input_digest": input_digest,
-        "record_count": len(dataset),
-        "class_count": dataset.class_count,
-        "bin_count": bins.bin_count,
-        "grid": {
-            "start": report.grid.start,
-            "end": report.grid.end,
-            "step": report.grid.step,
-        },
+        **_report_head("sweep", dataset, bins, input_digest),
+        "grid": {"start": grid.start, "end": grid.end, "step": grid.step},
         "aumcc_policy": AUMCC_POLICY,
         "curves": curves,
         "scalars": dict(report.scalars),
+    }
+
+
+def compare_report_doc(
+    reports: Sequence[SweepReport], by: str, digests: Dict[str, str]
+) -> Dict[str, object]:
+    """Ranking document of several sweeps on one grid (fixed key order);
+    ``digests`` maps each source id to its input digest."""
+    ranking = rank(reports, by)
+    grid = reports[0].grid
+    return {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "report_type": "compare",
+        "by": by,
+        "grid": {"start": grid.start, "end": grid.end, "step": grid.step},
+        "ranking": [
+            {"rank": i, "source_id": sid, f"auc_mcc_{by}": value}
+            for i, (sid, value) in enumerate(ranking, start=1)
+        ],
+        "scalars_by_source": {r.source_id: dict(r.scalars) for r in reports},
+        "input_digests": digests,
     }
 
 
@@ -414,15 +430,11 @@ def write_report(doc: Dict[str, object], path) -> None:
 # Curve emission (CSV + SVG)
 
 
-def _curve_rows(curve: Dict[str, list]):
-    return zip(curve["tau"], curve["coverage"], curve["value"])
-
-
 def write_curve_csv(curve: Dict[str, list], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["tau", "coverage", "value"])
-        for tau, cov, value in _curve_rows(curve):
+        for tau, cov, value in zip(curve["tau"], curve["coverage"], curve["value"]):
             writer.writerow([repr(float(tau)), repr(float(cov)), "" if value is None else repr(float(value))])
 
 

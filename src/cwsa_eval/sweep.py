@@ -1,4 +1,4 @@
-"""Dense threshold sweeps, metric-coverage curves and scalar summaries.
+"""Dense threshold sweeps and the area summaries of their metric-coverage curves.
 
 A sweep evaluates the threshold-local metrics at every grid point and the
 whole-set baselines once, then summarizes each metric-coverage curve by
@@ -8,21 +8,20 @@ behavior stay comparable under a single scalar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .baselines import BinningSpec, baseline_scalars
 from .core import EvaluationSet
-from .metrics import point_metrics
+from .metrics import PointMetrics, point_metrics
 
 __all__ = [
     "THRESHOLD_METRICS",
     "CURVE_METRICS",
     "InsufficientDataError",
     "ThresholdGrid",
-    "CurvePoint",
-    "MetricCurve",
     "SweepReport",
     "sweep",
     "aumcc",
@@ -93,110 +92,64 @@ class ThresholdGrid:
         return cls(start=start, end=end, step=step)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sweep sample: ``value`` is ``None`` where the metric is undefined."""
-
-    tau: float
-    coverage: float
-    value: Optional[float]
-
-
-class MetricCurve:
-    """A per-threshold series of one metric, sorted by threshold.
-
-    Accepts points in any order and normalizes; duplicate thresholds are
-    rejected, and coverage must be non-increasing along the curve.
-    """
-
-    __slots__ = ("metric_name", "points")
-
-    def __init__(self, metric_name: str, points: Sequence[CurvePoint]) -> None:
-        pts = tuple(sorted(points, key=lambda p: p.tau))
-        for a, b in zip(pts, pts[1:]):
-            if b.tau == a.tau:
-                raise ValueError(f"duplicate threshold {a.tau} in curve {metric_name!r}")
-            if b.coverage > a.coverage:
-                raise ValueError(
-                    f"coverage must be non-increasing along the curve, rises at tau={b.tau}"
-                )
-        self.metric_name = metric_name
-        self.points = pts
-
-    def taus(self) -> List[float]:
-        return [p.tau for p in self.points]
-
-    def coverages(self) -> List[float]:
-        return [p.coverage for p in self.points]
-
-    def values(self) -> List[Optional[float]]:
-        return [p.value for p in self.points]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __repr__(self) -> str:
-        return f"MetricCurve({self.metric_name!r}, {len(self.points)} points)"
-
-
 @dataclass
 class SweepReport:
-    """Curves plus scalar summaries for one evaluation set on one grid."""
+    """The per-threshold metrics and scalar summaries of one evaluation set
+    on one grid; ``points`` follow the grid's order."""
 
     source_id: str
     grid: ThresholdGrid
-    curves: Dict[str, MetricCurve]
+    points: List[PointMetrics]
     scalars: Dict[str, Optional[float]] = field(default_factory=dict)
 
 
-def _collapse_by_coverage(points: Sequence[CurvePoint]) -> List[Tuple[float, float]]:
+def _collapse_by_coverage(
+    coverages: Sequence[float], values: Sequence[Optional[float]]
+) -> List[Tuple[float, float]]:
     """Defined points as (coverage, value), coverage ascending, duplicates averaged.
 
     Group means use exact summation so the result does not depend on the
     order the points were supplied in.
     """
-    usable = [(p.coverage, p.value) for p in points if p.value is not None]
+    if len(coverages) != len(values):  # zip would drop the unmatched points
+        raise ValueError(f"got {len(coverages)} coverages but {len(values)} values")
+    usable = [(c, v) for c, v in zip(coverages, values) if v is not None]
     usable.sort(key=lambda cv: cv[0])
     collapsed: List[Tuple[float, float]] = []
-    i = 0
-    while i < len(usable):
-        j = i
-        while j < len(usable) and usable[j][0] == usable[i][0]:
-            j += 1
-        values = [v for _, v in usable[i:j]]
-        collapsed.append((usable[i][0], math.fsum(values) / len(values)))
-        i = j
+    for coverage, group in itertools.groupby(usable, key=lambda cv: cv[0]):
+        group_values = [v for _, v in group]
+        collapsed.append((coverage, math.fsum(group_values) / len(group_values)))
     return collapsed
 
 
-def aumcc(curve: MetricCurve) -> float:
+def aumcc(coverages: Sequence[float], values: Sequence[Optional[float]]) -> float:
     """Area under the metric-coverage curve, normalized by the coverage span.
 
+    ``coverages[i]`` and ``values[i]`` form one point, in any order.
     Points are taken in coverage-ascending order; points sharing a
     coverage (plateaus where no record enters or leaves) are averaged
-    into one; undefined points are dropped, and fewer than two defined
-    points is an error.  Dividing the trapezoidal area by the spanned
-    coverage turns the result into a mean height, so models covering
-    different ranges remain comparable.  A curve whose coverage never
-    moves collapses to a single point and the mean height is just its
-    (averaged) value.
+    into one; undefined (``None``) points are dropped, and fewer than two
+    defined points is an error.  Dividing the trapezoidal area by the
+    spanned coverage turns the result into a mean height, so models
+    covering different ranges remain comparable.  A curve whose coverage
+    never moves collapses to a single point and the mean height is just
+    its (averaged) value.
     """
-    usable = sum(1 for p in curve.points if p.value is not None)
+    area = _curve_scalar(coverages, values)
+    usable = sum(1 for v in values if v is not None)
     if usable < 2:
-        raise InsufficientDataError(
-            f"curve {curve.metric_name!r} has {usable} defined point(s); need at least 2"
-        )
-    return _curve_scalar(curve)
+        raise InsufficientDataError(f"curve has {usable} defined point(s); need at least 2")
+    return area
 
 
-def _curve_scalar(curve: MetricCurve) -> Optional[float]:
+def _curve_scalar(coverages: Sequence[float], values: Sequence[Optional[float]]) -> Optional[float]:
     """Sweep-report scalar for a curve: the area summary of :func:`aumcc`.
 
     Degenerate curves fall back gracefully: a single defined point (a
     one-threshold grid) yields that value and an all-undefined curve
     yields ``None`` instead of an error.
     """
-    collapsed = _collapse_by_coverage(curve.points)
+    collapsed = _collapse_by_coverage(coverages, values)
     if not collapsed:
         return None
     if len(collapsed) == 1:
@@ -219,21 +172,13 @@ def sweep(
     whole-set baselines are computed once, from one sort and one binning.
     """
     points = [point_metrics(dataset, t) for t in grid.thresholds()]
-
-    curves: Dict[str, MetricCurve] = {}
-    for name in CURVE_METRICS:
-        curve_points = []
-        for pm in points:
-            value = pm.coverage if name == "coverage" else getattr(pm, name)
-            curve_points.append(CurvePoint(tau=pm.tau, coverage=pm.coverage, value=value))
-        curves[name] = MetricCurve(name, curve_points)
-
-    scalars: Dict[str, Optional[float]] = {}
-    for name in THRESHOLD_METRICS:
-        scalars[f"auc_mcc_{name}"] = _curve_scalar(curves[name])
+    coverages = [p.coverage for p in points]
+    scalars: Dict[str, Optional[float]] = {
+        f"auc_mcc_{name}": _curve_scalar(coverages, [getattr(p, name) for p in points])
+        for name in THRESHOLD_METRICS
+    }
     scalars.update(baseline_scalars(dataset, bins))
-
-    return SweepReport(source_id=dataset.source_id, grid=grid, curves=curves, scalars=scalars)
+    return SweepReport(source_id=dataset.source_id, grid=grid, points=points, scalars=scalars)
 
 
 def rank(

@@ -174,6 +174,8 @@ def generate(spec: ArchetypeSpec) -> EvaluationSet:
     width = np.where(correct, cb - ca, wb - wa)
     confidence = low + u * width
 
+    for column in (y_true, y_pred, confidence):  # fresh, so the set need not copy them
+        column.setflags(write=False)
     return EvaluationSet(
         y_true,
         y_pred,

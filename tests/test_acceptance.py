@@ -52,9 +52,9 @@ def test_criterion_1_perfect_model_saturation():
         ds = generate(ArchetypeSpec.for_kind("perfect", seed=0))
         report = sweep(ds)
         for name in ("cwsa", "cwsa_plus", "selective_accuracy"):
-            assert all(v == 1.0 for v in report.curves[name].values())
+            assert all(v == 1.0 for v in [getattr(p, name) for p in report.points])
             assert report.scalars[f"auc_mcc_{name}"] == 1.0
-        assert all(c == 1.0 for c in report.curves["coverage"].coverages())
+        assert all(c == 1.0 for c in [p.coverage for p in report.points])
         assert ece(ds) == 0.0
         assert mce(ds) == 0.0
         assert brier(ds) == 0.0

@@ -73,6 +73,30 @@ class TestEvaluationSet:
         with pytest.raises(ValueError):
             ds.y_pred[0] = 1
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        columns = [np.array([0, 1]), np.array([0, 1]), np.array([0.5, 0.7]), np.array([0.2, 0.4])]
+        ds = EvaluationSet(*columns)
+        for column in columns:
+            assert column.flags.writeable
+            column[0] = 1
+        assert ds.y_true.tolist() == [0, 1] and ds.y_pred.tolist() == [0, 1]
+        assert ds.confidence.tolist() == [0.5, 0.7] and ds.credit.tolist() == [0.2, 0.4]
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        confidence = np.array([0.5, 0.7])
+        view = confidence[:]
+        view.setflags(write=False)
+        ds = EvaluationSet([0, 1], [0, 1], view)
+        confidence[0] = 0.1
+        assert ds.confidence.tolist() == [0.5, 0.7]
+
+    def test_read_only_columns_of_another_set_are_shared(self):
+        ds = make_set([(0.5, True), (0.6, False)])
+        again = EvaluationSet(ds.y_true, ds.y_pred, ds.confidence)
+        assert again.y_true is ds.y_true
+        assert again.y_pred is ds.y_pred
+        assert again.confidence is ds.confidence
+
     def test_credit_absent_when_no_record_has_one(self):
         ds = make_set([(0.5, True), (0.6, False)])
         assert ds.credit is None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -7,7 +8,9 @@ import pytest
 from cwsa_eval import (
     ArchetypeSpec,
     BinningSpec,
+    EvaluationSet,
     IngestError,
+    ThresholdGrid,
     aurc,
     brier,
     generate,
@@ -210,22 +213,32 @@ class TestRoundTrip:
             assert aurc(ds) == aurc(back)
             assert brier(ds) == brier(back)
 
+    def test_credit_file_text_is_pinned(self, tmp_path):
+        ds = EvaluationSet([0, 1, 2], [0, 2, 2], [0.9, 1 / 3, 0.1], [0.25, np.nan, 1.0])
+        path = tmp_path / "p.csv"
+        write_predictions_csv(ds, path)
+        assert path.read_text() == (
+            "y_true,y_pred,confidence,credit\n"
+            "0,0,0.9,0.25\n"
+            "1,2,0.3333333333333333,\n"
+            "2,2,0.1,1.0\n"
+        )
+
 
 class TestReportSerialization:
     def test_deterministic_bytes(self, tmp_path):
         ds = generate(ArchetypeSpec.for_kind("calibrated", seed=21))
-        report = sweep(ds)
-        doc = sweep_report_doc(report, ds, BinningSpec(), "sha256:x")
+        doc = sweep_report_doc(ds, ThresholdGrid(), BinningSpec(), "sha256:x")
         assert dumps_report(doc) == dumps_report(
-            sweep_report_doc(sweep(ds), ds, BinningSpec(), "sha256:x")
+            sweep_report_doc(ds, ThresholdGrid(), BinningSpec(), "sha256:x")
         )
 
     def test_round_trips_through_json(self):
         ds = generate(ArchetypeSpec.for_kind("random", seed=22))
         report = sweep(ds)
-        doc = sweep_report_doc(report, ds, BinningSpec(), "sha256:x")
+        doc = sweep_report_doc(ds, ThresholdGrid(), BinningSpec(), "sha256:x")
         parsed = json.loads(dumps_report(doc))
-        assert parsed["curves"]["cwsa"]["value"] == report.curves["cwsa"].values()
+        assert parsed["curves"]["cwsa"]["value"] == [p.cwsa for p in report.points]
         assert parsed["scalars"]["aurc"] == report.scalars["aurc"]
         lengths = {
             len(parsed["curves"][name][key])
@@ -478,3 +491,27 @@ class TestEvaluateDeterminism:
         doc = json.loads(out.read_text())
         assert doc["input_digest"] == file_digest(pred)
         assert doc["input_digest"].startswith("sha256:")
+
+
+class TestGoldenBytes:
+    # SHA-256 of outputs of version 0.1.0.  A refactor must leave them as
+    # they are; a version bump changes every report, and updates them.
+    EXPECTED = {
+        "cal.csv": "7b4649ea3ca06babe7e23c70cf42c70219a2aa48429fac6a0645ee5166fc32da",
+        "sweep.json": "81f92e20afe14e1b0b019325133d7882704f049473e20f7b93ba7e544b999744",
+        "point.json": "845f0b76a80aa1363707a6363c21c5cceb93cecfbe79b42d2225019eed557e94",
+        "compare.json": "54fa89037b4511a03501846aa469fc000b7c80cdee8cd8de44044bc9494fc70e",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
+        run_cli(["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)])
+        run_cli(["synth", "--kind", "overconfident", "--n", "200", "--seed", "6", "--output", str(over)])
+        assert run_cli(["evaluate", "--input", str(cal), "--output", str(tmp_path / "sweep.json")]) == 0
+        assert run_cli(["evaluate", "--input", str(cal), "--tau", "0.7",
+                        "--output", str(tmp_path / "point.json")]) == 0
+        assert run_cli(["compare", "--inputs", f"{cal},{over}", "--by", "cwsa",
+                        "--output", str(tmp_path / "compare.json")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.EXPECTED}
+        assert digests == self.EXPECTED

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from cwsa_eval import (
     aumcc,
-    CurvePoint,
-    MetricCurve,
     aurc,
     brier,
     cwsa,
@@ -193,11 +191,7 @@ def test_risk_coverage_family_invariants(pairs):
 @settings(max_examples=150)
 def test_aumcc_order_invariance(coverage_values, rnd):
     coverage_values.sort(key=lambda cv: -cv[0])
-    taus = [round(0.5 + 0.01 * i, 10) for i in range(len(coverage_values))]
-    points = [
-        CurvePoint(t, c, v) for t, (c, v) in zip(taus, coverage_values)
-    ]
-    base = aumcc(MetricCurve("cwsa", points))
-    shuffled = list(points)
+    base = aumcc([c for c, _ in coverage_values], [v for _, v in coverage_values])
+    shuffled = list(coverage_values)
     rnd.shuffle(shuffled)
-    assert aumcc(MetricCurve("cwsa", shuffled)) == base
+    assert aumcc([c for c, _ in shuffled], [v for _, v in shuffled]) == base

@@ -4,9 +4,7 @@ import pytest
 from cwsa_eval import (
     ArchetypeSpec,
     BinningSpec,
-    CurvePoint,
     InsufficientDataError,
-    MetricCurve,
     ThresholdGrid,
     aumcc,
     aurc,
@@ -82,87 +80,49 @@ class TestThresholdGrid:
             ThresholdGrid.parse("a:b:c")
 
 
-class TestMetricCurve:
-    def test_sorts_points_by_threshold(self):
-        points = [
-            CurvePoint(0.7, 0.5, 0.2),
-            CurvePoint(0.5, 1.0, 0.4),
-            CurvePoint(0.6, 0.8, 0.3),
-        ]
-        curve = MetricCurve("cwsa", points)
-        assert curve.taus() == [0.5, 0.6, 0.7]
-        assert curve.coverages() == [1.0, 0.8, 0.5]
-
-    def test_rejects_duplicate_thresholds(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            MetricCurve("cwsa", [CurvePoint(0.5, 1.0, 0.1), CurvePoint(0.5, 1.0, 0.2)])
-
-    def test_rejects_rising_coverage(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            MetricCurve("cwsa", [CurvePoint(0.5, 0.4, 0.1), CurvePoint(0.6, 0.9, 0.2)])
-
-
 class TestAumcc:
     def test_constant_curve_returns_the_constant(self):
-        points = [
-            CurvePoint(0.5, 1.0, 0.75),
-            CurvePoint(0.6, 0.75, 0.75),
-            CurvePoint(0.7, 0.5, 0.75),
-        ]
-        assert aumcc(MetricCurve("cwsa", points)) == 0.75
+        assert aumcc([1.0, 0.75, 0.5], [0.75, 0.75, 0.75]) == 0.75
 
     def test_two_point_ramp(self):
         # single trapezoid: area 0.25 over a coverage span of 0.5
-        points = [CurvePoint(0.5, 1.0, 1.0), CurvePoint(0.6, 0.5, 0.0)]
-        assert aumcc(MetricCurve("cwsa", points)) == 0.5
+        assert aumcc([1.0, 0.5], [1.0, 0.0]) == 0.5
 
     def test_duplicate_coverages_are_averaged(self):
-        points = [
-            CurvePoint(0.5, 1.0, 0.0),
-            CurvePoint(0.6, 1.0, 1.0),
-            CurvePoint(0.7, 0.5, 0.5),
-        ]
         # plateau at coverage 1.0 collapses to value 0.5; flat 0.5 curve
-        assert aumcc(MetricCurve("cwsa", points)) == 0.5
+        assert aumcc([1.0, 1.0, 0.5], [0.0, 1.0, 0.5]) == 0.5
 
     def test_undefined_points_are_excluded(self):
-        points = [
-            CurvePoint(0.5, 1.0, 1.0),
-            CurvePoint(0.6, 0.5, 0.0),
-            CurvePoint(0.7, 0.0, None),
-        ]
-        assert aumcc(MetricCurve("selective_accuracy", points)) == 0.5
+        assert aumcc([1.0, 0.5, 0.0], [1.0, 0.0, None]) == 0.5
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
-            aumcc(MetricCurve("cwsa", [CurvePoint(0.5, 1.0, 1.0)]))
+            aumcc([1.0], [1.0])
         with pytest.raises(InsufficientDataError):
-            aumcc(
-                MetricCurve(
-                    "cwsa",
-                    [CurvePoint(0.5, 1.0, 1.0), CurvePoint(0.6, 0.5, None)],
-                )
-            )
+            aumcc([1.0, 0.5], [1.0, None])
+
+    def test_unequal_lengths_are_rejected(self):
+        # zip would silently drop the unmatched points
+        with pytest.raises(ValueError, match="3 coverages but 2 values"):
+            aumcc([1.0, 0.5, 0.25], [1.0, 0.0])
+        with pytest.raises(ValueError, match="1 coverages but 2 values"):
+            aumcc([1.0], [1.0, 0.0])
 
     def test_zero_coverage_span_collapses_to_the_mean_height(self):
         # coverage never moves: the curve is a single vertical stack and
         # its normalized area degenerates to the averaged value
-        points = [CurvePoint(0.5, 1.0, 1.0), CurvePoint(0.6, 1.0, 0.0)]
-        assert aumcc(MetricCurve("cwsa", points)) == 0.5
-        constant = [CurvePoint(t, 1.0, 1.0) for t in (0.5, 0.6, 0.7)]
-        assert aumcc(MetricCurve("cwsa_plus", constant)) == 1.0
+        assert aumcc([1.0, 1.0], [1.0, 0.0]) == 0.5
+        assert aumcc([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 1.0
 
     def test_order_invariance(self):
         rng = np.random.default_rng(41)
-        taus = [round(0.5 + 0.01 * i, 10) for i in range(30)]
         coverages = sorted(rng.uniform(0.2, 1.0, 30).tolist(), reverse=True)
         values = rng.uniform(-1, 1, 30).tolist()
-        points = [CurvePoint(t, c, v) for t, c, v in zip(taus, coverages, values)]
-        base = aumcc(MetricCurve("cwsa", points))
+        base = aumcc(coverages, values)
         for _ in range(10):
-            shuffled = list(points)
-            rng.shuffle(shuffled)
-            assert aumcc(MetricCurve("cwsa", shuffled)) == base
+            pairs = list(zip(coverages, values))
+            rng.shuffle(pairs)
+            assert aumcc([c for c, _ in pairs], [v for _, v in pairs]) == base
 
 
 class TestSweep:
@@ -172,11 +132,10 @@ class TestSweep:
         ds = make_set(pairs)
         grid = ThresholdGrid(0.1, 0.9, 0.05)
         report = sweep(ds, grid)
-        for i, tau in enumerate(grid.thresholds()):
+        assert len(report.points) == len(grid)
+        for point, tau in zip(report.points, grid.thresholds()):
             fresh = point_metrics(ds, tau)
-            for name in ("cwsa", "cwsa_plus", "selective_accuracy"):
-                assert report.curves[name].values()[i] == getattr(fresh, name)
-                assert report.curves[name].coverages()[i] == fresh.coverage
+            assert point == fresh
             # evaluating only the already-retained records must agree too
             retained_pairs = [p for p in pairs if p[0] >= tau]
             if retained_pairs:
@@ -188,23 +147,23 @@ class TestSweep:
         ds = generate(ArchetypeSpec.for_kind("perfect", n=50, seed=1))
         report = sweep(ds)
         for name in ("cwsa", "cwsa_plus", "selective_accuracy"):
-            assert all(v == 1.0 for v in report.curves[name].values())
+            assert all(getattr(p, name) == 1.0 for p in report.points)
             assert report.scalars[f"auc_mcc_{name}"] == 1.0
-        assert all(c == 1.0 for c in report.curves["coverage"].coverages())
+        assert all(p.coverage == 1.0 for p in report.points)
         for name in ("ece", "mce", "brier", "aurc", "eaurc"):
             assert report.scalars[name] == 0.0
 
     def test_degenerate_grid_gives_single_point_curves(self):
         ds = make_set(random_pairs(np.random.default_rng(43), 50))
         report = sweep(ds, ThresholdGrid(start=0.6, end=0.6, step=0.01))
-        assert all(len(curve) == 1 for curve in report.curves.values())
+        [point] = report.points
+        for name in ("cwsa", "cwsa_plus", "selective_accuracy"):
+            assert report.scalars[f"auc_mcc_{name}"] == getattr(point, name)
 
     def test_curves_share_the_grid(self):
         ds = make_set(random_pairs(np.random.default_rng(44), 80))
         report = sweep(ds)
-        taus = report.curves["cwsa"].taus()
-        assert all(curve.taus() == taus for curve in report.curves.values())
-        assert taus == report.grid.thresholds()
+        assert [p.tau for p in report.points] == report.grid.thresholds()
 
     def test_one_sort_and_one_binning_per_report(self, monkeypatch):
         ds = make_set(random_pairs(np.random.default_rng(45), 300))
