@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec
+from .core import validate_threshold
 from .dataio import (
     IngestError,
     compare_report_doc,
@@ -97,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_evaluate(args) -> int:
     bins = BinningSpec(args.bins)
     grid = ThresholdGrid.parse(args.grid) if args.grid else ThresholdGrid()
+    if args.tau is not None:
+        validate_threshold(args.tau)
     dataset = ingest(args.input, args.format, args.class_count)
     digest = file_digest(args.input)
     if args.tau is not None:

@@ -78,10 +78,7 @@ class EvaluationSet:
             credit = _own_column(credit, np.float64)
             if credit.shape != confidence.shape:
                 raise ValueError("credit must match the record count")
-        if class_count is not None:
-            class_count = int(class_count)
-            if class_count < 1:
-                raise ValueError(f"class_count must be positive, got {class_count}")
+        class_count = _checked_class_count(class_count)
 
         bad = _first_bad_record(y_true, y_pred, confidence, credit, class_count)
         if bad is not None:
@@ -110,6 +107,16 @@ class EvaluationSet:
             f"EvaluationSet(n={len(self)}, class_count={self.class_count}, "
             f"source_id={self.source_id!r})"
         )
+
+
+def _checked_class_count(class_count) -> Optional[int]:
+    """``class_count`` as an int, or ``None`` (still to be inferred); it must be positive."""
+    if class_count is None:
+        return None
+    class_count = int(class_count)
+    if class_count < 1:
+        raise ValueError(f"class_count must be positive, got {class_count}")
+    return class_count
 
 
 def _own_column(values, dtype) -> np.ndarray:

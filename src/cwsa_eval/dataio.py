@@ -3,8 +3,11 @@
 Formats
 -------
 * CSV: header row mandatory (``y_true,y_pred,confidence`` plus optional
-  ``credit``), comma delimiter, UTF-8, LF line endings.  The canonical
-  output format for synthetic sets.
+  ``credit``), comma delimiter, UTF-8, LF, CRLF or CR line endings, cells
+  optionally quoted as in the ``csv`` module's default dialect.  A valid
+  ASCII file without quotes or ``credit`` is parsed in one NumPy pass; any
+  other file, and every malformed one, is read by the row reader under the
+  same rules.  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.
@@ -20,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec, baseline_scalars
-from .core import EvaluationSet, _first_bad_record
+from .core import EvaluationSet, _checked_class_count, _first_bad_record
 from .metrics import point_metrics
 from .sweep import CURVE_METRICS, SweepReport, ThresholdGrid, rank, sweep
 
@@ -46,6 +50,9 @@ __all__ = [
 ]
 
 PROBS_TOLERANCE = 1e-6
+# ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
+_NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -121,6 +128,18 @@ def _not_utf8(path: Path) -> IngestError:
     return IngestError(f"{path}: not valid UTF-8")
 
 
+def _csv_columns(path: Path, header: Optional[List[str]]):
+    """The indices of ``y_true``, ``y_pred``, ``confidence`` and ``credit``
+    (-1 when absent) in the header row of a CSV file."""
+    if header is None:
+        raise IngestError(f"{path}: empty file")
+    index = {name.strip(): i for i, name in enumerate(header)}
+    for required in ("y_true", "y_pred", "confidence"):
+        if required not in index:
+            raise IngestError(f"{path}: missing required column {required!r}")
+    return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
+
+
 def _read_csv(path: Path, columns, skipped: List[int]) -> None:
     """Append the records of a CSV file to ``columns``, and the record
     count at each blank row to ``skipped``."""
@@ -128,15 +147,7 @@ def _read_csv(path: Path, columns, skipped: List[int]) -> None:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}: empty file")
-            index = {name.strip(): i for i, name in enumerate(header)}
-            for required in ("y_true", "y_pred", "confidence"):
-                if required not in index:
-                    raise IngestError(f"{path}: missing required column {required!r}")
-            i_true, i_pred, i_conf = index["y_true"], index["y_pred"], index["confidence"]
-            i_credit = index.get("credit", -1)
+            i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(reader, None))
             width = max(i_true, i_pred, i_conf) + 1
 
             for line_no, row in enumerate(reader, start=2):
@@ -155,6 +166,56 @@ def _read_csv(path: Path, columns, skipped: List[int]) -> None:
                 confidence.append(c)
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
+def _bulk_readable(path: Path) -> bool:
+    """Whether NumPy parses ``path`` as :func:`_read_csv` does.
+
+    The file must be ASCII: NumPy reads some other letters as digits.  It
+    must hold no quote, since NumPy does not unquote (so the header is one
+    line, as NumPy's ``skiprows=1`` takes it), and none of the bytes
+    0x1c-0x1f, which NumPy strips as whitespace and ``int()`` does not.  No
+    line may be longer than the csv field limit, which NumPy does not keep.
+    """
+    longest = line = 0  # ``line``: the length of the line a block leaves open
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BLOCK):
+            if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
+                return False
+            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            if ends.size:
+                longest = max(longest, int(np.diff(ends, prepend=-1 - line).max()))
+                line = len(block) - 1 - int(ends[-1])
+            else:
+                line += len(block)
+    return max(longest, line) <= csv.field_size_limit()
+
+
+def _read_csv_bulk(path: Path):
+    """``(y_true, y_pred, confidence)`` of a CSV file without a ``credit``
+    column, parsed by NumPy in one pass, or ``None`` when :func:`_read_csv`
+    must read the file: every malformed file comes to it."""
+    if not _bulk_readable(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(csv.reader(fh), None))
+    except IngestError:
+        return None
+    if i_credit >= 0:  # an empty credit cell, which means "no credit", fails loadtxt
+        return None
+    dtype = [("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", or a deprecated parse such as "1.0" as int
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=1, comments=None, quotechar=None,
+                encoding="utf-8", ndmin=1, usecols=(i_true, i_pred, i_conf),
+            )
+    except (ValueError, Warning):
+        return None
+    return table["y_true"], table["y_pred"], table["confidence"]
 
 
 def _reduce_probs(obj: dict, path: Path, line_no: int):
@@ -247,14 +308,24 @@ def _checked_arrays(path: Path, columns, class_count: Optional[int], first_line:
 def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -> EvaluationSet:
     """Read and validate a prediction file into an :class:`EvaluationSet`.
 
-    ``class_count`` defaults to 1 + the largest label seen.  Malformed
-    rows raise :class:`IngestError` naming the offending line.
+    ``class_count`` defaults to 1 + the largest label seen, and is checked
+    before the file is opened.  Malformed rows raise :class:`IngestError`
+    naming the offending line.
     """
     path = Path(path)
+    class_count = _checked_class_count(class_count)
     if fmt is None:
         fmt = _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
+
+    if fmt == "csv":
+        bulk = _read_csv_bulk(path)
+        if bulk is not None:
+            try:
+                return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
+            except ValueError:  # a broken record rule: the row reader names its line
+                pass
 
     read, first_line = (_read_csv, 2) if fmt == "csv" else (_read_jsonl, 1)
     columns = ([], [], [], [])  # y_true, y_pred, confidence, credit

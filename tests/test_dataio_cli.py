@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,6 +20,7 @@ from cwsa_eval import (
     sweep,
     write_predictions_csv,
 )
+from cwsa_eval import cli, dataio
 from cwsa_eval.cli import main
 from cwsa_eval.dataio import dumps_report, file_digest, point_report_doc, sweep_report_doc
 
@@ -175,6 +177,11 @@ MALFORMED_FILES = {
     "blank_rows.csv": (_CSV_HEADER + "0,0,0.5\n\n\n1,1,0.5\n\n0,0,1.5\n", 7),
     # a range fault on line 3 comes before the type fault on line 5
     "range_before_type.csv": (_CSV_HEADER + "0,0,0.5\n0,0,1.5\n0,0,0.5\n0,zero,0.5\n", 3),
+    # a valid number in a cell longer than csv.field_size_limit()
+    "over_field_limit.csv": (_CSV_HEADER + "0,0,0." + "0" * 140_000 + "5\n", 2),
+    # NumPy reads the label "\u01fe1" as 4621, and strips "\x1c" as whitespace
+    "non_ascii_label.csv": (_CSV_HEADER + "0,0,0.5\n\u01fe1,0,0.5\n", 3),
+    "separator_byte.csv": (_CSV_HEADER + "0,0,0.5\n1\x1c,0,0.5\n", 3),
 }
 
 
@@ -185,6 +192,79 @@ def test_malformed_line_names_file_and_line(tmp_path, name):
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(IngestError, match=rf"{name}:{line}: "):
         ingest(path)
+
+
+# file name -> (contents, the y_true, y_pred and confidence columns)
+ACCEPTED_FILES = {
+    "crlf.csv": ("y_true,y_pred,confidence\r\n0,1,0.5\r\n2,2,0.25\r\n", ([0, 2], [1, 2], [0.5, 0.25])),
+    "lone_cr.csv": ("y_true,y_pred,confidence\r0,1,0.5\r2,2,0.25\r", ([0, 2], [1, 2], [0.5, 0.25])),
+    "quoted_cell.csv": (_CSV_HEADER + '"0",0,0.5\n', ([0], [0], [0.5])),
+    "quoted_header.csv": ('"y_true\n",y_pred,confidence\n0,1,0.5\n', ([0], [1], [0.5])),
+    # split on every comma, the row would read as 0, 0, 1.0
+    "quoted_comma.csv": ('id,note,y_true,y_pred,confidence\n"a,b",0,0,1,0.5\n', ([0], [1], [0.5])),
+}
+
+
+class TestBulkCsv:
+    @pytest.mark.parametrize("name", list(ACCEPTED_FILES))
+    def test_both_paths_read_the_same_columns(self, tmp_path, monkeypatch, name):
+        content, columns = ACCEPTED_FILES[name]
+        path = tmp_path / name
+        path.write_bytes(content.encode())
+        shipped = ingest(path)
+        monkeypatch.setattr(dataio, "_read_csv_bulk", lambda path: None)  # the row reader alone
+        for ds in (shipped, ingest(path)):
+            assert (ds.y_true.tolist(), ds.y_pred.tolist(), ds.confidence.tolist()) == columns
+
+    @pytest.mark.parametrize("content", [_CSV_HEADER, _CSV_HEADER + "\n\r\n"], ids=["header", "blank_rows"])
+    def test_no_rows_through_both_paths(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content.encode())
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
+                ingest(path)
+        assert shown == []  # loadtxt's "input contained no data" stays unseen
+        monkeypatch.setattr(dataio, "_read_csv_bulk", lambda path: None)  # the row reader alone
+        with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("block", [5, 4096, 1 << 16])
+    def test_scan_finds_an_over_limit_line_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        path = tmp_path / "p.csv"
+        long_row = "0,0,0." + "0" * 140_000 + "5"
+        for content, readable in [
+            (_CSV_HEADER + "0,0,0.5\n" * 3, True),
+            (_CSV_HEADER + long_row + "\n0,0,0.5\n", False),
+            (_CSV_HEADER + "0,0,0.5\n" + long_row, False),  # the last line, with no newline
+        ]:
+            path.write_text(content)
+            assert dataio._bulk_readable(path) is readable
+
+    def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
+        source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
+        path = tmp_path / "cal.csv"
+        write_predictions_csv(source, path)
+
+        def row_reader(*args):
+            raise AssertionError("the row reader read a valid file")
+
+        monkeypatch.setattr(dataio, "_read_csv", row_reader)
+        ds = ingest(path)
+        for name in ("y_true", "y_pred", "confidence"):
+            assert np.array_equal(getattr(ds, name), getattr(source, name))
+
+    def test_broken_record_rule_is_named_by_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text(_CSV_HEADER + "0,0,0.5\n" * 5 + "1,1,1.5\n0,0,0.5\n")
+        assert dataio._read_csv_bulk(path) is not None  # NumPy parses every cell
+        calls = []
+        row_reader = dataio._read_csv
+        monkeypatch.setattr(dataio, "_read_csv", lambda *args: calls.append(args) or row_reader(*args))
+        with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
+            ingest(path)
+        assert len(calls) == 1
 
 
 class TestFormatInference:
@@ -309,6 +389,26 @@ class TestCliEvaluate:
                         "--output", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    def test_bad_tau_is_exit_1_before_reading(self, tmp_path, monkeypatch, capsys):
+        def no_ingest(*args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+        assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"), "--tau", "1.5",
+                        "--output", str(tmp_path / "r.json")]) == 1
+        assert "threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_count", [0, -3])
+    def test_class_count_below_one_is_exit_1_before_reading(self, tmp_path, capsys, class_count):
+        message = f"class_count must be positive, got {class_count}"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ingest(tmp_path / "absent.csv", class_count=class_count)
+        pred = tmp_path / "cc.csv"
+        pred.write_text("y_true,y_pred,confidence\n0,0,0.9\n")
+        assert run_cli(["evaluate", "--input", str(pred), "--class-count", str(class_count),
+                        "--output", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_oversized_grid_and_bins_are_exit_1(self, tmp_path, capsys):
         pred = tmp_path / "p.csv"

@@ -3,7 +3,9 @@
 Each generated CSV or JSONL file mixes valid records with mutated cells
 and blank lines.  ``ingest`` must either return the columns that
 ``naive_impl.read_predictions`` reads, or raise ``IngestError`` naming
-the first line that validator rejects; any other exception fails.
+the first line that validator rejects; any other exception fails.  CSV
+files are ingested twice: as shipped, where NumPy parses a file in one
+pass, and with that pass off, so that the row reader reads every file.
 """
 
 import json
@@ -11,11 +13,12 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwsa_eval import IngestError, ingest
+from cwsa_eval import IngestError, dataio, ingest
 import naive_impl
 
 LABELS = ["0", "1", "2"]
@@ -25,6 +28,9 @@ CREDITS = ["", "0", "0.5", "1"]
 CELL_MUTANTS = [
     "", "  ", " 1 ", "nan", "NaN", "inf", "-inf", "-1", "-0", "+1", "1.0", "1_000",
     "0.5", "1e-3", "abc", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "1" + "0" * 30,
+    # NumPy would cut these at "#" without comments=None, read "\u01fe1" as
+    # the label 4621 and strip "\x1c" as whitespace
+    "0.5#x", "#", "1#", "\u01fe1", "1\x1c",
 ]
 JSON_MUTANTS = [
     True, False, None, [1], [], "1", " 2 ", "nan", "0.5", "abc", 1.0, 2.5, -1, 0.5,
@@ -49,7 +55,7 @@ def csv_texts(draw):
              "credit": CREDITS, "id": ["x"]}
     lines = [",".join(names)]
     for _ in range(draw(st.integers(min_value=1, max_value=50))):
-        shape = draw(st.sampled_from(["valid", "valid", "mutant", "short", "blank"]))
+        shape = draw(st.sampled_from(["valid", "valid", "mutant", "short", "wide", "blank"]))
         if shape == "blank":
             lines.append(draw(st.sampled_from(["", "", " "])))
             continue
@@ -58,6 +64,8 @@ def csv_texts(draw):
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELL_MUTANTS))
         elif shape == "short":
             cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif shape == "wide":  # cells past the header's, such as a trailing comma
+            cells += draw(st.lists(st.sampled_from(["", "9", "x"]), min_size=1, max_size=2))
         lines.append(",".join(cells))
     if all(line == "" for line in lines[1:]):  # a file of no records names no line
         lines.append(",".join(valid[name][0] for name in names))
@@ -103,13 +111,20 @@ def check_against_rules(text, fmt, class_count):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"fuzz.{fmt}"
         path.write_text(text, encoding="utf-8")
-        try:
-            ds = ingest(path, class_count=class_count)
-        except IngestError as exc:
-            named = re.search(r"fuzz\.\w+:(\d+): ", str(exc))
-            assert named, str(exc)
-            assert int(named.group(1)) == expected, str(exc)
-            return
+        check_ingest(path, expected, class_count)
+        if fmt == "csv":
+            with mock.patch.object(dataio, "_read_csv_bulk", return_value=None):
+                check_ingest(path, expected, class_count)
+
+
+def check_ingest(path, expected, class_count):
+    try:
+        ds = ingest(path, class_count=class_count)
+    except IngestError as exc:
+        named = re.search(r"fuzz\.\w+:(\d+): ", str(exc))
+        assert named, str(exc)
+        assert int(named.group(1)) == expected, str(exc)
+        return
     assert not isinstance(expected, int), f"ingest accepted a file whose line {expected} is bad"
     y_true, y_pred, confidence, credit = expected
     assert ds.y_true.tolist() == y_true
@@ -136,18 +151,20 @@ def test_jsonl_ingest_follows_the_input_rules(text, class_count):
 def test_every_single_mutant_follows_the_input_rules():
     """Each mutant in each column once, after a valid record and a blank line,
     so that no earlier fault hides it."""
-    header = "y_true,y_pred,confidence,credit"
     base = ["0", "1", "0.5", "0.25"]
     objects = [
         {"y_true": 0, "y_pred": 1, "confidence": 0.5, "credit": 0.25},
         {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75},
     ]
     for class_count in (None, 2):
-        for column in range(len(base)):
-            for mutant in CELL_MUTANTS:
-                row = base[:column] + [mutant] + base[column + 1:]
-                text = f"{header}\n0,0,0.5,\n\n{','.join(row)}\n"
-                check_against_rules(text, "csv", class_count)
+        for width in (3, 4):  # without a credit column, the NumPy pass reads valid files
+            header = ",".join(["y_true", "y_pred", "confidence", "credit"][:width])
+            for column in range(width):
+                for mutant in CELL_MUTANTS:
+                    row = base[:column] + [mutant] + base[column + 1:width]
+                    first = ",".join(["0", "0", "0.5", ""][:width])
+                    text = f"{header}\n{first}\n\n{','.join(row)}\n"
+                    check_against_rules(text, "csv", class_count)
         for obj in objects:
             for key in obj:
                 for mutant in JSON_MUTANTS + PROBS:
