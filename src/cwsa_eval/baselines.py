@@ -35,9 +35,10 @@ MAX_BIN_COUNT = 100_000
 class BinningSpec:
     """Equal-width confidence binning over [0, 1] for calibration error.
 
-    The top bin is closed at 1.0.  Per-bin confidence is the mean of the
-    member confidences, not the bin midpoint.  15 bins is the common
-    convention.  At most ``MAX_BIN_COUNT`` bins.
+    A confidence c falls in bin k of b when k/b <= c < (k+1)/b, each bound
+    a rounded quotient; the top bin is closed at 1.0.  Per-bin confidence
+    is the mean of the member confidences, not the bin midpoint.  15 bins
+    is the common convention.  At most ``MAX_BIN_COUNT`` bins.
     """
 
     bin_count: int = 15
@@ -67,6 +68,9 @@ def _calibration_errors(dataset: EvaluationSet, bins: BinningSpec) -> Tuple[floa
     conf = dataset.confidence
     correct = dataset.correct_u8.astype(np.float64)
     idx = np.minimum((conf * b).astype(np.int64), b - 1)
+    # conf * b rounds: move the index by one where it breaks k/b <= conf < (k+1)/b
+    idx[conf < idx / b] -= 1
+    idx[(conf >= (idx + 1) / b) & (idx < b - 1)] += 1
     counts = np.bincount(idx, minlength=b).astype(np.float64)
     sum_correct = np.bincount(idx, weights=correct, minlength=b)
     sum_conf = np.bincount(idx, weights=conf, minlength=b)

@@ -10,7 +10,13 @@ Formats
   same rules.  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
-  fields are absent.  The canonical format for real-model dumps.
+  fields are absent.  The canonical format for real-model dumps.  A valid
+  file whose every line is blank or one object alone, with an int
+  ``y_true``, either ``probs`` or an int ``y_pred`` and a numeric
+  ``confidence``, and a numeric or null ``credit`` if any, is read in one
+  bulk pass (``raw_decode`` per line, ``probs`` reduced with NumPy); any
+  other file, and every malformed one, is read by the row reader under
+  the same rules.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -24,6 +30,7 @@ import hashlib
 import json
 import math
 import warnings
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -53,6 +60,7 @@ PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
+_PROBS_CHUNK = 1 << 16  # probs values _read_jsonl_bulk holds before it reduces them
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -175,14 +183,16 @@ def _bulk_readable(path: Path) -> bool:
     must hold no quote, since NumPy does not unquote (so the header is one
     line, as NumPy's ``skiprows=1`` takes it), and none of the bytes
     0x1c-0x1f, which NumPy strips as whitespace and ``int()`` does not.  No
-    line may be longer than the csv field limit, which NumPy does not keep.
+    line may be longer than the csv field limit, which NumPy does not keep;
+    LF and CR each end a line, so a CRLF or lone-CR file counts its lines.
     """
     longest = line = 0  # ``line``: the length of the line a block leaves open
     with open(path, "rb") as fh:
         while block := fh.read(_SCAN_BLOCK):
             if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
                 return False
-            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            codes = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
             if ends.size:
                 longest = max(longest, int(np.diff(ends, prepend=-1 - line).max()))
                 line = len(block) - 1 - int(ends[-1])
@@ -243,6 +253,129 @@ def _reduce_probs(obj: dict, path: Path, line_no: int):
                 f"{path}:{line_no}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
             )
     return top_index, top
+
+
+def _top_of_probs(vectors: List[list]):
+    """``(argmax, max)`` arrays of ``probs`` vectors, or ``None`` unless each
+    vector passes :func:`_reduce_probs`: finite int or float entries whose
+    :func:`math.fsum` lies within ``PROBS_TOLERANCE`` of 1."""
+    flat = list(chain.from_iterable(vectors))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    lengths = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+    starts = np.cumsum(lengths) - lengths
+    top_index = np.empty(len(vectors), dtype=np.int64)
+    top = np.empty(len(vectors), dtype=np.float64)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        block = values[starts[rows, None] + np.arange(length)]
+        top_index[rows] = block.argmax(axis=1)  # lowest index wins ties
+        top[rows] = block.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            miss = np.abs(block.sum(axis=1) - 1.0)
+            # About 4x the largest |np.sum - fsum| that rounding allows, so
+            # np.sum decides every row farther than this from the edge.
+            doubt = 2 * length * np.finfo(np.float64).eps * np.abs(block).sum(axis=1)
+        unsure = ~(np.abs(miss - PROBS_TOLERANCE) > doubt)  # NaN and inf included
+        if not (miss[~unsure] <= PROBS_TOLERANCE).all():
+            return None
+        for row in block[unsure].tolist():
+            try:
+                if not abs(math.fsum(row) - 1.0) <= PROBS_TOLERANCE:
+                    return None
+            except OverflowError:  # an intermediate overflow
+                return None
+    return top_index, top
+
+
+def _read_jsonl_bulk(path: Path):
+    """``(y_true, y_pred, confidence, credit)`` of a JSONL file, or ``None``
+    when :func:`_read_jsonl` must read the file: every malformed file, and
+    every file with a record outside the layouts below, comes to it.
+
+    Each line holds one JSON object and nothing else (``raw_decode`` takes
+    no leading whitespace), or is blank.  Each object has an int
+    ``y_true`` and either a non-empty ``probs`` list and neither
+    ``y_pred`` nor ``confidence``, or an int ``y_pred``, an int or float
+    ``confidence`` and no ``probs``.  ``credit`` is absent, null, or an int
+    or float other than NaN.  The ``probs`` vectors are reduced with NumPy
+    every ``_PROBS_CHUNK`` values, so few are held at once.
+    """
+    decode = json.JSONDecoder().raw_decode
+    absent = object()  # a missing key: its type fails every column's check
+    y_true, y_pred, confidence, credit = [], [], [], []
+    vectors, rows, reduced = [], [], []  # probs to reduce, their records; (records, (argmax, max))
+    held = 0  # the values in ``vectors``
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                try:
+                    obj, end = decode(line)
+                except (ValueError, RecursionError):
+                    if line.strip():
+                        return None
+                    continue
+                if type(obj) is not dict or line[end:] not in ("\n", ""):
+                    return None
+                get = obj.get
+                probs = get("probs", absent)
+                if probs is absent:
+                    y_pred.append(get("y_pred", absent))
+                    confidence.append(get("confidence", absent))
+                elif type(probs) is list and probs and "y_pred" not in obj and "confidence" not in obj:
+                    rows.append(len(y_true))
+                    vectors.append(probs)
+                    y_pred.append(0)  # set from the reduction
+                    confidence.append(0.0)
+                    held += len(probs)
+                    if held >= _PROBS_CHUNK:
+                        reduced.append((np.array(rows, dtype=np.int64), _top_of_probs(vectors)))
+                        if reduced[-1][1] is None:
+                            return None
+                        vectors, rows, held = [], [], 0
+                else:
+                    return None
+                y_true.append(get("y_true", absent))
+                credit.append(get("credit"))
+    except UnicodeDecodeError:
+        return None
+    if vectors:
+        reduced.append((np.array(rows, dtype=np.int64), _top_of_probs(vectors)))
+    if not y_true or any(tops is None for _, tops in reduced):
+        return None
+    number = {int, float}
+    if not (
+        set(map(type, y_true)) == set(map(type, y_pred)) == {int}
+        and set(map(type, confidence)) <= number
+        and set(map(type, credit)) <= number | {type(None)}
+    ):
+        return None
+    absent_credits = credit.count(None)
+    try:
+        columns = (
+            np.array(y_true, dtype=np.int64),
+            np.array(y_pred, dtype=np.int64),
+            np.array(confidence, dtype=np.float64),
+            None if absent_credits == len(credit) else np.array(credit, dtype=np.float64),
+        )
+    except OverflowError:  # a label beyond int64, a number beyond the float range
+        return None
+    # None reads as NaN in the credit column; a NaN given in the file does not mean "absent".
+    if columns[3] is not None and np.count_nonzero(np.isnan(columns[3])) != absent_credits:
+        return None
+    for records, (top_index, top) in reduced:
+        columns[1][records] = top_index
+        columns[2][records] = top
+    for column in columns:
+        if column is not None:
+            column.setflags(write=False)
+    return columns
 
 
 def _read_jsonl(path: Path, columns, skipped: List[int]) -> None:
@@ -319,13 +452,12 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
-    if fmt == "csv":
-        bulk = _read_csv_bulk(path)
-        if bulk is not None:
-            try:
-                return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
-            except ValueError:  # a broken record rule: the row reader names its line
-                pass
+    bulk = _read_csv_bulk(path) if fmt == "csv" else _read_jsonl_bulk(path)
+    if bulk is not None:
+        try:
+            return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
+        except ValueError:  # a broken record rule: the row reader names its line
+            pass
 
     read, first_line = (_read_csv, 2) if fmt == "csv" else (_read_jsonl, 1)
     columns = ([], [], [], [])  # y_true, y_pred, confidence, credit

@@ -42,6 +42,17 @@ class TestEce:
             )
 
 
+    # c * b rounds 0.29 * 100, 0.57 * 100, 0.58 * 100 and 0.58 * 50 one bin low;
+    # each edge value shares its bin with a neighbour of the other correctness
+    EDGE_PAIRS = [(0.285, True), (0.29, False), (0.57, True), (0.575, False), (0.58, True), (0.585, False)]
+
+    @pytest.mark.parametrize("bins", [15, 50, 100])
+    def test_bin_edges_match_naive_oracle(self, bins):
+        ds = make_set(self.EDGE_PAIRS)
+        assert ece(ds, BinningSpec(bins)) == naive_impl.ece_naive(self.EDGE_PAIRS, bins)
+        assert mce(ds, BinningSpec(bins)) == naive_impl.mce_naive(self.EDGE_PAIRS, bins)
+
+
 class TestMce:
     def test_zero_when_every_bin_matches(self):
         assert mce(make_set([(1.0, True)] * 3)) == 0.0

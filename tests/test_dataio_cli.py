@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -182,6 +184,9 @@ MALFORMED_FILES = {
     # NumPy reads the label "\u01fe1" as 4621, and strips "\x1c" as whitespace
     "non_ascii_label.csv": (_CSV_HEADER + "0,0,0.5\n\u01fe1,0,0.5\n", 3),
     "separator_byte.csv": (_CSV_HEADER + "0,0,0.5\n1\x1c,0,0.5\n", 3),
+    # the bulk JSONL pass must not read a NaN credit as "absent", nor take the first of two objects
+    "nan_credit.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}\n{"y_true":0,"y_pred":0,"confidence":0.5,"credit":NaN}\n', 2),
+    "two_objects.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}{"y_true":1,"y_pred":1,"confidence":0.5}\n', 1),
 }
 
 
@@ -246,11 +251,18 @@ class TestBulkCsv:
         source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
         path = tmp_path / "cal.csv"
         write_predictions_csv(source, path)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        ds = ingest(path)
+        for name in ("y_true", "y_pred", "confidence"):
+            assert np.array_equal(getattr(ds, name), getattr(source, name))
 
-        def row_reader(*args):
-            raise AssertionError("the row reader read a valid file")
-
-        monkeypatch.setattr(dataio, "_read_csv", row_reader)
+    def test_lone_cr_file_over_the_field_limit_needs_no_row_reader(self, tmp_path, monkeypatch):
+        source = generate(ArchetypeSpec.for_kind("calibrated", n=8000, seed=4))
+        path = tmp_path / "cal.csv"
+        write_predictions_csv(source, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert path.stat().st_size > csv.field_size_limit()  # one line, if CR ended none
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         ds = ingest(path)
         for name in ("y_true", "y_pred", "confidence"):
             assert np.array_equal(getattr(ds, name), getattr(source, name))
@@ -265,6 +277,98 @@ class TestBulkCsv:
         with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
             ingest(path)
         assert len(calls) == 1
+
+
+def _no_row_reader(*args):
+    raise AssertionError("the row reader read a valid file")
+
+
+def _outcome(path):
+    """The columns ``ingest`` reads from ``path``, or the text of its error."""
+    try:
+        ds = ingest(path)
+    except IngestError as exc:
+        return str(exc)
+    credit = None if ds.credit is None else [None if math.isnan(c) else c for c in ds.credit.tolist()]
+    return ds.y_true.tolist(), ds.y_pred.tolist(), ds.confidence.tolist(), credit
+
+
+def _jsonl_text(records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+# probs rows whose np.sum and math.fsum fall on opposite sides of the 1e-6 tolerance
+EDGE_PROBS = {
+    "short_in": [1 - 1e-6, 1.5e-6, 5e-7],
+    "short_out": [1 - 2e-6, 2e-6, 1e-6],
+    "long_in": [1 - 2e-6] + [1e-7] * 10 + [0.0],  # long enough for pairwise np.sum
+    "long_out": [1 - 3e-6] + [2e-7] * 10,
+    "cancel_in": [1.0, 1e300, -1e300],
+    "cancel_out": [1e300, 1e-5, -1e300, 1.0],
+}
+
+
+class TestBulkJsonl:
+    def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
+        source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
+        path = tmp_path / "cal.jsonl"
+        path.write_text(_jsonl_text(
+            {"y_true": t, "y_pred": p, "confidence": c}
+            for t, p, c in zip(source.y_true.tolist(), source.y_pred.tolist(), source.confidence.tolist())
+        ))
+        monkeypatch.setattr(dataio, "_read_jsonl", _no_row_reader)
+        ds = ingest(path)
+        for name in ("y_true", "y_pred", "confidence"):
+            assert np.array_equal(getattr(ds, name), getattr(source, name))
+        assert ds.credit is None
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_both_paths_read_the_same_columns(self, tmp_path, monkeypatch, chunk):
+        """probs of several lengths, with ties, reduced a few values at a
+        time or all at once, between records with and without credit."""
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        patterns = [[1.0], [0.5, 0.5], [0.25, 0.5, 0.25], [0.4, 0.2, 0.4], [0.1] * 10, [0, 1], [-0.0, 1.0]]
+        records = []
+        for i in range(300):
+            if i % 3 == 0:
+                records.append({"y_true": i % 4, "y_pred": 1, "confidence": 0.5, "credit": [None, 0.25, 1][i // 3 % 3]})
+            elif i % 3 == 1:
+                records.append({"y_true": i % 4, "probs": patterns[i % len(patterns)]})
+            else:
+                probs = rng.random(int(rng.integers(1, 12)))
+                records.append({"y_true": i % 4, "probs": (probs / probs.sum()).tolist(), "credit": None})
+        records[4]["credit"] = 0.75
+        path = tmp_path / "p.jsonl"
+        path.write_text(_jsonl_text(records) + "\n  \n" + _jsonl_text(records[:5]))
+        monkeypatch.setattr(dataio, "_read_jsonl", _no_row_reader)
+        shipped = _outcome(path)
+        monkeypatch.undo()
+        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        assert shipped == _outcome(path)
+        assert shipped[3][4] == 0.75 and shipped[3][0] is None
+
+    @pytest.mark.parametrize("name", list(EDGE_PROBS))
+    def test_probs_sum_is_judged_as_the_row_reader_judges_it(self, tmp_path, monkeypatch, name):
+        probs = EDGE_PROBS[name]
+        accepted = abs(math.fsum(probs) - 1.0) <= dataio.PROBS_TOLERANCE
+        assert (abs(np.sum(probs) - 1.0) <= dataio.PROBS_TOLERANCE) != accepted  # np.sum alone errs
+        assert (dataio._top_of_probs([probs, [0.5, 0.5]]) is not None) == accepted
+        path = tmp_path / "p.jsonl"
+        path.write_text(_jsonl_text([{"y_true": 0, "probs": [0.5, 0.5]}, {"y_true": 0, "probs": probs}]))
+        shipped = _outcome(path)
+        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        assert shipped == _outcome(path)
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank_rows"])
+    def test_no_rows_through_both_paths(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "p.jsonl"
+        path.write_text(content)
+        with pytest.raises(IngestError, match=r"^\S*p\.jsonl: no prediction rows$"):
+            ingest(path)
+        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        with pytest.raises(IngestError, match=r"^\S*p\.jsonl: no prediction rows$"):
+            ingest(path)
 
 
 class TestFormatInference:

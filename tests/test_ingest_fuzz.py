@@ -3,9 +3,10 @@
 Each generated CSV or JSONL file mixes valid records with mutated cells
 and blank lines.  ``ingest`` must either return the columns that
 ``naive_impl.read_predictions`` reads, or raise ``IngestError`` naming
-the first line that validator rejects; any other exception fails.  CSV
-files are ingested twice: as shipped, where NumPy parses a file in one
-pass, and with that pass off, so that the row reader reads every file.
+the first line that validator rejects; any other exception fails.  Each
+file is ingested twice: as shipped, where a bulk pass (NumPy for CSV,
+``raw_decode`` and a NumPy ``probs`` reduction for JSONL) reads a file it
+can, and with that pass off, so that the row reader reads every file.
 """
 
 import json
@@ -36,9 +37,9 @@ JSON_MUTANTS = [
     True, False, None, [1], [], "1", " 2 ", "nan", "0.5", "abc", 1.0, 2.5, -1, 0.5,
     2**63 - 1, 2**63, 10**400, float("nan"), float("inf"), -0.0,
 ]
-PROBS = [
-    [1.0], [0.25, 0.75], [0.5, 0.5], [0.2, 0.5, 0.3], [0.5, 0.6], [], [0.5, "0.5"],
-    [float("nan"), 1.0], [True, 0.0], [1.5, -0.5], 0.5,
+PROBS = [  # the first five sum to 1
+    [1.0], [0.25, 0.75], [0.5, 0.5], [0.2, 0.5, 0.3], [1.5, -0.5], [0.5, 0.6], [],
+    [0.5, "0.5"], [float("nan"), 1.0], [True, 0.0], 0.5,
 ]
 CLASS_COUNTS = st.sampled_from([None, 2, 3])
 
@@ -75,32 +76,48 @@ def csv_texts(draw):
 @st.composite
 def jsonl_texts(draw):
     lines = []
+    plain = draw(st.booleans())  # only records the bulk pass reads, though some break a rule
+    shapes = ["valid", "valid", "probs", "blank"]
+    if not plain:
+        shapes += ["mutant", "line", "layout"]
+
+    def label():  # an int, as the bulk pass needs, or else at times "1" or 1.0
+        return draw(st.sampled_from([int] if plain else [int, int, str, float]))(draw(st.sampled_from(LABELS)))
+
     for _ in range(draw(st.integers(min_value=1, max_value=50))):
-        shape = draw(st.sampled_from(["valid", "valid", "probs", "mutant", "line", "blank"]))
+        shape = draw(st.sampled_from(shapes))
         if shape == "blank":
-            lines.append(draw(st.sampled_from(["", "  "])))
+            lines.append(draw(st.sampled_from(["", "  ", "\x1c"])))
             continue
         if shape == "line":
             lines.append(draw(st.sampled_from(["not json", "[1]", "{}", '{"y_true": 0}', "1"])))
             continue
-        obj = {"y_true": int(draw(st.sampled_from(LABELS)))}
+        obj = {"y_true": label()}
         if shape == "probs":
-            obj["probs"] = draw(st.sampled_from(PROBS))
+            obj["probs"] = draw(st.sampled_from(PROBS[:5] if plain else PROBS))
             for key in ("y_pred", "confidence"):
-                if draw(st.integers(0, 3)) == 0:
+                if not plain and draw(st.integers(0, 3)) == 0:
                     obj[key] = draw(st.sampled_from([0, 1, 0.5, 0.75, 1.0]))
         else:
-            obj["y_pred"] = int(draw(st.sampled_from(LABELS)))
+            obj["y_pred"] = label()
             obj["confidence"] = float(draw(st.sampled_from(CONFIDENCES)))
         if draw(st.booleans()):
             obj["credit"] = draw(st.sampled_from([None, 0.0, 0.5, 1.0]))
+        if draw(st.integers(0, 4)) == 0:
+            obj["id"] = draw(st.sampled_from(["x", 7, None]))
         if shape == "mutant":
             key = draw(st.sampled_from(sorted(obj)))
             if draw(st.integers(0, 4)) == 0:
                 del obj[key]
             else:
                 obj[key] = draw(st.sampled_from(JSON_MUTANTS))
-        lines.append(json.dumps(obj))
+        line = json.dumps(obj)
+        if shape == "layout":  # the object, laid out otherwise on its line or lines
+            line = draw(st.sampled_from([
+                line + line, line + " " + line, line.replace(", ", ",\n", 1),
+                " " + line, line + "  ", "\t" + line, "\ufeff" + line,
+            ]))
+        lines.append(line)
     if all(not line.strip() for line in lines):  # a file of no records names no line
         lines.append('{"y_true": 0, "y_pred": 0, "confidence": 0.5}')
     return "\n".join(lines) + "\n"
@@ -112,9 +129,9 @@ def check_against_rules(text, fmt, class_count):
         path = Path(tmp) / f"fuzz.{fmt}"
         path.write_text(text, encoding="utf-8")
         check_ingest(path, expected, class_count)
-        if fmt == "csv":
-            with mock.patch.object(dataio, "_read_csv_bulk", return_value=None):
-                check_ingest(path, expected, class_count)
+        bulk = "_read_csv_bulk" if fmt == "csv" else "_read_jsonl_bulk"
+        with mock.patch.object(dataio, bulk, return_value=None):
+            check_ingest(path, expected, class_count)
 
 
 def check_ingest(path, expected, class_count):
@@ -155,6 +172,7 @@ def test_every_single_mutant_follows_the_input_rules():
     objects = [
         {"y_true": 0, "y_pred": 1, "confidence": 0.5, "credit": 0.25},
         {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75},
+        {"y_true": 0, "probs": [0.25, 0.75]},  # a record the bulk JSONL pass reads
     ]
     for class_count in (None, 2):
         for width in (3, 4):  # without a credit column, the NumPy pass reads valid files
