@@ -8,9 +8,11 @@ additionally penalizes confident mistakes:
 * ``cwsa_plus`` - mean weight contributed by the retained *correct*
   records only; lives in [0, 1].
 
-Both are computed in one pass over the record arrays (no sorting), and
-both return 0 on an empty retained set.  Plain selective accuracy is
-undefined there (``None``), a 0/0 case that must not read as failure.
+At one threshold both come from one pass over the record arrays; a
+sweep gets every threshold of its grid from one blocked pass.  Neither
+sorts, and both return 0 on an empty retained set.  Plain selective
+accuracy is undefined there (``None``), a 0/0 case that must not read as
+failure.
 """
 
 from __future__ import annotations
@@ -59,13 +61,18 @@ def point_metrics(dataset: EvaluationSet, tau: float) -> PointMetrics:
 
     Runs a single accumulation pass over the record arrays, touching each
     record once and never sorting, so cost is linear in ``len(dataset)``
-    for any threshold.
+    for any threshold.  A sweep over many thresholds takes its sums from
+    :func:`kernels.sweep_accumulate` instead, and gets the same values.
     """
     tau = validate_threshold(tau)
-    retained, hits, s_correct, s_wrong = kernels.point_accumulate(
-        dataset.confidence, dataset.correct_u8, tau
-    )
-    n = len(dataset)
+    sums = kernels.point_accumulate(dataset.confidence, dataset.correct_u8, tau)
+    return _point_from_sums(tau, len(dataset), sums)
+
+
+def _point_from_sums(tau: float, n: int, sums) -> PointMetrics:
+    """Metrics at ``tau`` of an ``n``-record set from the kernel sums
+    ``(retained, hits, s_correct, s_wrong)``."""
+    retained, hits, s_correct, s_wrong = sums
     if retained == 0:
         return PointMetrics(
             tau=tau,

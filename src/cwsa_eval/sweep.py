@@ -1,9 +1,10 @@
 """Dense threshold sweeps and the area summaries of their metric-coverage curves.
 
-A sweep evaluates the threshold-local metrics at every grid point and the
-whole-set baselines once, then summarizes each metric-coverage curve by
-its normalized trapezoidal area so models with different abstention
-behavior stay comparable under a single scalar.
+A sweep evaluates the threshold-local metrics at every grid point, in one
+blocked pass over the records, and the whole-set baselines once, then
+summarizes each metric-coverage curve by its normalized trapezoidal area
+so models with different abstention behavior stay comparable under a
+single scalar.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import kernels
 from .baselines import BinningSpec, baseline_scalars
-from .core import EvaluationSet
-from .metrics import PointMetrics, point_metrics
+from .core import EvaluationSet, validate_threshold
+from .metrics import PointMetrics, _point_from_sums
 
 __all__ = [
     "THRESHOLD_METRICS",
@@ -62,8 +64,8 @@ class ThresholdGrid:
             raise ValueError(
                 f"grid must satisfy 0 <= start <= end < 1, got [{self.start}, {self.end}]"
             )
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
         # Compared as a float first: an extreme quotient may be inf.
         steps = (self.end - self.start) / self.step + 1e-9
         if steps >= MAX_GRID_POINTS:
@@ -168,10 +170,15 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every metric across ``grid`` and summarize.
 
-    Each threshold is evaluated on the full set, in grid order; the
+    The sums for every threshold come from one blocked pass over the
+    records (:func:`kernels.sweep_accumulate`), which never sorts; each
+    point equals ``point_metrics(dataset, tau)`` bit for bit.  The
     whole-set baselines are computed once, from one sort and one binning.
     """
-    points = [point_metrics(dataset, t) for t in grid.thresholds()]
+    taus = [validate_threshold(t) for t in grid.thresholds()]
+    sums = kernels.sweep_accumulate(dataset.confidence, dataset.correct_u8, taus)
+    n = len(dataset)
+    points = [_point_from_sums(tau, n, s) for tau, s in zip(taus, sums)]
     coverages = [p.coverage for p in points]
     scalars: Dict[str, Optional[float]] = {
         f"auc_mcc_{name}": _curve_scalar(coverages, [getattr(p, name) for p in points])

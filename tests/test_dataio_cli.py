@@ -503,6 +503,15 @@ class TestCliEvaluate:
                         "--output", str(tmp_path / "r.json")]) == 1
         assert "threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
 
+    def test_infinite_grid_step_is_exit_1_before_reading(self, tmp_path, monkeypatch, capsys):
+        def no_ingest(*args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+        assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"),
+                        "--grid", "0.5:0.9:inf", "--output", str(tmp_path / "r.json")]) == 1
+        assert "step must be finite and positive, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("class_count", [0, -3])
     def test_class_count_below_one_is_exit_1_before_reading(self, tmp_path, capsys, class_count):
         message = f"class_count must be positive, got {class_count}"
@@ -719,3 +728,23 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.EXPECTED}
         assert digests == self.EXPECTED
+
+    # A 1000-point grid on 5000 records, so the sweep sums carry across
+    # many blocks of the grid kernel.
+    DENSE_EXPECTED = {
+        "sweep.json": "7886c140fe59d486eb0c08378a49dbcebfeb58a0e742a29b73a3653af9084896",
+        "compare.json": "e6e167f11327fd33df8665496e247941be9c891724c375ae8e80f63207640ada",
+    }
+
+    def test_dense_grid_outputs_match_pinned_digests(self, tmp_path):
+        cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
+        run_cli(["synth", "--kind", "calibrated", "--n", "5000", "--seed", "5", "--output", str(cal)])
+        run_cli(["synth", "--kind", "overconfident", "--n", "5000", "--seed", "6", "--output", str(over)])
+        grid = ["--grid", "0.0:0.999:0.001"]
+        assert run_cli(["evaluate", "--input", str(cal), *grid,
+                        "--output", str(tmp_path / "sweep.json")]) == 0
+        assert run_cli(["compare", "--inputs", f"{cal},{over}", "--by", "cwsa_plus", *grid,
+                        "--output", str(tmp_path / "compare.json")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.DENSE_EXPECTED}
+        assert digests == self.DENSE_EXPECTED

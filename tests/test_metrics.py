@@ -7,6 +7,7 @@ from cwsa_eval import (
     GRADIENT_ABSTAINED,
     GRADIENT_INTERIOR,
     GRADIENT_KINK,
+    ThresholdGrid,
     cwsa,
     cwsa_generalized,
     cwsa_gradient,
@@ -194,6 +195,89 @@ class TestExactness:
         assert kernels.sequential_sum(np.full(10, 0.1)) == 0.9999999999999999
         assert kernels.sequential_sum(np.empty(0)) == 0.0
         assert str(kernels.sequential_sum(np.array([-0.0, -0.0]))) == "0.0"
+
+
+class TestSweepAccumulate:
+    """The grid kernel gives every threshold the sums of a left-to-right
+    loop, bit for bit, across blocks, skipped columns and skipped blocks."""
+
+    @staticmethod
+    def check(pairs, taus):
+        ds = make_set(pairs)
+        got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+        assert len(got) == len(taus)
+        for tau, sums in zip(taus, got):
+            assert sums == naive_impl.point_sums_naive(pairs, tau), tau
+
+    def test_two_threshold_grids(self):
+        pairs = random_pairs(np.random.default_rng(60), 3000, p_correct=0.6)
+        for taus in ([0.1, 0.2], [0.0, 0.99], [0.37, 0.37], [0.73, 0.9]):
+            self.check(pairs, taus)
+
+    def test_block_with_only_the_first_column_live(self):
+        # Every block reaches the first threshold only.  A 1-column reduce
+        # would sum pairwise and round differently from the loop.
+        rng = np.random.default_rng(61)
+        for n in (17, 40, 1000):
+            self.check(random_pairs(rng, n, p_correct=0.5, low=0.3, high=0.9), [0.3, 0.9])
+        # Dense grid: 32 rows per block, the first two blocks below 0.001.
+        low = random_pairs(rng, 64, p_correct=0.5, low=0.0, high=0.001)
+        self.check(low + random_pairs(rng, 500), ThresholdGrid(0.0, 0.999, 0.001).thresholds())
+
+    def test_duplicate_thresholds(self):
+        taus = ThresholdGrid.parse("0.5:0.5000000001:1e-11").thresholds()
+        assert len(set(taus)) < len(taus)
+        pairs = random_pairs(np.random.default_rng(62), 2000, low=0.4, high=0.6)
+        pairs += [(0.5, True), (0.5000000001, False)]
+        self.check(pairs, taus)
+
+    def test_ties_at_the_thresholds(self):
+        rng = np.random.default_rng(63)
+        pairs = [(round(c, 2), corr) for c, corr in random_pairs(rng, 4000)]
+        taus = ThresholdGrid().thresholds()
+        assert {c for c, _ in pairs} & set(taus)
+        self.check(pairs, taus)
+
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_one_group_empty(self, correct):
+        rng = np.random.default_rng(64)
+        pairs = [(c, correct) for c, _ in random_pairs(rng, 2500)]
+        self.check(pairs, ThresholdGrid(0.0, 0.99, 0.01).thresholds())
+
+    @pytest.mark.parametrize("n", [1, 20, 32 * 5 + 7, 3000])
+    def test_sizes_around_the_block(self, n):
+        # 1000 thresholds give 32-row blocks
+        pairs = random_pairs(np.random.default_rng(65), n, p_correct=0.7)
+        self.check(pairs, ThresholdGrid(0.0, 0.999, 0.001).thresholds())
+
+    def test_random_grids_equal_the_loop(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            pairs = random_pairs(rng, int(rng.integers(1, 1500)), float(rng.uniform(0, 1)))
+            m = int(rng.integers(1, 300))
+            taus = np.sort(np.round(rng.uniform(0.0, 0.999, m), int(rng.integers(1, 5))))
+            self.check(pairs, taus.tolist())
+
+    def test_one_threshold_equals_point_accumulate(self):
+        ds = make_set(random_pairs(np.random.default_rng(67), 1000))
+        got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, [0.6])
+        assert got == [kernels.point_accumulate(ds.confidence, ds.correct_u8, 0.6)]
+
+    def test_columns_above_the_block_maximum_are_skipped(self, monkeypatch):
+        # Records below 0.1 reach about a tenth of a 0.0..0.999 grid, so
+        # a block computes that tenth and no more.
+        widths = []
+
+        def recorded(*args, _fn=np.subtract, **kwargs):
+            widths.append(kwargs["out"].shape[1])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, "subtract", recorded)
+        pairs = random_pairs(np.random.default_rng(68), 3000, low=0.0, high=0.1)
+        ds = make_set(pairs)
+        kernels.sweep_accumulate(ds.confidence, ds.correct_u8,
+                                 ThresholdGrid(0.0, 0.999, 0.001).thresholds())
+        assert widths and max(widths) <= 101
 
 
 class TestGeneralized:

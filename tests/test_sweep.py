@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from cwsa_eval import (
     rank,
     sweep,
 )
+from cwsa_eval import kernels
 from cwsa_eval.dataio import point_report_doc
 from cwsa_eval.sweep import MAX_GRID_POINTS
 from conftest import make_set, random_pairs
@@ -71,6 +74,15 @@ class TestThresholdGrid:
                 ThresholdGrid(0.0, 0.5, step)
         with pytest.raises(ValueError, match="thresholds"):
             ThresholdGrid.parse("0.5:0.9:1e-12")
+
+    @pytest.mark.parametrize("step", [float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="^step must be finite and positive"):
+            ThresholdGrid(0.5, 0.9, step)
+        with pytest.raises(ValueError, match="^step must be finite and positive"):
+            ThresholdGrid(0.5, 0.5, step)
+        with pytest.raises(ValueError, match="^step must be finite and positive"):
+            ThresholdGrid.parse(f"0.5:0.9:{step}")
 
     def test_parse(self):
         assert ThresholdGrid.parse("0.5:0.9:0.1") == ThresholdGrid(0.5, 0.9, 0.1)
@@ -187,6 +199,29 @@ class TestSweep:
         assert doc["baselines"] == alone
         assert list(doc["baselines"]) == list(alone)
         assert {name: report.scalars[name] for name in alone} == alone
+
+    def test_sweep_never_sorts(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("the grid kernel must not sort")
+
+        monkeypatch.setattr(np, "sort", banned)
+        monkeypatch.setattr(np, "lexsort", banned)
+        monkeypatch.setattr(builtins, "sorted", banned)
+        ds = make_set(random_pairs(np.random.default_rng(46), 2000))
+        grid = ThresholdGrid(0.0, 0.999, 0.001)
+        sums = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, grid.thresholds())
+        assert len(sums) == len(grid)
+
+        argsorts = []
+
+        def counted(*args, _fn=np.argsort, **kwargs):
+            argsorts.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        report = sweep(ds, grid)
+        assert len(argsorts) == 1  # the baselines' one sorted view
+        assert [p.retained_count for p in report.points] == [s[0] for s in sums]
 
 
 class TestRank:
