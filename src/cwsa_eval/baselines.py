@@ -8,7 +8,8 @@ baselines the weighted selective scores are judged against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,12 +51,12 @@ class BinningSpec:
             )
 
 
-@dataclass(frozen=True)
-class RiskCoveragePoint:
+class RiskCoveragePoint(NamedTuple):
     """One prefix of the confidence-descending ordering.
 
     ``coverage`` is k/n for a prefix of size k and ``risk`` is the error
-    rate within that prefix.
+    rate within that prefix.  An immutable tuple: it unpacks and compares
+    equal to ``(coverage, risk)``.
     """
 
     coverage: float
@@ -155,9 +156,14 @@ def baseline_scalars(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) 
 
 
 def risk_coverage_points(dataset: EvaluationSet) -> List[RiskCoveragePoint]:
-    """The full risk-coverage curve as prefix points, coverage ascending."""
+    """The full risk-coverage curve as prefix points, coverage ascending.
+
+    Both columns are computed as arrays (k/n is correctly rounded either
+    way, so it equals ``(i + 1) / n``); the points are then built without
+    a Python call per record.
+    """
     n = len(dataset)
-    risks = _prefix_risks(dataset)
-    return [
-        RiskCoveragePoint(coverage=(i + 1) / n, risk=float(risks[i])) for i in range(n)
-    ]
+    coverages = (np.arange(1, n + 1, dtype=np.float64) / n).tolist()
+    risks = _prefix_risks(dataset).tolist()
+    # tuple.__new__ is what RiskCoveragePoint._make calls, minus its Python frame
+    return list(map(partial(tuple.__new__, RiskCoveragePoint), zip(coverages, risks)))

@@ -734,7 +734,10 @@ def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional
 
 def _check_curve(name: str, curve: object) -> None:
     """Raise ``ValueError`` unless ``curve`` holds ``tau``, ``coverage`` and ``value``
-    lists of numbers (``value`` may hold null) of one shared, non-zero length."""
+    lists of finite numbers (``value`` may hold null) of one shared, non-zero length.
+
+    ``json.load`` accepts ``NaN`` and ``Infinity``, which no report holds.
+    """
     if name in ("", ".", "..") or Path(name).name != name:  # it names the output files
         raise ValueError(f"curve name {name!r} is not a file name")
     if not isinstance(curve, dict):
@@ -746,6 +749,16 @@ def _check_curve(name: str, curve: object) -> None:
         numbers = [v for v in points if not (key == "value" and v is None)]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
             raise ValueError(f"curve {name!r}: {key!r} must hold numbers")
+        if not all(map(_is_finite, numbers)):
+            raise ValueError(f"curve {name!r}: {key!r} must hold finite numbers")
+
+
+def _is_finite(number) -> bool:
+    """Whether ``number`` is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def write_curves(report_doc: Dict[str, object], out_dir) -> List[Path]:

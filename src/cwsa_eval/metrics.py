@@ -18,7 +18,8 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -151,20 +152,24 @@ GRADIENT_KINK = "kink"
 GRADIENT_ABSTAINED = "abstained"
 
 
-@dataclass(frozen=True)
-class GradientEntry:
+class GradientEntry(NamedTuple):
     """Per-record derivative of :func:`cwsa` with respect to that record's confidence.
 
     ``status`` is ``"interior"`` (value is the derivative), ``"kink"``
     (confidence sits exactly at the threshold, where the score is not
     differentiable; value is ``None``) or ``"abstained"`` (below the
     threshold; locally the score does not depend on this confidence, so
-    the value is 0.0).
+    the value is 0.0).  An immutable tuple: it unpacks and compares equal
+    to ``(index, value, status)``.
     """
 
     index: int
     value: Optional[float]
     status: str
+
+
+# Indexed by the status code: retained (conf >= tau) plus above (conf > tau).
+_GRADIENT_STATUSES = (GRADIENT_ABSTAINED, GRADIENT_KINK, GRADIENT_INTERIOR)
 
 
 def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
@@ -175,20 +180,23 @@ def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
     is piecewise linear in each confidence, so this is exact between
     retention boundaries.  Records at exactly the threshold get a kink
     marker instead of an arbitrary one-sided slope.
+
+    The values and status codes are computed as arrays; the entries are
+    then built without a Python call per record.
     """
     tau = validate_threshold(tau)
     conf = dataset.confidence
-    correct = dataset.correct_u8
-    retained_count = int(np.count_nonzero(conf >= tau))
+    retained = conf >= tau
+    above = conf > tau
+    retained_count = int(np.count_nonzero(retained))
     scale = retained_count * (1.0 - tau)
-    entries: List[GradientEntry] = []
-    for i in range(len(dataset)):
-        c = conf[i]
-        if c < tau:
-            entries.append(GradientEntry(i, 0.0, GRADIENT_ABSTAINED))
-        elif c == tau:
-            entries.append(GradientEntry(i, None, GRADIENT_KINK))
-        else:
-            sign = 1.0 if correct[i] else -1.0
-            entries.append(GradientEntry(i, sign / scale, GRADIENT_INTERIOR))
-    return entries
+    signs = np.where(dataset.correct_u8 != 0, 1.0, -1.0)
+    # divides only where above, so an empty retained set never divides by 0
+    values = np.divide(signs, scale, out=np.zeros(len(conf)), where=above).tolist()
+    for i in np.flatnonzero(conf == tau).tolist():
+        values[i] = None
+    codes = (retained.view(np.int8) + above.view(np.int8)).tolist()
+    statuses = map(_GRADIENT_STATUSES.__getitem__, codes)
+    # tuple.__new__ is what GradientEntry._make calls, minus its Python frame
+    rows = zip(range(len(conf)), values, statuses)
+    return list(map(partial(tuple.__new__, GradientEntry), rows))

@@ -52,7 +52,8 @@ class ThresholdGrid:
     10 decimals) so the default 0.50..0.99 grid is exactly 50 clean
     points with no accumulated float drift.  A grid holds at most
     ``MAX_GRID_POINTS`` thresholds; the count is checked before any
-    threshold is built.
+    threshold is built.  The last threshold must still lie below 1 after
+    rounding.
     """
 
     start: float = 0.50
@@ -73,7 +74,14 @@ class ThresholdGrid:
                 f"grid [{self.start}, {self.end}] with step {self.step} has more than "
                 f"{MAX_GRID_POINTS} thresholds"
             )
-        object.__setattr__(self, "_count", int(math.floor(steps)) + 1)
+        count = int(math.floor(steps)) + 1
+        last = round(self.start + (count - 1) * self.step, 10)
+        if last >= 1.0:
+            raise ValueError(
+                f"grid [{self.start}, {self.end}] with step {self.step} has a threshold "
+                f"that rounds to {last}, which is not below 1"
+            )
+        object.__setattr__(self, "_count", count)
 
     def thresholds(self) -> List[float]:
         return [round(self.start + i * self.step, 10) for i in range(self._count)]

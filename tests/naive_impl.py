@@ -99,6 +99,23 @@ def coverage_naive(records: Sequence[Record], tau: float) -> float:
     return retained / len(records)
 
 
+def gradient_naive(
+    records: Sequence[Record], tau: float
+) -> List[Tuple[int, Optional[float], str]]:
+    """(index, value, status) per record: the derivative of cwsa at tau."""
+    retained = sum(1 for confidence, _ in records if confidence >= tau)
+    scale = retained * (1.0 - tau)
+    entries = []
+    for i, (confidence, correct) in enumerate(records):
+        if confidence < tau:
+            entries.append((i, 0.0, "abstained"))
+        elif confidence == tau:
+            entries.append((i, None, "kink"))
+        else:
+            entries.append((i, (1.0 if correct else -1.0) / scale, "interior"))
+    return entries
+
+
 def prefix_risks_naive(records: Sequence[Record]) -> List[float]:
     order = sorted(range(len(records)), key=lambda i: -records[i][0])
     risks = []

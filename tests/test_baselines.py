@@ -167,3 +167,12 @@ class TestRiskCoveragePoints:
         expected = naive_impl.prefix_risks_naive(pairs)
         got = [p.risk for p in risk_coverage_points(make_set(pairs))]
         assert got == expected
+
+    def test_columns_match_naive_oracle_on_ties(self):
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 7, 100, 1000):
+            # one-decimal confidences: most records tie with many others
+            pairs = [(round(c, 1), corr) for c, corr in random_pairs(rng, n)]
+            points = risk_coverage_points(make_set(pairs))
+            assert [p.coverage for p in points] == [(i + 1) / n for i in range(n)]
+            assert [p.risk for p in points] == naive_impl.prefix_risks_naive(pairs)

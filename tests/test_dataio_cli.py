@@ -512,6 +512,16 @@ class TestCliEvaluate:
                         "--grid", "0.5:0.9:inf", "--output", str(tmp_path / "r.json")]) == 1
         assert "step must be finite and positive, got inf" in capsys.readouterr().err
 
+    def test_grid_rounding_to_one_is_exit_1_before_reading(self, tmp_path, monkeypatch, capsys):
+        def no_ingest(*args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+        assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"),
+                        "--grid", "0.99999999999:0.99999999999:0.01",
+                        "--output", str(tmp_path / "r.json")]) == 1
+        assert "rounds to 1.0, which is not below 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("class_count", [0, -3])
     def test_class_count_below_one_is_exit_1_before_reading(self, tmp_path, capsys, class_count):
         message = f"class_count must be positive, got {class_count}"
@@ -646,9 +656,16 @@ class TestCliCurves:
             ('{"report_type": "sweep", "curves": {"../up": {"tau": [0.5], "coverage": [1.0],'
              ' "value": [0.1]}}}', "'../up' is not a file name"),
             ("[" * 100_000, "nested too deeply"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [0.5, 0.6, Infinity],'
+             ' "coverage": [1.0, 1.0, 1.0], "value": [0.1, 0.5, 0.4]}}}', "'cwsa': 'tau' must hold finite"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [0.5, 0.6], "coverage": [1.0, 1.0],'
+             ' "value": [NaN, 0.5]}}}', "'cwsa': 'value' must hold finite"),
+            ('{"report_type": "sweep", "curves": {"cwsa": {"tau": [0.5], "coverage": [1%s],'
+             ' "value": [0.1]}}}' % ("0" * 400), "'cwsa': 'coverage' must hold finite"),
         ],
         ids=["not_an_object", "curves_not_an_object", "no_coverage", "empty_lists", "unequal_lengths",
-             "name_leaves_output_dir", "deep_nesting"],
+             "name_leaves_output_dir", "deep_nesting", "non_finite_tau", "non_finite_value",
+             "int_beyond_float"],
     )
     def test_malformed_report_is_exit_1(self, tmp_path, capsys, doc, message):
         report = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import builtins
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,39 @@ class TestGradient:
         entries = cwsa_gradient(ds, 0.5)
         assert entries[0].status == GRADIENT_ABSTAINED
         assert entries[0].value == 0.0
+
+    @staticmethod
+    def triples(pairs, tau):
+        return [tuple(entry) for entry in cwsa_gradient(make_set(pairs), tau)]
+
+    def test_matches_naive_oracle_with_kinks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            # two-decimal confidences and thresholds put many records exactly at tau
+            n = int(rng.integers(1, 80))
+            pairs = [(round(c, 2), corr) for c, corr in random_pairs(rng, n)]
+            tau = round(float(rng.uniform(0.0, 0.99)), 2)
+            if rng.random() < 0.5:
+                tau = min(pairs[int(rng.integers(0, n))][0], 0.99)
+            assert self.triples(pairs, tau) == naive_impl.gradient_naive(pairs, tau)
+
+    def test_all_abstained_divides_nothing(self):
+        pairs = [(0.1, True), (0.4, False), (0.69, True)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.triples(pairs, 0.7)
+        assert got == naive_impl.gradient_naive(pairs, 0.7)
+        assert got == [(0, 0.0, "abstained"), (1, 0.0, "abstained"), (2, 0.0, "abstained")]
+
+    def test_all_retained(self):
+        pairs = random_pairs(np.random.default_rng(32), 50, low=0.3, high=1.0)
+        got = self.triples(pairs, 0.25)
+        assert got == naive_impl.gradient_naive(pairs, 0.25)
+        assert {status for _, _, status in got} == {GRADIENT_INTERIOR}
+
+    @pytest.mark.parametrize("pair", [(0.9, True), (0.9, False), (0.5, True), (0.2, False)])
+    def test_single_record_matches_naive_oracle(self, pair):
+        assert self.triples([pair], 0.5) == naive_impl.gradient_naive([pair], 0.5)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(29)

@@ -84,6 +84,16 @@ class TestThresholdGrid:
         with pytest.raises(ValueError, match="^step must be finite and positive"):
             ThresholdGrid.parse(f"0.5:0.9:{step}")
 
+    @pytest.mark.parametrize(
+        "start, end, step",
+        [(0.99999999999, 0.99999999999, 0.01), (0.5, 0.99999999996, 0.49999999996)],
+    )
+    def test_rejects_a_threshold_that_rounds_to_one(self, start, end, step):
+        # each threshold is rounded to 10 decimals after the end < 1 check
+        with pytest.raises(ValueError, match="rounds to 1.0, which is not below 1$"):
+            ThresholdGrid(start, end, step)
+        assert ThresholdGrid(0.5, 0.99999999994, 0.49999999994).thresholds() == [0.5, 0.9999999999]
+
     def test_parse(self):
         assert ThresholdGrid.parse("0.5:0.9:0.1") == ThresholdGrid(0.5, 0.9, 0.1)
         with pytest.raises(ValueError):
