@@ -10,13 +10,10 @@ Formats
   same rules.  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
-  fields are absent.  The canonical format for real-model dumps.  A valid
-  file whose every line is blank or one object alone, with an int
-  ``y_true``, either ``probs`` or an int ``y_pred`` and a numeric
-  ``confidence``, and a numeric or null ``credit`` if any, is read in one
-  bulk pass (``raw_decode`` per line, ``probs`` reduced with NumPy); any
-  other file, and every malformed one, is read by the row reader under
-  the same rules.
+  fields are absent.  The canonical format for real-model dumps.  Each
+  line is decoded once; plainly laid-out records are checked as NumPy
+  columns a chunk at a time, and any other record cell by cell in the
+  same pass, under the same rules.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -60,10 +57,12 @@ PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
-_PROBS_CHUNK = 1 << 16  # probs values _read_jsonl_bulk holds before it reduces them
+_PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
+_COLUMN_DTYPES = (np.int64, np.int64, np.float64, np.float64)  # y_true, y_pred, confidence, credit
+_ABSENT = object()  # a missing JSONL key: its type fails every column's check
 
 AUMCC_POLICY = (
     "trapezoid over coverage ascending; duplicate coverages averaged; "
@@ -111,29 +110,28 @@ def _number(raw: object, name: str, path: Path, line_no: int) -> float:
     raise IngestError(f"{path}:{line_no}: {name} must be a number, got {raw!r}")
 
 
-def _add_credit(credit: List[float], index: int, raw: object, path: Path, line_no: int) -> None:
-    """Set the credit of record ``index``; NaN pads the records before it
-    that have none, so the list stays empty until some record has one."""
+def _credit(raw: object, path: Path, line_no: int) -> float:
+    """A credit cell as a number other than NaN.  The range is checked on the column."""
     value = _number(raw, "credit", path, line_no)
     if math.isnan(value):  # NaN would read as "absent" in the column
         raise IngestError(f"{path}:{line_no}: credit {raw!r} outside [0, 1]")
-    credit.extend([math.nan] * (index - len(credit)))
-    credit.append(value)
+    return value
 
 
-def _not_utf8(path: Path) -> IngestError:
-    """The error for a file that is not UTF-8, naming its first bad line.
-
-    Called only once decoding has failed, so valid files are read once;
-    the line is found by re-reading the file in binary.
-    """
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
+def _utf8_lines(lines, path: Path):
+    """Lines read with ``errors="surrogateescape"``; one that held bytes other than UTF-8 raises."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
             try:
-                line.decode("utf-8")
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                return IngestError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})")
-    return IngestError(f"{path}: not valid UTF-8")
+                raise IngestError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
+        yield line
+
+
+def _column_arrays(columns):
+    """Lists of plain column values as arrays; ``None`` reads as NaN ("absent") in credit."""
+    return tuple(np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMN_DTYPES))
 
 
 def _csv_columns(path: Path, header: Optional[List[str]]):
@@ -148,17 +146,20 @@ def _csv_columns(path: Path, header: Optional[List[str]]):
     return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
 
 
-def _read_csv(path: Path, columns, skipped: List[int]) -> None:
-    """Append the records of a CSV file to ``columns``, and the record
-    count at each blank row to ``skipped``."""
-    y_true, y_pred, confidence, credit = columns
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
+    """Append the column arrays of a CSV file's records, even when a fault stops
+    the reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
+    columns = y_true, y_pred, confidence, credit = [], [], [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(reader, None))
             width = max(i_true, i_pred, i_conf) + 1
-
-            for line_no, row in enumerate(reader, start=2):
+            end = reader.line_num  # the last line of the row read before
+            skipped.extend([0] * end)  # the header's lines
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
                 if not row:
                     skipped.append(len(y_true))
                     continue
@@ -167,13 +168,14 @@ def _read_csv(path: Path, columns, skipped: List[int]) -> None:
                 t = _label(row[i_true], "y_true", path, line_no)
                 p = _label(row[i_pred], "y_pred", path, line_no)
                 c = _number(row[i_conf], "confidence", path, line_no)
-                if 0 <= i_credit < len(row) and row[i_credit].strip():
-                    _add_credit(credit, len(y_true), row[i_credit], path, line_no)
-                y_true.append(t)
-                y_pred.append(p)
-                confidence.append(c)
+                given = 0 <= i_credit < len(row) and row[i_credit].strip()
+                r = _credit(row[i_credit], path, line_no) if given else None
+                for column, value in zip(columns, (t, p, c, r)):
+                    column.append(value)
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+        finally:
+            parts.append(_column_arrays(columns))
 
 
 def _bulk_readable(path: Path) -> bool:
@@ -228,14 +230,11 @@ def _read_csv_bulk(path: Path):
     return table["y_true"], table["y_pred"], table["confidence"]
 
 
-def _reduce_probs(obj: dict, path: Path, line_no: int):
-    """Apply the argmax reduction for rows carrying a ``probs`` vector."""
-    probs = obj["probs"]
-    if not isinstance(probs, list) or not probs:
+def _reduce_probs(probs: object, confidence: object, path: Path, line_no: int):
+    """``(argmax, max)`` of a ``probs`` vector, which must agree with the
+    record's ``confidence`` unless that is ``_ABSENT``."""
+    if not (isinstance(probs, list) and probs and all(type(p) in (int, float) for p in probs)):
         raise IngestError(f"{path}:{line_no}: probs must be a non-empty list of numbers")
-    for p in probs:
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise IngestError(f"{path}:{line_no}: probs must be a non-empty list of numbers")
     try:
         values = [float(p) for p in probs]
         total = math.fsum(values)
@@ -246,12 +245,10 @@ def _reduce_probs(obj: dict, path: Path, line_no: int):
         raise IngestError(f"{path}:{line_no}: probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
     top = max(values)
     top_index = values.index(top)  # lowest index wins ties
-    if "confidence" in obj:
-        conf = _number(obj["confidence"], "confidence", path, line_no)
+    if confidence is not _ABSENT:
+        conf = _number(confidence, "confidence", path, line_no)
         if abs(conf - top) > PROBS_TOLERANCE:
-            raise IngestError(
-                f"{path}:{line_no}: confidence {obj['confidence']!r} disagrees with max(probs) {top!r}"
-            )
+            raise IngestError(f"{path}:{line_no}: confidence {confidence!r} disagrees with max(probs) {top!r}")
     return top_index, top
 
 
@@ -294,144 +291,148 @@ def _top_of_probs(vectors: List[list]):
     return top_index, top
 
 
-def _read_jsonl_bulk(path: Path):
-    """``(y_true, y_pred, confidence, credit)`` of a JSONL file, or ``None``
-    when :func:`_read_jsonl` must read the file: every malformed file, and
-    every file with a record outside the layouts below, comes to it.
+def _jsonl_record(cells, probs: object, path: Path, line_no: int):
+    """``(y_true, y_pred, confidence, credit)`` of a JSONL record from its raw
+    cells and ``probs``, under the row rules.  ``_ABSENT`` marks a missing
+    key, and ``None`` a missing or null credit, in the cells and the result."""
+    t_raw, p_raw, c_raw, credit = cells
+    if t_raw is _ABSENT:
+        raise IngestError(f"{path}:{line_no}: missing key 'y_true'")
+    t = _label(t_raw, "y_true", path, line_no)
+    if probs is not _ABSENT:
+        top_index, top = _reduce_probs(probs, c_raw, path, line_no)
+        p_raw = top_index if p_raw is _ABSENT else p_raw
+        c_raw = top if c_raw is _ABSENT else c_raw
+    elif p_raw is _ABSENT or c_raw is _ABSENT:
+        raise IngestError(f"{path}:{line_no}: need y_pred and confidence (or probs)")
+    p = _label(p_raw, "y_pred", path, line_no)
+    c = _number(c_raw, "confidence", path, line_no)
+    return t, p, c, None if credit is None else _credit(credit, path, line_no)
 
-    Each line holds one JSON object and nothing else (``raw_decode`` takes
-    no leading whitespace), or is blank.  Each object has an int
-    ``y_true`` and either a non-empty ``probs`` list and neither
-    ``y_pred`` nor ``confidence``, or an int ``y_pred``, an int or float
-    ``confidence`` and no ``probs``.  ``credit`` is absent, null, or an int
-    or float other than NaN.  The ``probs`` vectors are reduced with NumPy
-    every ``_PROBS_CHUNK`` values, so few are held at once.
-    """
-    decode = json.JSONDecoder().raw_decode
-    absent = object()  # a missing key: its type fails every column's check
-    y_true, y_pred, confidence, credit = [], [], [], []
-    vectors, rows, reduced = [], [], []  # probs to reduce, their records; (records, (argmax, max))
-    held = 0  # the values in ``vectors``
+
+def _plain_arrays(cells, rows: List[int], vectors: List[list]):
+    """The column arrays of a chunk of JSONL records, or ``None`` unless it
+    has int labels, int or float numbers, no NaN credit and ``probs`` that
+    :func:`_top_of_probs` reduces into the placeholders at ``rows``."""
+    y_true, y_pred, confidence, credit = cells
+    if not (
+        set(map(type, chain(y_true, y_pred))) <= {int}
+        and set(map(type, confidence)) <= {int, float}
+        and set(map(type, credit)) <= {int, float, type(None)}
+        and (tops := _top_of_probs(vectors)) is not None
+    ):
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+        arrays = _column_arrays(cells)
+    except OverflowError:  # a label beyond int64, a number beyond the float range
+        return None
+    # A NaN given in the file does not mean "absent", as None does.
+    if np.count_nonzero(np.isnan(arrays[3])) != credit.count(None):
+        return None
+    arrays[1][rows], arrays[2][rows] = tops
+    return arrays
+
+
+def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: int, skipped: List[int]) -> int:
+    """Append the column arrays of a chunk of JSONL records from record
+    ``first`` on to ``parts``, empty it and return the next record's index.
+    A chunk :func:`_plain_arrays` rejects is converted record by record; a
+    record that breaks a row rule raises, once those ahead are appended."""
+    arrays, fault = _plain_arrays(cells, rows, vectors), None
+    if arrays is None:
+        probs_at = dict(zip(rows, vectors))
+        records = ([], [], [], [])
+        for i, raw in enumerate(zip(*cells)):
+            probs = probs_at.get(i, _ABSENT)
+            if probs is not _ABSENT:  # y_pred and confidence were absent
+                raw = (raw[0], _ABSENT, _ABSENT, raw[3])
+            try:
+                values = _jsonl_record(raw, probs, path, _line_of(first + i, skipped))
+            except IngestError as exc:
+                fault = exc
+                break
+            for column, value in zip(records, values):
+                column.append(value)
+        arrays = _column_arrays(records)
+    parts.append(arrays)
+    first += len(cells[0])
+    for column in (*cells, rows, vectors):
+        column.clear()
+    if fault is not None:
+        raise fault
+    return first
+
+
+def _read_jsonl(path: Path, parts: List[tuple], skipped: List[int]) -> None:
+    """Append the column arrays of a JSONL file's records to ``parts``, as
+    :func:`_read_csv` does.  Each line is decoded once, by ``raw_decode`` or,
+    where that fails or leaves more than the newline, by ``json.loads``.  A
+    record with ``probs`` beside ``y_pred`` or ``confidence``, or with
+    ``probs`` other than a non-empty list, is checked at once; the others
+    are held, a chunk of ``_PROBS_CHUNK`` probs values at a time, for
+    :func:`_close_chunk`, which also runs before a line's fault is raised."""
+    decode = json.JSONDecoder().raw_decode
+    cells = y_true, y_pred, confidence, credit = [], [], [], []
+    rows, vectors = [], []  # the chunk's records with only a probs vector, and the vectors
+    held = first = 0  # the values in ``vectors``; the index of the chunk's first record
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
                 try:
                     obj, end = decode(line)
+                    if line[end:] not in ("\n", ""):
+                        raise ValueError
                 except (ValueError, RecursionError):
-                    if line.strip():
-                        return None
-                    continue
-                if type(obj) is not dict or line[end:] not in ("\n", ""):
-                    return None
+                    if not line.strip():
+                        skipped.append(first + len(y_true))
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                        raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+                if type(obj) is not dict:
+                    raise IngestError(f"{path}:{line_no}: expected a JSON object")
                 get = obj.get
-                probs = get("probs", absent)
-                if probs is absent:
-                    y_pred.append(get("y_pred", absent))
-                    confidence.append(get("confidence", absent))
+                probs = get("probs", _ABSENT)
+                if probs is _ABSENT:
+                    y_pred.append(get("y_pred", _ABSENT))
+                    confidence.append(get("confidence", _ABSENT))
                 elif type(probs) is list and probs and "y_pred" not in obj and "confidence" not in obj:
                     rows.append(len(y_true))
                     vectors.append(probs)
                     y_pred.append(0)  # set from the reduction
                     confidence.append(0.0)
                     held += len(probs)
-                    if held >= _PROBS_CHUNK:
-                        reduced.append((np.array(rows, dtype=np.int64), _top_of_probs(vectors)))
-                        if reduced[-1][1] is None:
-                            return None
-                        vectors, rows, held = [], [], 0
                 else:
-                    return None
-                y_true.append(get("y_true", absent))
+                    raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT), get("confidence", _ABSENT), get("credit"))
+                    for column, value in zip(cells, _jsonl_record(raw, probs, path, line_no)):
+                        column.append(value)
+                    continue
+                y_true.append(get("y_true", _ABSENT))
                 credit.append(get("credit"))
-    except UnicodeDecodeError:
-        return None
-    if vectors:
-        reduced.append((np.array(rows, dtype=np.int64), _top_of_probs(vectors)))
-    if not y_true or any(tops is None for _, tops in reduced):
-        return None
-    number = {int, float}
-    if not (
-        set(map(type, y_true)) == set(map(type, y_pred)) == {int}
-        and set(map(type, confidence)) <= number
-        and set(map(type, credit)) <= number | {type(None)}
-    ):
-        return None
-    absent_credits = credit.count(None)
-    try:
-        columns = (
-            np.array(y_true, dtype=np.int64),
-            np.array(y_pred, dtype=np.int64),
-            np.array(confidence, dtype=np.float64),
-            None if absent_credits == len(credit) else np.array(credit, dtype=np.float64),
-        )
-    except OverflowError:  # a label beyond int64, a number beyond the float range
-        return None
-    # None reads as NaN in the credit column; a NaN given in the file does not mean "absent".
-    if columns[3] is not None and np.count_nonzero(np.isnan(columns[3])) != absent_credits:
-        return None
-    for records, (top_index, top) in reduced:
-        columns[1][records] = top_index
-        columns[2][records] = top
-    for column in columns:
-        if column is not None:
-            column.setflags(write=False)
-    return columns
+                if held >= _PROBS_CHUNK:
+                    first = _close_chunk(path, parts, cells, rows, vectors, first, skipped)
+                    held = 0
+    except IngestError:
+        _close_chunk(path, parts, cells, rows, vectors, first, skipped)  # an earlier fault may lie in it
+        raise
+    _close_chunk(path, parts, cells, rows, vectors, first, skipped)
 
 
-def _read_jsonl(path: Path, columns, skipped: List[int]) -> None:
-    """Append the records of a JSONL file to ``columns``, as :func:`_read_csv` does."""
-    y_true, y_pred, confidence, credit = columns
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                skipped.append(len(y_true))
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(obj, dict):
-                raise IngestError(f"{path}:{line_no}: expected a JSON object")
-            if "y_true" not in obj:
-                raise IngestError(f"{path}:{line_no}: missing key 'y_true'")
-            t = _label(obj["y_true"], "y_true", path, line_no)
-
-            if "probs" in obj:
-                top_index, top = _reduce_probs(obj, path, line_no)
-                p_raw = obj.get("y_pred", top_index)
-                c_raw = obj.get("confidence", top)
-            else:
-                if "y_pred" not in obj or "confidence" not in obj:
-                    raise IngestError(f"{path}:{line_no}: need y_pred and confidence (or probs)")
-                p_raw = obj["y_pred"]
-                c_raw = obj["confidence"]
-
-            p = _label(p_raw, "y_pred", path, line_no)
-            c = _number(c_raw, "confidence", path, line_no)
-            if obj.get("credit") is not None:
-                _add_credit(credit, len(y_true), obj["credit"], path, line_no)
-            y_true.append(t)
-            y_pred.append(p)
-            confidence.append(c)
+def _line_of(index: int, skipped: List[int]) -> int:
+    """The line of record ``index``, given the record count at each line that starts no record."""
+    return 1 + index + bisect.bisect_right(skipped, index)
 
 
-def _checked_arrays(path: Path, columns, class_count: Optional[int], first_line: int, skipped: List[int]):
-    """The columns as arrays, once every record keeps the record rules; a
-    record that breaks one raises :class:`IngestError` naming its line."""
-    y_true, y_pred, confidence, credit = columns
-    if credit:  # pad the records after the last one with a credit
-        credit.extend([math.nan] * (len(y_true) - len(credit)))
-    arrays = (
-        np.array(y_true, dtype=np.int64),
-        np.array(y_pred, dtype=np.int64),
-        np.array(confidence, dtype=np.float64),
-        np.array(credit, dtype=np.float64) if credit else None,
-    )
-    bad = _first_bad_record(*arrays, class_count) if y_true else None
+def _checked_arrays(path: Path, parts: List[tuple], class_count: Optional[int], skipped: List[int]):
+    """The column arrays of ``parts`` joined, once every record keeps the record
+    rules; a record that breaks one raises :class:`IngestError` naming its line."""
+    arrays = [np.concatenate(column) for column in zip(*parts)]
+    if np.isnan(arrays[3]).all():  # no record has a credit
+        arrays[3] = None
+    bad = _first_bad_record(*arrays, class_count) if len(arrays[0]) else None
     if bad is not None:
-        index, reason = bad
-        line_no = first_line + index + bisect.bisect_right(skipped, index)
-        raise IngestError(f"{path}:{line_no}: {reason}")
+        raise IngestError(f"{path}:{_line_of(bad[0], skipped)}: {bad[1]}")
     for column in arrays:  # fresh, so the set need not copy them
         if column is not None:
             column.setflags(write=False)
@@ -452,26 +453,24 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
-    bulk = _read_csv_bulk(path) if fmt == "csv" else _read_jsonl_bulk(path)
+    bulk = _read_csv_bulk(path) if fmt == "csv" else None
     if bulk is not None:
         try:
             return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
         except ValueError:  # a broken record rule: the row reader names its line
             pass
 
-    read, first_line = (_read_csv, 2) if fmt == "csv" else (_read_jsonl, 1)
-    columns = ([], [], [], [])  # y_true, y_pred, confidence, credit
-    skipped: List[int] = []  # the record count at each skipped blank row
+    parts: List[tuple] = []  # the column arrays of the records read, in file order
+    skipped: List[int] = []  # the record count at each line that starts no record
     try:
-        read(path, columns, skipped)
-    except (IngestError, UnicodeDecodeError) as exc:
-        stop = _not_utf8(path) if isinstance(exc, UnicodeDecodeError) else exc
+        (_read_csv if fmt == "csv" else _read_jsonl)(path, parts, skipped)
+    except IngestError:
         # A record rule broken on an earlier line is the first fault.
-        _checked_arrays(path, columns, class_count, first_line, skipped)
-        raise stop from None
-    if not columns[0]:
+        _checked_arrays(path, parts, class_count, skipped)
+        raise
+    arrays = _checked_arrays(path, parts, class_count, skipped)
+    if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
-    arrays = _checked_arrays(path, columns, class_count, first_line, skipped)
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name)
 
 

@@ -1,7 +1,9 @@
+import builtins
 import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -184,9 +186,21 @@ MALFORMED_FILES = {
     # NumPy reads the label "\u01fe1" as 4621, and strips "\x1c" as whitespace
     "non_ascii_label.csv": (_CSV_HEADER + "0,0,0.5\n\u01fe1,0,0.5\n", 3),
     "separator_byte.csv": (_CSV_HEADER + "0,0,0.5\n1\x1c,0,0.5\n", 3),
-    # the bulk JSONL pass must not read a NaN credit as "absent", nor take the first of two objects
+    # the JSONL column checks must not read a NaN credit as "absent", nor take the first of two objects
     "nan_credit.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}\n{"y_true":0,"y_pred":0,"confidence":0.5,"credit":NaN}\n', 2),
     "two_objects.jsonl": ('{"y_true":0,"y_pred":0,"confidence":0.5}{"y_true":1,"y_pred":1,"confidence":0.5}\n', 1),
+    # a range fault before a line that is not UTF-8, within the 8 KB a text decoder reads ahead
+    "range_before_bad_byte.jsonl": (
+        b'{"y_true":0,"y_pred":0,"confidence":0.5}\n{"y_true":0,"y_pred":0,"confidence":1.5}\n'
+        b'{"y_true":0,"y_pred":0,"confidence":0.5,"id":"\xff"}\n', 2),
+    "range_before_bad_byte.csv": (_CSV_HEADER.encode() + b"0,0,0.5\n0,0,1.5\n0,0,0.5\xff\n", 3),
+    # lines ended by CR alone count as lines
+    "cr_bad_byte.csv": (b"y_true,y_pred,confidence\r0,0,0.5\r1,1,0.5\r0,0,0.\xff\r", 4),
+    "cr_bad_byte.jsonl": (b'{"y_true":0,"y_pred":0,"confidence":0.5}\r\r{"y_true":"\xff"}\r', 3),
+    # a quoted cell over two lines moves the records after it down a line
+    "quoted_newline_range.csv": (_CSV_HEADER + '"1\n",1,0.5\n0,0,1.5\n', 4),
+    "quoted_newline_cell.csv": (_CSV_HEADER + '"1\n",1,0.5\n0,x,0.5\n', 4),
+    "quoted_header_range.csv": ('"y_true\n",y_pred,confidence\n0,1,1.5\n', 3),
 }
 
 
@@ -286,9 +300,12 @@ def _no_row_reader(*args):
 def _outcome(path):
     """The columns ``ingest`` reads from ``path``, or the text of its error."""
     try:
-        ds = ingest(path)
+        return _outcome_of(ingest(path))
     except IngestError as exc:
         return str(exc)
+
+
+def _outcome_of(ds):
     credit = None if ds.credit is None else [None if math.isnan(c) else c for c in ds.credit.tolist()]
     return ds.y_true.tolist(), ds.y_pred.tolist(), ds.confidence.tolist(), credit
 
@@ -308,7 +325,15 @@ EDGE_PROBS = {
 }
 
 
+def _cell_by_cell(monkeypatch):
+    """Turn the NumPy probs reduction off, so that every JSONL chunk is checked cell by cell."""
+    monkeypatch.setattr(dataio, "_top_of_probs", lambda vectors: None)
+
+
 class TestBulkJsonl:
+    """A JSONL file read as shipped, where plain chunks are checked as NumPy
+    columns, and with every chunk checked cell by cell."""
+
     def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
         source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
         path = tmp_path / "cal.jsonl"
@@ -316,11 +341,14 @@ class TestBulkJsonl:
             {"y_true": t, "y_pred": p, "confidence": c}
             for t, p, c in zip(source.y_true.tolist(), source.y_pred.tolist(), source.confidence.tolist())
         ))
-        monkeypatch.setattr(dataio, "_read_jsonl", _no_row_reader)
+        monkeypatch.setattr(dataio, "_jsonl_record", _no_row_reader)
         ds = ingest(path)
         for name in ("y_true", "y_pred", "confidence"):
             assert np.array_equal(getattr(ds, name), getattr(source, name))
         assert ds.credit is None
+        monkeypatch.undo()
+        _cell_by_cell(monkeypatch)
+        assert _outcome(path) == _outcome_of(ds)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_both_paths_read_the_same_columns(self, tmp_path, monkeypatch, chunk):
@@ -341,10 +369,11 @@ class TestBulkJsonl:
         records[4]["credit"] = 0.75
         path = tmp_path / "p.jsonl"
         path.write_text(_jsonl_text(records) + "\n  \n" + _jsonl_text(records[:5]))
-        monkeypatch.setattr(dataio, "_read_jsonl", _no_row_reader)
+        monkeypatch.setattr(dataio, "_jsonl_record", _no_row_reader)  # a plain file
         shipped = _outcome(path)
         monkeypatch.undo()
-        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        _cell_by_cell(monkeypatch)
         assert shipped == _outcome(path)
         assert shipped[3][4] == 0.75 and shipped[3][0] is None
 
@@ -357,7 +386,7 @@ class TestBulkJsonl:
         path = tmp_path / "p.jsonl"
         path.write_text(_jsonl_text([{"y_true": 0, "probs": [0.5, 0.5]}, {"y_true": 0, "probs": probs}]))
         shipped = _outcome(path)
-        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        _cell_by_cell(monkeypatch)
         assert shipped == _outcome(path)
 
     @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank_rows"])
@@ -366,8 +395,70 @@ class TestBulkJsonl:
         path.write_text(content)
         with pytest.raises(IngestError, match=r"^\S*p\.jsonl: no prediction rows$"):
             ingest(path)
-        monkeypatch.setattr(dataio, "_read_jsonl_bulk", lambda path: None)  # the row reader alone
+        _cell_by_cell(monkeypatch)
         with pytest.raises(IngestError, match=r"^\S*p\.jsonl: no prediction rows$"):
+            ingest(path)
+
+
+_VALID = '{"y_true": 0, "y_pred": 0, "confidence": 0.5}\n'
+_BAD_VECTOR = '{"y_true": 0, "probs": [0.5, 0.6]}\n'  # sums to 1.1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+class TestOneJsonlPass:
+    """Every JSONL line is decoded once, and the first fault is named
+    wherever the chunks close."""
+
+    @pytest.mark.parametrize("last, error", [
+        ("", None),
+        ('{"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75}\n', None),  # checked at once
+        ('{"y_true": 0, "y_pred": 0, "confidence": 1.5}\n', r":4: confidence 1\.5 outside"),
+        ('{"y_true": 0, "y_pred": 0, "confidence": 0.5, "id": "\udcff"}\n', r":4: not valid UTF-8"),
+    ], ids=["plain", "odd_last_line", "range_fault", "bad_byte"])
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch, chunk, last, error):
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        path = tmp_path / "p.jsonl"
+        text = _VALID + '{"y_true": 1, "probs": [0.5, 0.5]}\n\n' + last
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
+        opened = []
+        real_open = builtins.open
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted_open)
+        outcome = _outcome(path)
+        monkeypatch.undo()
+        assert opened.count(path) == 1
+        if error is None:
+            assert outcome[0] == [0, 1] + ([0] if last else [])
+        else:
+            assert re.search(error, outcome)
+
+    def test_reductions_ahead_of_a_cell_fault_are_checked(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"y_true": 0, "probs": [1.5, -0.5]}\n{"y_true": 0, "probs": [0.5, "0.5"]}\n')
+        with pytest.raises(IngestError, match=r"p\.jsonl:1: confidence 1\.5 outside \[0, 1\]$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("later", [
+        b"not json\n", b"[1]\n", b'{"y_true": "x", "y_pred": 0, "confidence": 0.5}\n',
+        b'{"y_true": 0, "probs": [1.0], "confidence": "x"}\n', b'{"y_true": "\xff"}\n',
+    ], ids=["invalid_json", "not_an_object", "bad_cell", "bad_cell_checked_at_once", "bad_byte"])
+    def test_bad_vector_before_a_later_fault_is_named(self, tmp_path, monkeypatch, chunk, later):
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        path = tmp_path / "p.jsonl"
+        path.write_bytes((_VALID + _BAD_VECTOR + "\n").encode() + later)
+        with pytest.raises(IngestError, match=r"p\.jsonl:2: probs sum to "):
+            ingest(path)
+
+    def test_label_beyond_int64_before_a_bad_vector_is_named(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        path = tmp_path / "p.jsonl"
+        path.write_text(_VALID + '{"y_true": 9223372036854775808, "y_pred": 0, "confidence": 0.5}\n' + _BAD_VECTOR)
+        with pytest.raises(IngestError, match=r"p\.jsonl:2: y_true 9223372036854775808 does not fit in int64"):
             ingest(path)
 
 

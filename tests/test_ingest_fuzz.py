@@ -4,9 +4,10 @@ Each generated CSV or JSONL file mixes valid records with mutated cells
 and blank lines.  ``ingest`` must either return the columns that
 ``naive_impl.read_predictions`` reads, or raise ``IngestError`` naming
 the first line that validator rejects; any other exception fails.  Each
-file is ingested twice: as shipped, where a bulk pass (NumPy for CSV,
-``raw_decode`` and a NumPy ``probs`` reduction for JSONL) reads a file it
-can, and with that pass off, so that the row reader reads every file.
+file is ingested as shipped and in each of ``OTHER_WAYS``: a CSV file
+also with the NumPy pass off, so that the row reader reads it; a JSONL
+file also at chunk sizes that close chunks mid-file, each with the NumPy
+``probs`` reduction on and off (off, every chunk is checked cell by cell).
 """
 
 import json
@@ -42,6 +43,13 @@ PROBS = [  # the first five sum to 1
     [0.5, "0.5"], [float("nan"), 1.0], [True, 0.0], 0.5,
 ]
 CLASS_COUNTS = st.sampled_from([None, 2, 3])
+_NO_REDUCTION = {"_top_of_probs": lambda vectors: None}
+OTHER_WAYS = {
+    "csv": [{"_read_csv_bulk": lambda path: None}],
+    "jsonl": [{"_PROBS_CHUNK": 1 << 16, **_NO_REDUCTION}] + [
+        {"_PROBS_CHUNK": chunk, **reduction} for chunk in (1, 3) for reduction in ({}, _NO_REDUCTION)
+    ],
+}
 
 
 @st.composite
@@ -76,12 +84,12 @@ def csv_texts(draw):
 @st.composite
 def jsonl_texts(draw):
     lines = []
-    plain = draw(st.booleans())  # only records the bulk pass reads, though some break a rule
+    plain = draw(st.booleans())  # only records checked as columns, though some break a rule
     shapes = ["valid", "valid", "probs", "blank"]
     if not plain:
         shapes += ["mutant", "line", "layout"]
 
-    def label():  # an int, as the bulk pass needs, or else at times "1" or 1.0
+    def label():  # an int, as the column checks need, or else at times "1" or 1.0
         return draw(st.sampled_from([int] if plain else [int, int, str, float]))(draw(st.sampled_from(LABELS)))
 
     for _ in range(draw(st.integers(min_value=1, max_value=50))):
@@ -129,9 +137,9 @@ def check_against_rules(text, fmt, class_count):
         path = Path(tmp) / f"fuzz.{fmt}"
         path.write_text(text, encoding="utf-8")
         check_ingest(path, expected, class_count)
-        bulk = "_read_csv_bulk" if fmt == "csv" else "_read_jsonl_bulk"
-        with mock.patch.object(dataio, bulk, return_value=None):
-            check_ingest(path, expected, class_count)
+        for patches in OTHER_WAYS[fmt]:
+            with mock.patch.multiple(dataio, **patches):
+                check_ingest(path, expected, class_count)
 
 
 def check_ingest(path, expected, class_count):
@@ -172,7 +180,7 @@ def test_every_single_mutant_follows_the_input_rules():
     objects = [
         {"y_true": 0, "y_pred": 1, "confidence": 0.5, "credit": 0.25},
         {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75},
-        {"y_true": 0, "probs": [0.25, 0.75]},  # a record the bulk JSONL pass reads
+        {"y_true": 0, "probs": [0.25, 0.75]},  # a record checked as columns
     ]
     for class_count in (None, 2):
         for width in (3, 4):  # without a credit column, the NumPy pass reads valid files
