@@ -4,10 +4,12 @@ Formats
 -------
 * CSV: header row mandatory (``y_true,y_pred,confidence`` plus optional
   ``credit``), comma delimiter, UTF-8, LF, CRLF or CR line endings, cells
-  optionally quoted as in the ``csv`` module's default dialect.  A valid
-  ASCII file without quotes or ``credit`` is parsed in one NumPy pass; any
-  other file, and every malformed one, is read by the row reader under the
-  same rules.  The canonical output format for synthetic sets.
+  optionally quoted as in the ``csv`` module's default dialect.  An ASCII
+  file without quotes or ``credit`` is parsed in one NumPy pass; a record
+  there that breaks a record rule is named from one NumPy pass over the
+  bytes.  Any other file, and every one NumPy cannot parse, is read by the
+  row reader under the same rules.  The canonical output format for
+  synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
@@ -56,7 +58,7 @@ __all__ = [
 PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
+_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable and _bulk_line_of read at a time
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
@@ -206,7 +208,7 @@ def _bulk_readable(path: Path) -> bool:
 def _read_csv_bulk(path: Path):
     """``(y_true, y_pred, confidence)`` of a CSV file without a ``credit``
     column, parsed by NumPy in one pass, or ``None`` when :func:`_read_csv`
-    must read the file: every malformed file comes to it."""
+    must read the file: every file that NumPy cannot parse comes to it."""
     if not _bulk_readable(path):
         return None
     try:
@@ -419,6 +421,31 @@ def _read_jsonl(path: Path, parts: List[tuple], skipped: List[int]) -> None:
     _close_chunk(path, parts, cells, rows, vectors, first, skipped)
 
 
+def _bulk_line_of(path: Path, index: int) -> int:
+    """The line of record ``index`` of a file :func:`_read_csv_bulk` read.
+
+    The header is line 1 and ``np.loadtxt`` skips only empty lines, so the
+    record sits on the ``index + 2``-th line that is not empty.  LF, CR and
+    CRLF each end a line.
+    """
+    left = index + 2  # lines that are not empty still to pass, the record's own included
+    lines = 0  # lines ended in the blocks before
+    last = b"\n"  # the byte before the block
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BLOCK):
+            codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
+            cr = codes == ord("\r")
+            breaks = cr | (codes == ord("\n"))
+            ends = np.flatnonzero(cr[1:] | (breaks[1:] & ~cr[:-1]))  # the LF of a CRLF ends no line
+            full = np.flatnonzero(~breaks[ends])  # a line is empty when its end follows a break
+            if left <= full.size:
+                return lines + int(full[left - 1]) + 1
+            left -= full.size
+            lines += ends.size
+            last = block[-1:]
+    return lines + 1  # the last line, which no line end closes
+
+
 def _line_of(index: int, skipped: List[int]) -> int:
     """The line of record ``index``, given the record count at each line that starts no record."""
     return 1 + index + bisect.bisect_right(skipped, index)
@@ -457,8 +484,9 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     if bulk is not None:
         try:
             return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
-        except ValueError:  # a broken record rule: the row reader names its line
-            pass
+        except ValueError:  # a broken record rule, the only fault a bulk-read file can hold
+            index, reason = _first_bad_record(*bulk, None, class_count)
+            raise IngestError(f"{path}:{_bulk_line_of(path, index)}: {reason}") from None
 
     parts: List[tuple] = []  # the column arrays of the records read, in file order
     skipped: List[int] = []  # the record count at each line that starts no record

@@ -50,7 +50,8 @@ class ThresholdGrid:
 
     Thresholds are generated by integer multiples of ``step`` (rounded to
     10 decimals) so the default 0.50..0.99 grid is exactly 50 clean
-    points with no accumulated float drift.  A grid holds at most
+    points with no accumulated float drift.  Before rounding, no threshold
+    lies more than 1e-12 above ``end``.  A grid holds at most
     ``MAX_GRID_POINTS`` thresholds; the count is checked before any
     threshold is built.  The last threshold must still lie below 1 after
     rounding.
@@ -75,6 +76,12 @@ class ThresholdGrid:
                 f"{MAX_GRID_POINTS} thresholds"
             )
         count = int(math.floor(steps)) + 1
+        # The 1e-9 slack absorbs the quotient's float drift, but also takes
+        # one step too many when end lies just below a multiple of step.
+        # The float drift of start + i * step stays far below 1e-12, which
+        # lies far below the 10-decimal rounding of the thresholds.
+        if self.start + (count - 1) * self.step - self.end > 1e-12:
+            count -= 1
         last = round(self.start + (count - 1) * self.step, 10)
         if last >= 1.0:
             raise ValueError(

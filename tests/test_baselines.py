@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cwsa_eval import BinningSpec, aurc, brier, eaurc, ece, mce, risk_coverage_points
-from cwsa_eval.baselines import MAX_BIN_COUNT
+from cwsa_eval.baselines import MAX_BIN_COUNT, _descending_order
 from conftest import make_set, random_pairs
 import naive_impl
 
@@ -126,6 +126,36 @@ class TestAurc:
             pairs = random_pairs(rng, 40)
             cubed = [(c**3, corr) for c, corr in pairs]
             assert aurc(make_set(pairs)) == aurc(make_set(cubed))
+
+
+class TestDescendingOrder:
+    """One unstable sort, tie-repaired, gives the stable sort's permutation."""
+
+    @staticmethod
+    def check(confidence):
+        confidence = np.asarray(confidence, dtype=np.float64)
+        stable = np.argsort(-confidence, kind="stable")
+        assert np.array_equal(_descending_order(confidence), stable)
+
+    def test_signed_zeros_form_one_run(self):
+        # -0.0 == 0.0, so a stable sort keeps them in input order
+        self.check([0.0, -0.0, 0.5, -0.0, 0.0, 0.5, -0.0])
+        self.check(np.random.default_rng(37).choice([0.0, -0.0, 0.5], 1000))
+
+    def test_all_equal(self):
+        self.check(np.full(1000, 0.3))
+
+    def test_one_record(self):
+        self.check([0.7])
+
+    @pytest.mark.parametrize("decimals", [None, 2, 4], ids=["unique", "2dp", "4dp"])
+    def test_matches_the_stable_sort(self, decimals):
+        rng = np.random.default_rng(36)
+        for n in (2, 3, 17, 1000, 100_000):
+            confidence = rng.beta(5, 2, n)
+            if decimals is not None:
+                confidence = np.round(confidence, decimals)
+            self.check(confidence)
 
 
 class TestEaurc:

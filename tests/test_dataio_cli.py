@@ -1,6 +1,7 @@
 import builtins
 import csv
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -281,16 +282,34 @@ class TestBulkCsv:
         for name in ("y_true", "y_pred", "confidence"):
             assert np.array_equal(getattr(ds, name), getattr(source, name))
 
-    def test_broken_record_rule_is_named_by_the_row_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_broken_rule_is_named_without_the_row_reader(self, tmp_path, monkeypatch, ending, block):
+        # The line is found from the bulk arrays and the bytes, and equals the row reader's.
         path = tmp_path / "p.csv"
-        path.write_text(_CSV_HEADER + "0,0,0.5\n" * 5 + "1,1,1.5\n0,0,0.5\n")
-        assert dataio._read_csv_bulk(path) is not None  # NumPy parses every cell
-        calls = []
         row_reader = dataio._read_csv
-        monkeypatch.setattr(dataio, "_read_csv", lambda *args: calls.append(args) or row_reader(*args))
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        path.write_text(_CSV_HEADER + "0,0,0.5\n" * 5 + "1,1,1.5\n0,0,0.5\n")
         with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
             ingest(path)
-        assert len(calls) == 1
+        for lines, class_count in [
+            (["0,0,0.5", "", "", "1,1,1.5", "", "0,0,0.5", ""], None),
+            (["", "0,0,0.5", "", "0,-1,0.5", "0,0,1.5"], None),
+            (["0,0,0.5", "", "", "0,0,0.5", "0,0,1.5"], None),  # the last line, with no line end
+            (["0,0,0.5", "", "0,2,0.5", "", ""], 2),
+        ]:
+            endings = itertools.cycle(["\r", "\r\n", "\n"] if ending == "mixed" else [ending])
+            rows = ["y_true,y_pred,confidence"] + lines
+            path.write_bytes("".join(row + next(endings) for row in rows[:-1]).encode() + rows[-1].encode())
+            assert dataio._read_csv_bulk(path) is not None  # NumPy parses every cell
+            parts, skipped = [], []
+            row_reader(path, parts, skipped)
+            with pytest.raises(IngestError) as direct:
+                dataio._checked_arrays(path, parts, class_count, skipped)
+            with pytest.raises(IngestError) as shipped:
+                ingest(path, class_count=class_count)
+            assert str(shipped.value) == str(direct.value)
 
 
 def _no_row_reader(*args):

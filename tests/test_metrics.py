@@ -198,6 +198,10 @@ class TestExactness:
         assert str(kernels.sequential_sum(np.array([-0.0, -0.0]))) == "0.0"
 
 
+# Rows per block of the grid kernel on a 1000-point grid.
+_DENSE_ROWS = kernels._BLOCK_VALUES // 1000
+
+
 class TestSweepAccumulate:
     """The grid kernel gives every threshold the sums of a left-to-right
     loop, bit for bit, across blocks, skipped columns and skipped blocks."""
@@ -221,8 +225,8 @@ class TestSweepAccumulate:
         rng = np.random.default_rng(61)
         for n in (17, 40, 1000):
             self.check(random_pairs(rng, n, p_correct=0.5, low=0.3, high=0.9), [0.3, 0.9])
-        # Dense grid: 32 rows per block, the first two blocks below 0.001.
-        low = random_pairs(rng, 64, p_correct=0.5, low=0.0, high=0.001)
+        # Dense grid: the first two blocks below 0.001.
+        low = random_pairs(rng, 2 * _DENSE_ROWS, p_correct=0.5, low=0.0, high=0.001)
         self.check(low + random_pairs(rng, 500), ThresholdGrid(0.0, 0.999, 0.001).thresholds())
 
     def test_duplicate_thresholds(self):
@@ -245,11 +249,21 @@ class TestSweepAccumulate:
         pairs = [(c, correct) for c, _ in random_pairs(rng, 2500)]
         self.check(pairs, ThresholdGrid(0.0, 0.99, 0.01).thresholds())
 
-    @pytest.mark.parametrize("n", [1, 20, 32 * 5 + 7, 3000])
+    @pytest.mark.parametrize("n", [1, 20, _DENSE_ROWS * 5 + 7, 3000])
     def test_sizes_around_the_block(self, n):
-        # 1000 thresholds give 32-row blocks
         pairs = random_pairs(np.random.default_rng(65), n, p_correct=0.7)
         self.check(pairs, ThresholdGrid(0.0, 0.999, 0.001).thresholds())
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_groups_at_a_block_edge_of_a_50_point_grid(self, offset):
+        # 50 thresholds give blocks of _BLOCK_VALUES // 50 rows; the hits
+        # and the misses each end one row before, at or after a block edge
+        rows = kernels._BLOCK_VALUES // 50
+        rng = np.random.default_rng(69)
+        correct = np.arange(2 * rows) < rows + offset
+        rng.shuffle(correct)
+        pairs = list(zip(rng.uniform(0.0, 1.0, 2 * rows).tolist(), correct.tolist()))
+        self.check(pairs, ThresholdGrid().thresholds())
 
     def test_random_grids_equal_the_loop(self):
         rng = np.random.default_rng(66)

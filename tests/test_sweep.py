@@ -1,4 +1,6 @@
 import builtins
+import itertools
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cwsa_eval import kernels
 from cwsa_eval.dataio import point_report_doc
 from cwsa_eval.sweep import MAX_GRID_POINTS
 from conftest import make_set, random_pairs
+import naive_impl
 
 
 class TestThresholdGrid:
@@ -42,6 +45,24 @@ class TestThresholdGrid:
     def test_step_that_overshoots_end(self):
         grid = ThresholdGrid(start=0.5, end=0.55, step=0.02)
         assert grid.thresholds() == [0.5, 0.52, 0.54]
+
+    def test_end_just_below_a_step_is_not_passed(self):
+        # (end - start) / step is taken with a 1e-9 slack for float drift,
+        # which must not add a step that lies past end
+        assert ThresholdGrid(0.0, 0.29999999996, 0.1).thresholds() == [0.0, 0.1, 0.2]
+        assert ThresholdGrid(0.0, 0.99999999994, 0.1).thresholds()[-1] == 0.9
+        assert ThresholdGrid(0.0, 0.3, 0.1).thresholds() == [0.0, 0.1, 0.2, 0.3]
+
+    def test_decimal_grids_keep_every_point(self):
+        for start, end, step in itertools.product(
+            range(0, 100, 7), range(0, 100, 3), ("0.001", "0.003", "0.01", "0.07", "0.1", "0.25")
+        ):
+            if start > end:
+                continue
+            grid = ThresholdGrid(start / 100, end / 100, float(step))
+            expected = int((Decimal(end) / 100 - Decimal(start) / 100) / Decimal(step)) + 1
+            assert len(grid) == expected, (start, end, step)
+            assert grid.thresholds()[-1] <= end / 100
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -209,6 +230,23 @@ class TestSweep:
         assert doc["baselines"] == alone
         assert list(doc["baselines"]) == list(alone)
         assert {name: report.scalars[name] for name in alone} == alone
+
+    def test_tied_confidences_take_one_key_sort(self, monkeypatch):
+        # Equal confidences side by side after the unstable sort are put
+        # back in input order by a second sort, of int64 keys.
+        pairs = [(round(c, 2), corr) for c, corr in random_pairs(np.random.default_rng(47), 300)]
+        ds = make_set(pairs)
+        calls = {"argsort": 0, "sort": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+
+        report = sweep(ds, ThresholdGrid(0.1, 0.9, 0.1))
+        assert calls == {"argsort": 1, "sort": 1}
+        assert report.scalars["aurc"] == naive_impl.aurc_naive(pairs)
 
     def test_sweep_never_sorts(self, monkeypatch):
         def banned(*args, **kwargs):
