@@ -3,13 +3,13 @@
 Formats
 -------
 * CSV: header row mandatory (``y_true,y_pred,confidence`` plus optional
-  ``credit``), comma delimiter, UTF-8, LF, CRLF or CR line endings, cells
-  optionally quoted as in the ``csv`` module's default dialect.  An ASCII
-  file without quotes or ``credit`` is parsed in one NumPy pass; a record
-  there that breaks a record rule is named from one NumPy pass over the
-  bytes.  Any other file, and every one NumPy cannot parse, is read by the
-  row reader under the same rules.  The canonical output format for
-  synthetic sets.
+  ``credit``), comma delimiter, UTF-8 with or without a byte-order mark,
+  LF, CRLF or CR line endings, cells optionally quoted as in the ``csv``
+  module's default dialect.  An ASCII file without quotes or ``credit`` is
+  parsed in one NumPy pass, whose scan of the bytes also maps its lines;
+  any other file, and every one NumPy cannot parse, is read by the row
+  reader.  One check of either reader's columns names the first bad line.
+  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
@@ -58,7 +58,7 @@ __all__ = [
 PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable and _bulk_line_of read at a time
+_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
@@ -152,7 +152,8 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
     """Append the column arrays of a CSV file's records, even when a fault stops
     the reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(reader, None))
@@ -180,44 +181,58 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
             parts.append(_column_arrays(columns))
 
 
-def _bulk_readable(path: Path) -> bool:
-    """Whether NumPy parses ``path`` as :func:`_read_csv` does.
+def _bulk_readable(path: Path, skipped: List[int]) -> bool:
+    """Whether NumPy parses ``path`` as :func:`_read_csv` does.  Appends to
+    ``skipped`` as it goes what :func:`_read_csv` would: the header's record
+    count 0, then the record count at each empty line, which ``np.loadtxt`` skips.
 
     The file must be ASCII: NumPy reads some other letters as digits.  It
     must hold no quote, since NumPy does not unquote (so the header is one
     line, as NumPy's ``skiprows=1`` takes it), and none of the bytes
     0x1c-0x1f, which NumPy strips as whitespace and ``int()`` does not.  No
-    line may be longer than the csv field limit, which NumPy does not keep;
-    LF and CR each end a line, so a CRLF or lone-CR file counts its lines.
+    line may be longer than the csv field limit, which NumPy does not keep.
+    LF, CR and CRLF each end one line; for the length limit, LF and CR each end one.
     """
+    skipped.append(0)
+    lines = 0  # the lines that are not empty in the blocks before, the header included
     longest = line = 0  # ``line``: the length of the line a block leaves open
+    last = b"\n"  # the byte before the block
     with open(path, "rb") as fh:
         while block := fh.read(_SCAN_BLOCK):
             if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
                 return False
-            codes = np.frombuffer(block, dtype=np.uint8)
-            ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
-            if ends.size:
-                longest = max(longest, int(np.diff(ends, prepend=-1 - line).max()))
-                line = len(block) - 1 - int(ends[-1])
+            codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
+            breaks = (codes == ord("\r")) | (codes == ord("\n"))
+            at = np.flatnonzero(breaks[1:])  # the LF and CR bytes of the block
+            if at.size:
+                longest = max(longest, int(np.diff(at, prepend=-1 - line).max()))
+                line = len(block) - 1 - int(at[-1])
             else:
                 line += len(block)
+            ends = at[(codes[at + 1] == ord("\r")) | (codes[at] != ord("\r"))]  # the LF of a CRLF ends no line
+            empty = np.flatnonzero(breaks[ends])  # a line is empty when its end follows a break
+            skipped.extend((lines - 1 + empty - np.arange(empty.size)).tolist())
+            lines += ends.size - empty.size
+            last = block[-1:]
     return max(longest, line) <= csv.field_size_limit()
 
 
-def _read_csv_bulk(path: Path):
-    """``(y_true, y_pred, confidence)`` of a CSV file without a ``credit``
-    column, parsed by NumPy in one pass, or ``None`` when :func:`_read_csv`
-    must read the file: every file that NumPy cannot parse comes to it."""
-    if not _bulk_readable(path):
-        return None
+def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
+    """Append ``(y_true, y_pred, confidence, None)`` of a CSV file without a
+    ``credit`` column, parsed by NumPy in one pass, to ``parts`` and its
+    lines that start no record to ``skipped``, as :func:`_read_csv` does.
+    ``False``, with nothing appended, when :func:`_read_csv` must read the
+    file: every file that NumPy cannot parse comes to it."""
+    lines: List[int] = []
+    if not _bulk_readable(path, lines):
+        return False
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(csv.reader(fh), None))
     except IngestError:
-        return None
+        return False
     if i_credit >= 0:  # an empty credit cell, which means "no credit", fails loadtxt
-        return None
+        return False
     dtype = [("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)]
     try:
         with warnings.catch_warnings():
@@ -228,8 +243,10 @@ def _read_csv_bulk(path: Path):
                 encoding="utf-8", ndmin=1, usecols=(i_true, i_pred, i_conf),
             )
     except (ValueError, Warning):
-        return None
-    return table["y_true"], table["y_pred"], table["confidence"]
+        return False
+    parts.append((table["y_true"], table["y_pred"], table["confidence"], None))
+    skipped.extend(lines)
+    return True
 
 
 def _reduce_probs(probs: object, confidence: object, path: Path, line_no: int):
@@ -421,31 +438,6 @@ def _read_jsonl(path: Path, parts: List[tuple], skipped: List[int]) -> None:
     _close_chunk(path, parts, cells, rows, vectors, first, skipped)
 
 
-def _bulk_line_of(path: Path, index: int) -> int:
-    """The line of record ``index`` of a file :func:`_read_csv_bulk` read.
-
-    The header is line 1 and ``np.loadtxt`` skips only empty lines, so the
-    record sits on the ``index + 2``-th line that is not empty.  LF, CR and
-    CRLF each end a line.
-    """
-    left = index + 2  # lines that are not empty still to pass, the record's own included
-    lines = 0  # lines ended in the blocks before
-    last = b"\n"  # the byte before the block
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
-            cr = codes == ord("\r")
-            breaks = cr | (codes == ord("\n"))
-            ends = np.flatnonzero(cr[1:] | (breaks[1:] & ~cr[:-1]))  # the LF of a CRLF ends no line
-            full = np.flatnonzero(~breaks[ends])  # a line is empty when its end follows a break
-            if left <= full.size:
-                return lines + int(full[left - 1]) + 1
-            left -= full.size
-            lines += ends.size
-            last = block[-1:]
-    return lines + 1  # the last line, which no line end closes
-
-
 def _line_of(index: int, skipped: List[int]) -> int:
     """The line of record ``index``, given the record count at each line that starts no record."""
     return 1 + index + bisect.bisect_right(skipped, index)
@@ -453,10 +445,12 @@ def _line_of(index: int, skipped: List[int]) -> int:
 
 def _checked_arrays(path: Path, parts: List[tuple], class_count: Optional[int], skipped: List[int]):
     """The column arrays of ``parts`` joined, once every record keeps the record
-    rules; a record that breaks one raises :class:`IngestError` naming its line."""
-    arrays = [np.concatenate(column) for column in zip(*parts)]
-    if np.isnan(arrays[3]).all():  # no record has a credit
-        arrays[3] = None
+    rules; a record that breaks one raises :class:`IngestError` naming its line.
+    A ``None`` credit part, which comes alone, holds no credit."""
+    *columns, credits = zip(*parts)
+    arrays = [np.concatenate(column) for column in columns]
+    credit = None if all(part is None for part in credits) else np.concatenate(credits)
+    arrays.append(None if credit is None or np.isnan(credit).all() else credit)  # all NaN: no credit
     bad = _first_bad_record(*arrays, class_count) if len(arrays[0]) else None
     if bad is not None:
         raise IngestError(f"{path}:{_line_of(bad[0], skipped)}: {bad[1]}")
@@ -470,8 +464,9 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     """Read and validate a prediction file into an :class:`EvaluationSet`.
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
-    before the file is opened.  Malformed rows raise :class:`IngestError`
-    naming the offending line.
+    before the file is opened.  One reader reads the file (for CSV, the
+    NumPy pass or else the row reader) up to its first fault, and one check
+    of what it read names the first malformed line in :class:`IngestError`.
     """
     path = Path(path)
     class_count = _checked_class_count(class_count)
@@ -480,18 +475,13 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
-    bulk = _read_csv_bulk(path) if fmt == "csv" else None
-    if bulk is not None:
-        try:
-            return EvaluationSet(*bulk, class_count=class_count, source_id=path.name)
-        except ValueError:  # a broken record rule, the only fault a bulk-read file can hold
-            index, reason = _first_bad_record(*bulk, None, class_count)
-            raise IngestError(f"{path}:{_bulk_line_of(path, index)}: {reason}") from None
-
     parts: List[tuple] = []  # the column arrays of the records read, in file order
     skipped: List[int] = []  # the record count at each line that starts no record
     try:
-        (_read_csv if fmt == "csv" else _read_jsonl)(path, parts, skipped)
+        if fmt == "jsonl":
+            _read_jsonl(path, parts, skipped)
+        elif not _read_csv_bulk(path, parts, skipped):
+            _read_csv(path, parts, skipped)
     except IngestError:
         # A record rule broken on an earlier line is the first fault.
         _checked_arrays(path, parts, class_count, skipped)
@@ -674,6 +664,8 @@ def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional
     Hand-emitted SVG 1.1: axes, threshold ticks, one polyline (split at
     undefined points).  No plotting dependency on purpose.
     """
+    from xml.sax.saxutils import escape  # here: it imports urllib.request, which would slow every start
+
     width, height = 640, 420
     left, right, top, bottom = 64.0, 20.0, 32.0, 48.0
     plot_w = width - left - right
@@ -706,7 +698,7 @@ def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(
         f'<text x="{left:.2f}" y="{top - 12:.2f}" font-family="monospace" '
-        f'font-size="13">{metric_name}</text>'
+        f'font-size="13">{escape(metric_name)}</text>'
     )
     axis = (
         f'<path d="M {left:.2f} {top:.2f} L {left:.2f} {top + plot_h:.2f} '

@@ -8,6 +8,7 @@ README's input rules to the text of a prediction file.
 
 import json
 import math
+import re
 from typing import List, Optional, Sequence, Tuple, Union
 
 Record = Tuple[float, bool]
@@ -306,7 +307,7 @@ def read_predictions(
     ``None`` for the records without.  CSV cells must not hold quotes or
     commas: rows are split on commas.
     """
-    lines = text.split("\n")
+    lines = re.split(r"\r\n|\r|\n", text)  # the line ends both readers count
     if lines[-1] == "":
         lines.pop()
     first = 1

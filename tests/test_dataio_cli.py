@@ -84,6 +84,14 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="no prediction rows"):
             ingest(path)
 
+    @pytest.mark.parametrize("header", ["y_true,y_pred,confidence", "y_true,y_pred,confidence,credit"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        text = header + "\n0,1,0.5\n\n2,2,0.75\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())  # as a spreadsheet's "CSV UTF-8" starts
+        assert _outcome_of(ingest(marked)) == _outcome_of(ingest(plain))
+
     def test_explicit_class_count_checked(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("y_true,y_pred,confidence\n4,0,0.5\n")
@@ -202,6 +210,8 @@ MALFORMED_FILES = {
     "quoted_newline_range.csv": (_CSV_HEADER + '"1\n",1,0.5\n0,0,1.5\n', 4),
     "quoted_newline_cell.csv": (_CSV_HEADER + '"1\n",1,0.5\n0,x,0.5\n', 4),
     "quoted_header_range.csv": ('"y_true\n",y_pred,confidence\n0,1,1.5\n', 3),
+    # a byte-order mark moves no line
+    "bom_range.csv": (b"\xef\xbb\xbf" + _CSV_HEADER.encode() + b"0,0,0.5\n0,0,1.5\n", 3),
 }
 
 
@@ -232,7 +242,7 @@ class TestBulkCsv:
         path = tmp_path / name
         path.write_bytes(content.encode())
         shipped = ingest(path)
-        monkeypatch.setattr(dataio, "_read_csv_bulk", lambda path: None)  # the row reader alone
+        monkeypatch.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
         for ds in (shipped, ingest(path)):
             assert (ds.y_true.tolist(), ds.y_pred.tolist(), ds.confidence.tolist()) == columns
 
@@ -245,7 +255,7 @@ class TestBulkCsv:
             with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
                 ingest(path)
         assert shown == []  # loadtxt's "input contained no data" stays unseen
-        monkeypatch.setattr(dataio, "_read_csv_bulk", lambda path: None)  # the row reader alone
+        monkeypatch.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
         with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
             ingest(path)
 
@@ -260,7 +270,7 @@ class TestBulkCsv:
             (_CSV_HEADER + "0,0,0.5\n" + long_row, False),  # the last line, with no newline
         ]:
             path.write_text(content)
-            assert dataio._bulk_readable(path) is readable
+            assert dataio._bulk_readable(path, []) is readable
 
     def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
         source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
@@ -285,7 +295,7 @@ class TestBulkCsv:
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
     def test_broken_rule_is_named_without_the_row_reader(self, tmp_path, monkeypatch, ending, block):
-        # The line is found from the bulk arrays and the bytes, and equals the row reader's.
+        # The line is found from the bulk arrays and the scan's line map, and equals the row reader's.
         path = tmp_path / "p.csv"
         row_reader = dataio._read_csv
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
@@ -293,16 +303,9 @@ class TestBulkCsv:
         path.write_text(_CSV_HEADER + "0,0,0.5\n" * 5 + "1,1,1.5\n0,0,0.5\n")
         with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
             ingest(path)
-        for lines, class_count in [
-            (["0,0,0.5", "", "", "1,1,1.5", "", "0,0,0.5", ""], None),
-            (["", "0,0,0.5", "", "0,-1,0.5", "0,0,1.5"], None),
-            (["0,0,0.5", "", "", "0,0,0.5", "0,0,1.5"], None),  # the last line, with no line end
-            (["0,0,0.5", "", "0,2,0.5", "", ""], 2),
-        ]:
-            endings = itertools.cycle(["\r", "\r\n", "\n"] if ending == "mixed" else [ending])
-            rows = ["y_true,y_pred,confidence"] + lines
-            path.write_bytes("".join(row + next(endings) for row in rows[:-1]).encode() + rows[-1].encode())
-            assert dataio._read_csv_bulk(path) is not None  # NumPy parses every cell
+        for lines, class_count in BLANK_LINE_FILES:
+            _write_lines(path, lines, ending)
+            assert dataio._read_csv_bulk(path, [], [])  # NumPy parses every cell
             parts, skipped = [], []
             row_reader(path, parts, skipped)
             with pytest.raises(IngestError) as direct:
@@ -311,9 +314,60 @@ class TestBulkCsv:
                 ingest(path, class_count=class_count)
             assert str(shipped.value) == str(direct.value)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_bulk_pass_reads_what_the_row_reader_reads(self, tmp_path, monkeypatch, ending, block):
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        path = tmp_path / "p.csv"
+        files = [(content, None) for content, _ in ACCEPTED_FILES.values()] + [
+            (None, lines) for lines, _ in BLANK_LINE_FILES
+        ]
+        bulk_read = 0
+        for content, lines in files:
+            if content is None:
+                _write_lines(path, lines, ending)
+            else:
+                path.write_bytes(content.encode())
+            bulk_parts, bulk_skipped = [], []
+            if not dataio._read_csv_bulk(path, bulk_parts, bulk_skipped):
+                assert content is not None and (bulk_parts, bulk_skipped) == ([], [])
+                continue
+            bulk_read += 1
+            row_parts, row_skipped = [], []
+            dataio._read_csv(path, row_parts, row_skipped)
+            assert bulk_skipped == row_skipped
+            (bulk,), (row,) = bulk_parts, row_parts
+            for bulk_column, row_column in zip(bulk[:3], row[:3]):
+                assert bulk_column.tolist() == row_column.tolist()
+            assert bulk[3] is None and np.isnan(row[3]).all()
+        assert bulk_read == 2 + len(BLANK_LINE_FILES)  # crlf.csv and lone_cr.csv among the accepted files
+
+
+# record lines after the header of files that NumPy parses, each with a class_count
+# under which one of them breaks a rule
+BLANK_LINE_FILES = [
+    (["0,0,0.5", "", "", "1,1,1.5", "", "0,0,0.5", ""], None),
+    (["", "0,0,0.5", "", "0,-1,0.5", "0,0,1.5"], None),
+    (["0,0,0.5", "", "", "0,0,0.5", "0,0,1.5"], None),  # the last line, with no line end
+    (["0,0,0.5", "", "0,2,0.5", "", ""], 2),
+]
+
+
+def _write_lines(path, lines, ending):
+    """Write a header and ``lines`` to ``path``, each line but the last ended
+    by ``ending``, or by CR, CRLF and LF in turn when ``ending`` is "mixed"."""
+    endings = itertools.cycle(["\r", "\r\n", "\n"] if ending == "mixed" else [ending])
+    rows = ["y_true,y_pred,confidence"] + lines
+    path.write_bytes("".join(row + next(endings) for row in rows[:-1]).encode() + rows[-1].encode())
+
 
 def _no_row_reader(*args):
     raise AssertionError("the row reader read a valid file")
+
+
+def _no_bulk_pass(path, parts, skipped):
+    """A ``_read_csv_bulk`` that declines every file, so that the row reader reads it."""
+    return False
 
 
 def _outcome(path):
@@ -725,9 +779,13 @@ class TestCliCurves:
         run_cli(["synth", "--kind", "calibrated", "--seed", "8", "--output", str(pred)])
         report = tmp_path / "r.json"
         run_cli(["evaluate", "--input", str(pred), "--output", str(report)])
+        doc = json.loads(report.read_text())
+        markup = "a<b&c"  # a file name, which the SVG title must escape
+        doc["curves"][markup] = doc["curves"]["cwsa"]
+        report.write_text(json.dumps(doc))
         outdir = tmp_path / "curves"
         assert run_cli(["curves", "--report", str(report), "--output", str(outdir)]) == 0
-        for name in ("cwsa", "cwsa_plus", "selective_accuracy", "coverage"):
+        for name in ("cwsa", "cwsa_plus", "selective_accuracy", "coverage", markup):
             csv_path = outdir / f"{name}.csv"
             svg_path = outdir / f"{name}.svg"
             assert csv_path.exists() and svg_path.exists()
@@ -737,6 +795,7 @@ class TestCliCurves:
             root = ET.fromstring(svg_path.read_text())
             assert root.tag.endswith("svg")
             assert any(child.tag.endswith("polyline") for child in root.iter())
+            assert next(child for child in root if child.tag.endswith("text")).text == name
 
     def test_point_report_is_rejected(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -1,13 +1,14 @@
 """Differential fuzz test of ingest against the plain-Python input rules.
 
 Each generated CSV or JSONL file mixes valid records with mutated cells
-and blank lines.  ``ingest`` must either return the columns that
-``naive_impl.read_predictions`` reads, or raise ``IngestError`` naming
-the first line that validator rejects; any other exception fails.  Each
-file is ingested as shipped and in each of ``OTHER_WAYS``: a CSV file
-also with the NumPy pass off, so that the row reader reads it; a JSONL
-file also at chunk sizes that close chunks mid-file, each with the NumPy
-``probs`` reduction on and off (off, every chunk is checked cell by cell).
+and blank lines; each CSV line ends in LF, CRLF or CR.  ``ingest`` must
+either return the columns that ``naive_impl.read_predictions`` reads, or
+raise ``IngestError`` naming the first line that validator rejects; any
+other exception fails.  Each file is ingested as shipped and in each of
+``OTHER_WAYS``: a CSV file also with the NumPy pass off, so that the row
+reader reads it; a JSONL file also at chunk sizes that close chunks
+mid-file, each with the NumPy ``probs`` reduction on and off (off, every
+chunk is checked cell by cell).
 """
 
 import json
@@ -45,7 +46,7 @@ PROBS = [  # the first five sum to 1
 CLASS_COUNTS = st.sampled_from([None, 2, 3])
 _NO_REDUCTION = {"_top_of_probs": lambda vectors: None}
 OTHER_WAYS = {
-    "csv": [{"_read_csv_bulk": lambda path: None}],
+    "csv": [{"_read_csv_bulk": lambda path, parts, skipped: False}],
     "jsonl": [{"_PROBS_CHUNK": 1 << 16, **_NO_REDUCTION}] + [
         {"_PROBS_CHUNK": chunk, **reduction} for chunk in (1, 3) for reduction in ({}, _NO_REDUCTION)
     ],
@@ -78,7 +79,7 @@ def csv_texts(draw):
         lines.append(",".join(cells))
     if all(line == "" for line in lines[1:]):  # a file of no records names no line
         lines.append(",".join(valid[name][0] for name in names))
-    return "\n".join(lines) + "\n"
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
 
 
 @st.composite
