@@ -19,9 +19,24 @@ same arithmetic but is slower: on a 65 x 1000 block (2-vCPU Xeon, NumPy
 2.4) it takes about 1.5 ns per entry, against about 0.35 for the copy
 plus 0.5 for the subtract.  Each entry still takes one rounding in the
 subtract and one in the divide, so every sum is unchanged.
+
+The grid kernel splits a grid of ``m`` thresholds into ``w`` interleaved
+slices ``t[j::w]`` and runs the hits and the misses of every slice as
+one task on a thread pool of ``w`` workers.  ``w`` is the number of CPUs
+the process may run on (``os.sched_getaffinity``, else
+``os.cpu_count``), capped at ``m // 2`` so that every slice keeps at
+least 2 columns.  A column's sum depends only on that column, walked in
+record order, so the split changes no addition's order or grouping, and
+every sum is the same at any ``w``.  Interleaving balances the workers,
+since high thresholds are skipped more often than low ones; each slice
+is non-decreasing, so the column skip holds inside it.  NumPy releases
+the interpreter lock while it works on a block, so the slices run at
+the same time.  With ``w == 1`` the same tasks run inline.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -72,24 +87,53 @@ def sweep_accumulate(confidence: np.ndarray, correct: np.ndarray, thresholds):
     Returns one ``(retained, hits, s_correct, s_wrong)`` tuple per
     threshold, equal to what :func:`point_accumulate` gives for it.  The
     records are split once into hits and misses, each in input order,
-    and each group is walked in blocks of rows.  A block fills a
-    ``(rows + 1, k)`` buffer, where ``k`` counts the thresholds the
-    block's largest confidence reaches: row 0 carries the running sums,
-    and the body holds ``max((c - t) / (1 - t), 0.0)``.  A record below a
+    and each group is walked in blocks of rows, one slice of the grid per
+    task (see the module docstring).  A block fills a ``(rows + 1, k)``
+    buffer, where ``k`` counts the slice's thresholds that the block's
+    largest confidence reaches: row 0 carries the running sums, and the
+    body holds ``max((c - t) / (1 - t), 0.0)``.  A record below a
     threshold adds ``+0.0``, which leaves the sum as it is.  A grid of
     one threshold goes to :func:`point_accumulate`, which is faster.
     """
     t = np.asarray(thresholds, dtype=np.float64)
-    if t.size < 2:
+    m = t.size
+    if m < 2:
         return [point_accumulate(confidence, correct, float(tau)) for tau in t]
     hit = correct != 0
-    hits, s_correct = _grid_sums(np.compress(hit, confidence), t)
-    misses, s_wrong = _grid_sums(np.compress(~hit, confidence), t)
-    return list(zip([h + w for h, w in zip(hits, misses)], hits, s_correct, s_wrong))
+    groups = (np.compress(hit, confidence), np.compress(~hit, confidence))
+    w = min(_usable_cpus(), m // 2)
+    tasks = [(g, j) for g in range(2) for j in range(w)]
+    # Contiguous slices: a strided threshold row slows every block's subtract.
+    args = ([groups[g] for g, _ in tasks], [t[j::w].copy() for _, j in tasks])
+    if w == 1:
+        results = list(map(_grid_sums, *args))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(w) as pool:
+            results = list(pool.map(_grid_sums, *args))
+    counts = np.empty((2, m), dtype=np.int64)
+    sums = np.empty((2, m))
+    for (g, j), (count, acc) in zip(tasks, results):
+        counts[g, j::w] = count
+        sums[g, j::w] = acc
+    retained = (counts[0] + counts[1]).tolist()
+    return list(zip(retained, counts[0].tolist(), sums[0].tolist(), sums[1].tolist()))
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _grid_sums(group: np.ndarray, t: np.ndarray):
-    """Per-threshold retained counts and weight sums of one group, as lists."""
+    """Per-threshold retained counts and weight sums of one group over ``t``.
+
+    ``t`` holds at least 2 non-decreasing thresholds.
+    """
     m = t.size
     scale = 1.0 - t
     rows = max(1, _BLOCK_VALUES // m)
@@ -109,8 +153,10 @@ def _grid_sums(group: np.ndarray, t: np.ndarray):
         body /= scale[:k]
         np.maximum(body, 0.0, out=body)
         np.add.reduce(view, axis=0, out=acc[:k])
-    counts = [int(np.count_nonzero(group >= tau)) for tau in t]
-    return counts, acc.tolist()
+    # One pass per threshold: a single searchsorted + bincount pass is
+    # slower on the large groups of a short grid.
+    counts = [np.count_nonzero(group >= tau) for tau in t]
+    return counts, acc
 
 
 def credit_accumulate(confidence: np.ndarray, credit: np.ndarray, tau: float):

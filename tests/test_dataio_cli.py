@@ -25,7 +25,7 @@ from cwsa_eval import (
     sweep,
     write_predictions_csv,
 )
-from cwsa_eval import cli, dataio
+from cwsa_eval import cli, dataio, kernels
 from cwsa_eval.cli import main
 from cwsa_eval.dataio import dumps_report, file_digest, point_report_doc, sweep_report_doc
 
@@ -895,6 +895,8 @@ class TestEvaluateDeterminism:
 class TestGoldenBytes:
     # SHA-256 of outputs of version 0.1.0.  A refactor must leave them as
     # they are; a version bump changes every report, and updates them.
+    # Each test runs the grid kernel on 1 and on 2 workers: report bytes do
+    # not depend on the thread count.
     EXPECTED = {
         "cal.csv": "7b4649ea3ca06babe7e23c70cf42c70219a2aa48429fac6a0645ee5166fc32da",
         "sweep.json": "81f92e20afe14e1b0b019325133d7882704f049473e20f7b93ba7e544b999744",
@@ -902,7 +904,9 @@ class TestGoldenBytes:
         "compare.json": "54fa89037b4511a03501846aa469fc000b7c80cdee8cd8de44044bc9494fc70e",
     }
 
-    def test_outputs_match_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
         cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
         run_cli(["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)])
         run_cli(["synth", "--kind", "overconfident", "--n", "200", "--seed", "6", "--output", str(over)])
@@ -922,7 +926,9 @@ class TestGoldenBytes:
         "compare.json": "e6e167f11327fd33df8665496e247941be9c891724c375ae8e80f63207640ada",
     }
 
-    def test_dense_grid_outputs_match_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_grid_outputs_match_pinned_digests(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
         cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
         run_cli(["synth", "--kind", "calibrated", "--n", "5000", "--seed", "5", "--output", str(cal)])
         run_cli(["synth", "--kind", "overconfident", "--n", "5000", "--seed", "6", "--output", str(over)])

@@ -1,4 +1,5 @@
 import builtins
+import threading
 import warnings
 
 import numpy as np
@@ -200,19 +201,25 @@ class TestExactness:
 
 # Rows per block of the grid kernel on a 1000-point grid.
 _DENSE_ROWS = kernels._BLOCK_VALUES // 1000
+WORKER_COUNTS = (1, 2, 3)
 
 
 class TestSweepAccumulate:
     """The grid kernel gives every threshold the sums of a left-to-right
-    loop, bit for bit, across blocks, skipped columns and skipped blocks."""
+    loop, bit for bit, across blocks, skipped columns and skipped blocks,
+    at every worker count."""
 
     @staticmethod
     def check(pairs, taus):
         ds = make_set(pairs)
-        got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
-        assert len(got) == len(taus)
-        for tau, sums in zip(taus, got):
-            assert sums == naive_impl.point_sums_naive(pairs, tau), tau
+        expected = [naive_impl.point_sums_naive(pairs, tau) for tau in taus]
+        for workers in WORKER_COUNTS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_usable_cpus", lambda: workers)
+                got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+            assert len(got) == len(taus)
+            for tau, sums, want in zip(taus, got, expected):
+                assert sums == want, (workers, tau)
 
     def test_two_threshold_grids(self):
         pairs = random_pairs(np.random.default_rng(60), 3000, p_correct=0.6)
@@ -290,9 +297,66 @@ class TestSweepAccumulate:
         monkeypatch.setattr(np, "subtract", recorded)
         pairs = random_pairs(np.random.default_rng(68), 3000, low=0.0, high=0.1)
         ds = make_set(pairs)
-        kernels.sweep_accumulate(ds.confidence, ds.correct_u8,
-                                 ThresholdGrid(0.0, 0.999, 0.001).thresholds())
-        assert widths and max(widths) <= 101
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            widths.clear()
+            kernels.sweep_accumulate(ds.confidence, ds.correct_u8,
+                                     ThresholdGrid(0.0, 0.999, 0.001).thresholds())
+            assert widths and max(widths) <= 101, workers
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_grids_too_short_for_two_columns_per_worker(self, monkeypatch, m):
+        # A grid of m thresholds runs on at most m // 2 workers, so every
+        # slice keeps the 2 columns that a sequential reduce needs.
+        rng = np.random.default_rng(70 + m)
+        pairs = random_pairs(rng, 3000, p_correct=0.6)
+        taus = np.sort(rng.uniform(0.0, 0.999, m)).tolist()
+        self.check(pairs, taus)
+        slices = []
+
+        def recorded(group, t, _fn=kernels._grid_sums):
+            slices.append(t.tolist())
+            return _fn(group, t)
+
+        monkeypatch.setattr(kernels, "_grid_sums", recorded)
+        ds = make_set(pairs)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            slices.clear()
+            kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+            used = min(workers, m // 2)
+            assert sorted(map(tuple, slices)) == sorted(
+                [tuple(taus[j::used]) for j in range(used)] * 2)
+            assert min(map(len, slices)) >= 2
+
+    def test_first_slice_with_only_its_first_column_live(self):
+        # Records in [0.1, 0.3) reach only the first column of the first
+        # slice at 2 and 3 workers, in every block.
+        rng = np.random.default_rng(77)
+        taus = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        for n in (17, 40000):
+            self.check(random_pairs(rng, n, p_correct=0.5, low=0.1, high=0.3), taus)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_worker_fault_reaches_the_caller(self, monkeypatch, workers):
+        # The slice that starts at the grid's second threshold raises; the
+        # caller gets that exception, and no worker thread outlives the call.
+        taus = ThresholdGrid().thresholds()
+        fault = RuntimeError("slice failed")
+
+        def failing(group, t, _fn=kernels._grid_sums):
+            if t[0] == taus[1]:
+                raise fault
+            return _fn(group, t)
+
+        monkeypatch.setattr(kernels, "_grid_sums", failing)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        ds = make_set(random_pairs(np.random.default_rng(78), 2000))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+        assert excinfo.value is fault
+        assert threading.active_count() == before
 
 
 class TestGeneralized:
