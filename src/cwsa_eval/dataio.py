@@ -15,7 +15,9 @@ Formats
   fields are absent.  The canonical format for real-model dumps.  Each
   line is decoded once; plainly laid-out records are checked as NumPy
   columns a chunk at a time, and any other record cell by cell in the
-  same pass, under the same rules.
+  same pass, under the same rules.  A large file is split at line
+  starts into one byte range per CPU, and forked readers read the
+  ranges at the same time (see :mod:`cwsa_eval._jsonl_split`).
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import bisect
 import csv
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -120,9 +123,10 @@ def _credit(raw: object, path: Path, line_no: int) -> float:
     return value
 
 
-def _utf8_lines(lines, path: Path):
-    """Lines read with ``errors="surrogateescape"``; one that held bytes other than UTF-8 raises."""
-    for line_no, line in enumerate(lines, start=1):
+def _utf8_lines(lines, path: Path, first_line: int = 1):
+    """Lines read with ``errors="surrogateescape"``, the first of them line
+    ``first_line`` of ``path``; one that held bytes other than UTF-8 raises."""
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.isascii():
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -332,23 +336,38 @@ def _jsonl_record(cells, probs: object, path: Path, line_no: int):
 def _plain_arrays(cells, rows: List[int], vectors: List[list]):
     """The column arrays of a chunk of JSONL records, or ``None`` unless it
     has int labels, int or float numbers, no NaN credit and ``probs`` that
-    :func:`_top_of_probs` reduces into the placeholders at ``rows``."""
+    :func:`_top_of_probs` reduces.  Only the records with ``probs``, at
+    ``rows``, may lack ``y_pred`` or ``confidence`` (``_ABSENT``), which
+    the reduction then gives; a given value is kept, and a given
+    confidence must lie within ``PROBS_TOLERANCE`` of the reduction's max."""
     y_true, y_pred, confidence, credit = cells
     if not (
-        set(map(type, chain(y_true, y_pred))) <= {int}
-        and set(map(type, confidence)) <= {int, float}
+        set(map(type, y_true)) <= {int}
+        and set(map(type, y_pred)) <= {int, object}  # object: _ABSENT
+        and set(map(type, confidence)) <= {int, float, object}
         and set(map(type, credit)) <= {int, float, type(None)}
         and (tops := _top_of_probs(vectors)) is not None
     ):
         return None
+    rows = np.array(rows, dtype=np.intp)
+    filled = []
+    for column, top in zip((y_pred, confidence), tops):
+        values = np.fromiter(column, dtype=object, count=len(column))
+        absent = values[rows] == _ABSENT
+        if np.count_nonzero(absent) != column.count(_ABSENT):  # a record without probs lacks the key
+            return None
+        values[rows[absent]] = top[absent]
+        filled.append(values)
     try:
-        arrays = _column_arrays(cells)
+        arrays = _column_arrays((y_true, *filled, credit))
     except OverflowError:  # a label beyond int64, a number beyond the float range
         return None
     # A NaN given in the file does not mean "absent", as None does.
     if np.count_nonzero(np.isnan(arrays[3])) != credit.count(None):
         return None
-    arrays[1][rows], arrays[2][rows] = tops
+    stated = ~absent  # of the confidence column: the records with probs that give one
+    if not (np.abs(arrays[2][rows[stated]] - tops[1][stated]) <= PROBS_TOLERANCE).all():  # NaN and inf fail too
+        return None
     return arrays
 
 
@@ -362,11 +381,8 @@ def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: in
         probs_at = dict(zip(rows, vectors))
         records = ([], [], [], [])
         for i, raw in enumerate(zip(*cells)):
-            probs = probs_at.get(i, _ABSENT)
-            if probs is not _ABSENT:  # y_pred and confidence were absent
-                raw = (raw[0], _ABSENT, _ABSENT, raw[3])
             try:
-                values = _jsonl_record(raw, probs, path, _line_of(first + i, skipped))
+                values = _jsonl_record(raw, probs_at.get(i, _ABSENT), path, _line_of(first + i, skipped))
             except IngestError as exc:
                 fault = exc
                 break
@@ -382,60 +398,63 @@ def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: in
     return first
 
 
-def _read_jsonl(path: Path, parts: List[tuple], skipped: List[int]) -> None:
-    """Append the column arrays of a JSONL file's records to ``parts``, as
-    :func:`_read_csv` does.  Each line is decoded once, by ``raw_decode`` or,
-    where that fails or leaves more than the newline, by ``json.loads``.  A
-    record with ``probs`` beside ``y_pred`` or ``confidence``, or with
-    ``probs`` other than a non-empty list, is checked at once; the others
-    are held, a chunk of ``_PROBS_CHUNK`` probs values at a time, for
+def _read_jsonl(path: Path, text, parts: List[tuple], skipped: List[int]) -> None:
+    """Append the column arrays of the JSONL records in the text stream
+    ``text``, which starts at a line start of ``path``, to ``parts``, as
+    :func:`_read_csv` does; on entry ``skipped`` holds a 0 for each line of
+    the file before it, so that every message names the file's own line.
+    Each line is decoded once, by ``raw_decode`` or, where that fails or
+    leaves more than the newline, by ``json.loads``.  A record whose
+    ``probs`` is not a non-empty list is checked at once; the others are
+    held, a chunk of ``_PROBS_CHUNK`` probs values at a time, for
     :func:`_close_chunk`, which also runs before a line's fault is raised."""
     decode = json.JSONDecoder().raw_decode
     cells = y_true, y_pred, confidence, credit = [], [], [], []
-    rows, vectors = [], []  # the chunk's records with only a probs vector, and the vectors
+    rows, vectors = [], []  # the chunk's records with a probs vector, and the vectors
     held = first = 0  # the values in ``vectors``; the index of the chunk's first record
+    first_line = len(skipped) + 1
     try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
-                try:
-                    obj, end = decode(line)
-                    if line[end:] not in ("\n", ""):
-                        raise ValueError
-                except (ValueError, RecursionError):
-                    if not line.strip():
-                        skipped.append(first + len(y_true))
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                        raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-                if type(obj) is not dict:
-                    raise IngestError(f"{path}:{line_no}: expected a JSON object")
-                get = obj.get
-                probs = get("probs", _ABSENT)
-                if probs is _ABSENT:
-                    y_pred.append(get("y_pred", _ABSENT))
-                    confidence.append(get("confidence", _ABSENT))
-                elif type(probs) is list and probs and "y_pred" not in obj and "confidence" not in obj:
-                    rows.append(len(y_true))
-                    vectors.append(probs)
-                    y_pred.append(0)  # set from the reduction
-                    confidence.append(0.0)
-                    held += len(probs)
-                else:
-                    raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT), get("confidence", _ABSENT), get("credit"))
-                    for column, value in zip(cells, _jsonl_record(raw, probs, path, line_no)):
-                        column.append(value)
+        for line_no, line in enumerate(_utf8_lines(text, path, first_line), start=first_line):
+            try:
+                obj, end = decode(line)
+                if line[end:] not in ("\n", ""):
+                    raise ValueError
+            except (ValueError, RecursionError):
+                if not line.strip():
+                    skipped.append(first + len(y_true))
                     continue
-                y_true.append(get("y_true", _ABSENT))
-                credit.append(get("credit"))
-                if held >= _PROBS_CHUNK:
-                    first = _close_chunk(path, parts, cells, rows, vectors, first, skipped)
-                    held = 0
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                    raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+            if type(obj) is not dict:
+                raise IngestError(f"{path}:{line_no}: expected a JSON object")
+            get = obj.get
+            probs = get("probs", _ABSENT)
+            if probs is not _ABSENT:
+                if type(probs) is not list or not probs:  # the row rules raise, naming the record's first fault
+                    raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT), get("confidence", _ABSENT), get("credit"))
+                    _jsonl_record(raw, probs, path, line_no)
+                rows.append(len(y_true))
+                vectors.append(probs)
+                held += len(probs)
+            y_true.append(get("y_true", _ABSENT))
+            y_pred.append(get("y_pred", _ABSENT))
+            confidence.append(get("confidence", _ABSENT))
+            credit.append(get("credit"))
+            if held >= _PROBS_CHUNK:
+                first = _close_chunk(path, parts, cells, rows, vectors, first, skipped)
+                held = 0
     except IngestError:
         _close_chunk(path, parts, cells, rows, vectors, first, skipped)  # an earlier fault may lie in it
         raise
     _close_chunk(path, parts, cells, rows, vectors, first, skipped)
+
+
+def _text(raw) -> io.TextIOWrapper:
+    """The binary stream ``raw`` decoded as ``open(path, "r", encoding="utf-8",
+    errors="surrogateescape")`` decodes a file: LF, CRLF and CR end lines."""
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
 
 
 def _line_of(index: int, skipped: List[int]) -> int:
@@ -465,7 +484,8 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
     before the file is opened.  One reader reads the file (for CSV, the
-    NumPy pass or else the row reader) up to its first fault, and one check
+    NumPy pass or else the row reader; a large JSONL file is split between
+    forked readers that read as one) up to its first fault, and one check
     of what it read names the first malformed line in :class:`IngestError`.
     """
     path = Path(path)
@@ -479,7 +499,9 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     skipped: List[int] = []  # the record count at each line that starts no record
     try:
         if fmt == "jsonl":
-            _read_jsonl(path, parts, skipped)
+            from ._jsonl_split import read_jsonl_file  # here: a run that reads no JSONL never loads it
+
+            read_jsonl_file(path, parts, skipped)
         elif not _read_csv_bulk(path, parts, skipped):
             _read_csv(path, parts, skipped)
     except IngestError:

@@ -1,8 +1,26 @@
 """Shared test helpers."""
 
-import numpy as np
+import contextlib
+import os
+from unittest import mock
 
-from cwsa_eval import EvaluationSet, cwsa_plus
+import numpy as np
+import pytest
+
+from cwsa_eval import EvaluationSet, _jsonl_split, cwsa_plus, kernels
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):  # no POSIX wait: nothing to check
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process ({'running' if pid == 0 else f'pid {pid}, unreaped'})")
 
 
 def make_set(pairs, class_count=2, source_id="test", credits=None):
@@ -33,3 +51,30 @@ def random_pairs(rng, n, p_correct=0.5, low=0.0, high=1.0):
 def weight_of(confidence, tau):
     """The confidence weight of one record: cwsa_plus of a correct singleton."""
     return cwsa_plus(make_set([(confidence, True)]), tau)
+
+
+@contextlib.contextmanager
+def forced_split(workers):
+    """Let ``ingest`` split a JSONL file of any size between ``workers``
+    readers; yields the list of the pids that ``os.fork`` returns meanwhile."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:  # in the child, the list is the child's own copy
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(_jsonl_split, "_SPLIT_BYTES", 1), \
+            mock.patch.object(kernels, "_usable_cpus", lambda: workers), \
+            mock.patch.object(os, "fork", counting_fork):
+        yield forks
+
+
+def splits(data, workers):
+    """Whether ``ingest`` under ``forced_split(workers)`` splits a JSONL file
+    of bytes ``data``: whether a LF lies between byte ``len(data) // workers``
+    and the last byte, which ends the first range."""
+    workers = max(1, min(workers, len(data)))  # at least a byte per reader
+    return b"\n" in data[len(data) // workers : -1]

@@ -4,7 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import sys
+import threading
+import time
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -25,9 +31,10 @@ from cwsa_eval import (
     sweep,
     write_predictions_csv,
 )
-from cwsa_eval import cli, dataio, kernels
+from cwsa_eval import _jsonl_split, cli, dataio, kernels
 from cwsa_eval.cli import main
 from cwsa_eval.dataio import dumps_report, file_digest, point_report_doc, sweep_report_doc
+from conftest import forced_split, splits
 
 
 class TestIngestCsv:
@@ -535,6 +542,323 @@ class TestOneJsonlPass:
             ingest(path)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+class TestOneJsonlPassUnderASplit:
+    """The parent opens the file once while forked readers share it."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, workers, tmp_path):
+        with forced_split(workers) as forks:
+            yield
+        assert forks and splits((tmp_path / "p.jsonl").read_bytes(), workers)
+
+    test_each_file_is_opened_once = TestOneJsonlPass.test_each_file_is_opened_once
+
+
+def _ingest_outcome(path, class_count=None):
+    """The columns and class count ``ingest`` reads from ``path``, or the text of its error."""
+    try:
+        ds = ingest(path, class_count=class_count)
+    except IngestError as exc:
+        return str(exc)
+    return _outcome_of(ds), ds.class_count
+
+
+def _outcomes_at_each_split(path, class_count=None):
+    """:func:`_ingest_outcome` with the file split between 1, 2 and 3
+    readers, each run asserted to fork exactly when the file splits."""
+    data = path.read_bytes()
+    outcomes = []
+    for workers in (1, 2, 3):
+        with forced_split(workers) as forks:
+            outcomes.append(_ingest_outcome(path, class_count))
+        assert bool(forks) == splits(data, workers), workers
+    return outcomes
+
+
+def _write_jsonl_lines(path, lines, ending):
+    """Write ``lines`` to ``path``, each ended by ``ending``, or by CR, CRLF
+    and LF in turn when ``ending`` is "mixed"."""
+    endings = itertools.cycle(["\r", "\r\n", "\n"] if ending == "mixed" else [ending])
+    path.write_bytes("".join(line + next(endings) for line in lines).encode("utf-8", "surrogateescape"))
+
+
+_STATED = [  # probs records that also give y_pred or confidence, all valid
+    {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75},
+    {"y_true": 1, "probs": [0.5, 0.5], "y_pred": 1},  # kept, though the argmax is 0
+    {"y_true": 2, "probs": [0.2, 0.3, 0.5], "y_pred": 0, "confidence": 0.5 + 9e-7, "credit": 0.5},
+    {"y_true": 0, "probs": [1.0], "confidence": 1},
+    {"y_true": 1, "probs": [0.4, 0.6], "confidence": 0.6 - 5e-7, "credit": None},
+]
+
+# JSONL files ingest accepts
+ACCEPTED_JSONL_FILES = {
+    "explicit.jsonl": _jsonl_text(
+        {"y_true": i % 3, "y_pred": i * 7 % 3, "confidence": 0.5 + i / 100} for i in range(40)),
+    "probs.jsonl": _jsonl_text(
+        {"y_true": i % 3, "probs": [0.25, 0.5, 0.25] if i % 2 else [0.6, 0.2, 0.2]} for i in range(40)),
+    "stated.jsonl": _jsonl_text(_STATED * 8),
+    "credit.jsonl": _jsonl_text(
+        {"y_true": 0, "y_pred": 0, "confidence": 0.5, **({"credit": i / 40} if i % 3 else {})} for i in range(40)),
+    "layout.jsonl": _VALID + "\n  \n" + " " + _VALID * 10 + "\x1c\n" + _VALID.replace("\n", "  \n") * 10
+    + '{"y_true": 0, "probs": [0.5, 0.5], "id": [1, {"a": null}]}\n' + "\t" + _VALID * 5,
+    "no_final_newline.jsonl": _VALID * 12 + _VALID.rstrip("\n"),
+    "crlf.jsonl": _VALID.replace("\n", "\r\n") * 20,
+    "cr.jsonl": _VALID.replace("\n", "\r") * 20,  # no LF: one range
+    "mixed.jsonl": (_VALID.replace("\n", "\r") + _VALID.replace("\n", "\r\n") + _VALID + "\r") * 8,
+}
+
+_MALFORMED_JSONL = [name for name in MALFORMED_FILES if name.endswith(".jsonl")]
+
+_FAULT_LINES = {  # a last line, with the error it must raise
+    "range": ('{"y_true": 0, "y_pred": 0, "confidence": 1.5}', r"confidence 1\.5 outside"),
+    "class_count": ('{"y_true": 0, "y_pred": 2, "confidence": 0.5}', r"y_pred 2 outside"),
+    "cell": ('{"y_true": 0, "y_pred": "x", "confidence": 0.5}', r"y_pred must be an integer"),
+    "stated": ('{"y_true": 0, "probs": [0.5, 0.5], "confidence": 0.75}', r"confidence 0\.75 disagrees"),
+    "json": ("not json", r"invalid JSON"),
+    "byte": ('{"y_true": "\udcff"}', r"not valid UTF-8"),
+}
+
+
+class TestSplitJsonl:
+    """A JSONL file split between forked readers reads as one reader reads it:
+    the same columns and class count, or the same error naming the same line."""
+
+    @pytest.mark.parametrize("layout", ["as_is", "fault_first", "fault_last"])
+    @pytest.mark.parametrize("name", _MALFORMED_JSONL)
+    def test_malformed_files_read_alike(self, tmp_path, name, layout):
+        content, line = MALFORMED_FILES[name]
+        content = content if isinstance(content, bytes) else content.encode()
+        filler = _VALID.encode() * (2 * len(content) // len(_VALID) + 4)  # outweighs the content twice
+        if layout == "fault_first":
+            content += filler
+        elif layout == "fault_last":
+            content, line = filler + content, line + filler.count(b"\n")
+        path = tmp_path / name
+        path.write_bytes(content)
+        if layout != "as_is":
+            assert splits(content, 2) and splits(content, 3)
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert re.match(rf"\S*{re.escape(name)}:{line}: ", outcomes[0])
+
+    @pytest.mark.parametrize("name", list(ACCEPTED_JSONL_FILES))
+    def test_accepted_files_read_alike(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(ACCEPTED_JSONL_FILES[name], newline="")
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert not isinstance(outcomes[0], str), outcomes[0]
+        assert splits(path.read_bytes(), 2) == (name != "cr.jsonl")
+
+    @pytest.mark.parametrize("fault", list(_FAULT_LINES))
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_blank_lines_before_a_later_range_keep_line_numbers(self, tmp_path, ending, fault):
+        bad, error = _FAULT_LINES[fault]
+        valid = _VALID.rstrip("\n")
+        lines = [valid, "", "  ", valid, '{"y_true": 1, "probs": [0.5, 0.5]}', ""] * 6 + ["", valid, "", bad]
+        line = len(lines)  # in the last range, with blank lines after it too
+        lines += ["", "  ", valid, ""] * 2
+        path = tmp_path / "p.jsonl"
+        _write_jsonl_lines(path, lines, ending)
+        outcomes = _outcomes_at_each_split(path, class_count=2)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert re.search(rf"p\.jsonl:{line}: {error}", outcomes[0]), outcomes[0]
+        assert splits(path.read_bytes(), 3) == (ending != "\r")
+
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 22])
+    def test_cuts_and_line_counts_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        data = b"ab\r\ncd\re\n\n\r\r\nlonger line\n" * 3 + b"x" * 40 + b"\n\r\r\nlast"
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(data)
+        with open(path, "rb") as raw:
+            for stop in [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]:
+                expected = len(re.findall(rb"\r\n|\r|\n", data[:stop]))
+                assert _jsonl_split._lines_before(raw.fileno(), stop) == expected, stop
+            for workers in range(1, 12):
+                cuts = []
+                for k in range(1, workers):  # just past the first LF at or after k * size // workers
+                    cut = data.index(b"\n", k * len(data) // workers) + 1 if b"\n" in data[k * len(data) // workers:] else len(data)
+                    if cut < len(data) and cut not in cuts:
+                        cuts.append(cut)
+                assert _jsonl_split._line_cuts(raw, len(data), workers) == cuts, workers
+
+
+_FAULT_IN_LAST_RANGE = _VALID * 20 + '{"y_true": 0, "probs": [0.5, 0.5]}\n\n' * 10 + "not json\n"
+
+
+class TestSplitReaders:
+    """Forked readers are reaped, a dead one's range is read again, and no
+    reader is forked where ``os.fork`` is unsafe or missing."""
+
+    @pytest.mark.parametrize("text", [_VALID * 30, _FAULT_IN_LAST_RANGE], ids=["clean", "fault_in_last_range"])
+    def test_every_reader_is_reaped(self, tmp_path, text):
+        path = tmp_path / "p.jsonl"
+        path.write_text(text)
+        with forced_split(3) as forks:
+            _ingest_outcome(path)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("death", ["before_reading", "mid_payload"])
+    @pytest.mark.parametrize("text", [
+        (_VALID + '{"y_true": 1, "probs": [0.5, 0.5]}\n\n') * 20,
+        _FAULT_IN_LAST_RANGE,
+    ], ids=["clean", "fault_in_last_range"])
+    def test_a_dead_reader_s_range_is_read_again(self, tmp_path, monkeypatch, text, death):
+        path = tmp_path / "p.jsonl"
+        path.write_text(text)
+        expected = _ingest_outcome(path)  # one reader
+        parent = os.getpid()
+        if death == "before_reading":
+            read = dataio._read_jsonl
+
+            def dying_read(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return read(*args)
+
+            monkeypatch.setattr(dataio, "_read_jsonl", dying_read)
+        else:  # the child sends half its result, then exits as if all went well
+            dump = pickle.dump
+
+            def short_dump(obj, file, protocol):
+                if os.getpid() != parent:
+                    payload = pickle.dumps(obj, protocol)
+                    file.write(payload[: len(payload) // 2])
+                    file.flush()
+                    os._exit(0)
+                return dump(obj, file, protocol)
+
+            monkeypatch.setattr(pickle, "dump", short_dump)
+        with forced_split(3) as forks:
+            assert _ingest_outcome(path) == expected
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_readers_are_killed_when_the_parent_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        path.write_text("not json\n" + _VALID * 30)  # a fault in the parent's own range
+        parent = os.getpid()
+        read = dataio._read_jsonl
+
+        def slow_read(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return read(*args)
+
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(dataio, "_read_jsonl", slow_read)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        with forced_split(3) as forks:
+            with pytest.raises(IngestError, match=r"p\.jsonl:1: invalid JSON"):
+                ingest(path)
+        assert time.monotonic() - start < 30
+        assert len(forks) == len(statuses) == 2
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL for status in statuses)
+
+    def test_no_fork_beside_another_thread(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_VALID * 30)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with forced_split(2) as forks:
+                outcome = _ingest_outcome(path)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        with forced_split(2) as forks:
+            assert _ingest_outcome(path) == outcome
+        assert forks  # the same read forks once the thread is gone
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_by_one_reader(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (_VALID * 30).encode())
+            os.close(write_end)
+            with forced_split(2) as forks:
+                ds = ingest(f"/dev/fd/{read_end}", "jsonl")
+        finally:
+            os.close(read_end)
+        assert len(ds) == 30 and forks == []
+
+    def test_no_fork_off_linux(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_VALID * 30)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        with forced_split(2) as forks:
+            outcome = _ingest_outcome(path)
+        assert forks == []
+        monkeypatch.undo()
+        with forced_split(2) as forks:
+            assert _ingest_outcome(path) == outcome
+        assert forks
+
+
+class TestStatedFieldsBesideProbs:
+    """Records that give y_pred or confidence beside probs are checked as
+    columns, and read as the cell-by-cell rules read them."""
+
+    def test_valid_file_needs_no_cell_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_jsonl_text(_STATED))
+        monkeypatch.setattr(dataio, "_jsonl_record", _no_row_reader)
+        ds = ingest(path)
+        assert ds.y_pred.tolist() == [1, 1, 0, 0, 1]  # a given y_pred is kept
+        assert ds.confidence.tolist() == [0.75, 0.5, 0.5 + 9e-7, 1.0, 0.6 - 5e-7]  # and a given confidence
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("odd", [
+        None,
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.7},  # disagrees
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": 0.75 + 2e-6},  # just past the tolerance
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": "0.75"},
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": float("nan")},
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": float("inf")},
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": None},
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": True},
+        {"y_true": 0, "probs": [0.25, 0.75], "confidence": 10**400},
+        {"y_true": 0, "probs": [1.0], "confidence": 1, "y_pred": 2**63},
+        {"y_true": 0, "probs": [0.25, 0.75], "y_pred": "1"},
+        {"y_true": 0, "probs": [0.25, 0.75], "y_pred": 1.0},
+        {"y_true": 0, "probs": [0.25, 0.75], "y_pred": -1},
+        {"y_true": 0, "probs": [0.25, 0.75], "y_pred": None},
+        {"y_true": 0, "probs": [0.5, 0.6], "confidence": 0.6},  # the sum fails first
+        {"y_true": 0, "y_pred": 0},  # no probs, so the fields are needed
+        {"y_true": 0, "confidence": 0.5},
+    ], ids=lambda odd: "valid" if odd is None else json.dumps(odd)[:60])
+    def test_columns_match_the_cell_path(self, tmp_path, monkeypatch, chunk, odd):
+        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        records = _STATED * 4 + [{"y_true": 1, "probs": [0.5, 0.5]}, {"y_true": 0, "y_pred": 0, "confidence": 0.5}] * 4
+        if odd is not None:
+            records.insert(13, odd)
+        path = tmp_path / "p.jsonl"
+        path.write_text(_jsonl_text(records))
+        shipped = _ingest_outcome(path)
+        monkeypatch.setattr(dataio, "_plain_arrays", lambda cells, rows, vectors: None)
+        assert _ingest_outcome(path) == shipped
+        if isinstance(shipped, str):
+            assert re.match(r"\S*p\.jsonl:14: ", shipped), shipped
+
+
 class TestFormatInference:
     def test_unknown_suffix_requires_explicit_format(self, tmp_path):
         path = tmp_path / "p.dat"
@@ -940,3 +1264,44 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.DENSE_EXPECTED}
         assert digests == self.DENSE_EXPECTED
+
+    # A JSONL file in each record layout, read by one reader and split
+    # between two forked readers.
+    JSONL_EXPECTED = {
+        "cal.jsonl": "8f4cd19f75a14e1ddbf5a5d27718da4cb1825217f4f3b1deec7ad55e79687cc7",
+        "point.json": "831f6ede9d82bfe846bccc7af14751e1ff9cc5fd7135cde4041fceeb3840faad",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jsonl_outputs_match_pinned_digests(self, tmp_path, workers):
+        cal = tmp_path / "cal.jsonl"
+        _write_golden_jsonl(cal)
+        with forced_split(workers) as forks:
+            assert run_cli(["evaluate", "--input", str(cal), "--tau", "0.7",
+                            "--output", str(tmp_path / "point.json")]) == 0
+        assert len(forks) == workers - 1
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.JSONL_EXPECTED}
+        assert digests == self.JSONL_EXPECTED
+
+
+def _write_golden_jsonl(path):
+    """3000 calibrated records over 3 classes, in turn: probs alone, explicit
+    fields, probs with confidence, probs with y_pred, explicit fields with
+    credit, probs with credit; a blank line after every 250."""
+    source = generate(ArchetypeSpec.for_kind("calibrated", n=3000, seed=5))
+    lines = []
+    for i, (t, p, c) in enumerate(zip(source.y_true.tolist(), source.y_pred.tolist(),
+                                      source.confidence.tolist())):
+        probs = [(1.0 - c) / 2] * 3
+        probs[p] = c
+        record = [
+            {"y_true": t, "probs": probs},
+            {"y_true": t, "y_pred": p, "confidence": c},
+            {"y_true": t, "probs": probs, "confidence": max(probs)},
+            {"y_true": t, "probs": probs, "y_pred": p},
+            {"y_true": t, "y_pred": p, "confidence": c, "credit": i % 7 / 6},
+            {"y_true": t, "probs": probs, "credit": None},
+        ][i % 6]
+        lines.append(json.dumps(record) + ("\n\n" if i % 250 == 249 else "\n"))
+    path.write_text("".join(lines))

@@ -8,7 +8,8 @@ other exception fails.  Each file is ingested as shipped and in each of
 ``OTHER_WAYS``: a CSV file also with the NumPy pass off, so that the row
 reader reads it; a JSONL file also at chunk sizes that close chunks
 mid-file, each with the NumPy ``probs`` reduction on and off (off, every
-chunk is checked cell by cell).
+chunk is checked cell by cell).  The hypothesis JSONL test also splits
+each file between 2 and 3 forked readers, however small it is.
 """
 
 import json
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwsa_eval import IngestError, dataio, ingest
+from conftest import forced_split, splits
 import naive_impl
 
 LABELS = ["0", "1", "2"]
@@ -132,7 +134,7 @@ def jsonl_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-def check_against_rules(text, fmt, class_count):
+def check_against_rules(text, fmt, class_count, split_workers=()):
     expected = naive_impl.read_predictions(text, fmt, class_count)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"fuzz.{fmt}"
@@ -141,6 +143,10 @@ def check_against_rules(text, fmt, class_count):
         for patches in OTHER_WAYS[fmt]:
             with mock.patch.multiple(dataio, **patches):
                 check_ingest(path, expected, class_count)
+        for workers in split_workers:
+            with forced_split(workers) as forks:
+                check_ingest(path, expected, class_count)
+            assert bool(forks) == splits(path.read_bytes(), workers)
 
 
 def check_ingest(path, expected, class_count):
@@ -171,7 +177,7 @@ def test_csv_ingest_follows_the_input_rules(text, class_count):
 @given(jsonl_texts(), CLASS_COUNTS)
 @settings(max_examples=60, deadline=None)
 def test_jsonl_ingest_follows_the_input_rules(text, class_count):
-    check_against_rules(text, "jsonl", class_count)
+    check_against_rules(text, "jsonl", class_count, split_workers=(2, 3))
 
 
 def test_every_single_mutant_follows_the_input_rules():
