@@ -6,18 +6,22 @@ Formats
   ``credit``), comma delimiter, UTF-8 with or without a byte-order mark,
   LF, CRLF or CR line endings, cells optionally quoted as in the ``csv``
   module's default dialect.  An ASCII file without quotes or ``credit`` is
-  parsed in one NumPy pass, whose scan of the bytes also maps its lines;
-  any other file, and every one NumPy cannot parse, is read by the row
-  reader.  One check of either reader's columns names the first bad line.
-  The canonical output format for synthetic sets.
+  parsed by NumPy, whose scan of the bytes also maps its lines; a large
+  one is split at line starts into byte ranges, which forked readers
+  parse at the same time.  Any other file, a pipe, and every file NumPy
+  cannot parse is read by the row reader, whole.  One check of either
+  reader's columns names the first bad line.  The canonical output
+  format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
   line is decoded once; plainly laid-out records are checked as NumPy
   columns a chunk at a time, and any other record cell by cell in the
   same pass, under the same rules.  A large file is split at line
-  starts into one byte range per CPU, and forked readers read the
-  ranges at the same time (see :mod:`cwsa_eval._jsonl_split`).
+  starts into byte ranges, which forked readers read at the same time.
+* Both formats split a file the same way (see :mod:`cwsa_eval._ranges`):
+  one byte range per CPU, and the records, line numbers and faults of
+  one reader of the whole file.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -27,10 +31,13 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import os
+import stat
 import warnings
 from itertools import chain
 from pathlib import Path
@@ -61,7 +68,10 @@ __all__ = [
 PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_SCAN_BLOCK = 1 << 22  # bytes _bulk_readable reads at a time
+# bytes read at a time by the CSV scan (_bulk_readable) and the line counts of _ranges, and the
+# size of a piece of a split CSV range (_read_csv_range); the search of _ranges for a LF reads no more
+_SCAN_BLOCK = 1 << 22
+_BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
@@ -185,70 +195,173 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
             parts.append(_column_arrays(columns))
 
 
-def _bulk_readable(path: Path, skipped: List[int]) -> bool:
-    """Whether NumPy parses ``path`` as :func:`_read_csv` does.  Appends to
-    ``skipped`` as it goes what :func:`_read_csv` would: the header's record
-    count 0, then the record count at each empty line, which ``np.loadtxt`` skips.
+def _bulk_readable(fd: int, start: int, stop: int, skipped: List[int], copy=None) -> Optional[int]:
+    """The count of records in bytes ``start`` to ``stop`` of the CSV file
+    open at ``fd``, which start a line, or ``None`` unless NumPy parses them
+    as :func:`_read_csv` does.  Appends to ``skipped`` as it goes what
+    :func:`_read_csv` would, counting records from the range's first: the
+    header's record count 0 where the range starts the file, then the
+    record count at each empty line, which ``np.loadtxt`` skips.  Writes
+    each block it reads to the binary stream ``copy`` unless that is ``None``.
 
-    The file must be ASCII: NumPy reads some other letters as digits.  It
+    The bytes must be ASCII: NumPy reads some other letters as digits.  They
     must hold no quote, since NumPy does not unquote (so the header is one
-    line, as NumPy's ``skiprows=1`` takes it), and none of the bytes
-    0x1c-0x1f, which NumPy strips as whitespace and ``int()`` does not.  No
-    line may be longer than the csv field limit, which NumPy does not keep.
-    LF, CR and CRLF each end one line; for the length limit, LF and CR each end one.
+    line, as NumPy's ``skiprows=1`` takes it, and a LF always ends a line),
+    and none of the bytes 0x1c-0x1f, which NumPy strips as whitespace and
+    ``int()`` does not.  No line may be longer than the csv field limit,
+    which NumPy does not keep.  LF, CR and CRLF each end one line; for the
+    length limit, LF and CR each end one.
     """
-    skipped.append(0)
+    header = int(start == 0)
+    skipped.extend([0] * header)
     lines = 0  # the lines that are not empty in the blocks before, the header included
     longest = line = 0  # ``line``: the length of the line a block leaves open
     last = b"\n"  # the byte before the block
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
-                return False
-            codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
-            breaks = (codes == ord("\r")) | (codes == ord("\n"))
-            at = np.flatnonzero(breaks[1:])  # the LF and CR bytes of the block
-            if at.size:
-                longest = max(longest, int(np.diff(at, prepend=-1 - line).max()))
-                line = len(block) - 1 - int(at[-1])
-            else:
-                line += len(block)
-            ends = at[(codes[at + 1] == ord("\r")) | (codes[at] != ord("\r"))]  # the LF of a CRLF ends no line
-            empty = np.flatnonzero(breaks[ends])  # a line is empty when its end follows a break
-            skipped.extend((lines - 1 + empty - np.arange(empty.size)).tolist())
-            lines += ends.size - empty.size
-            last = block[-1:]
-    return max(longest, line) <= csv.field_size_limit()
+    offset = start
+    while offset < stop and (block := os.pread(fd, min(_SCAN_BLOCK, stop - offset), offset)):
+        offset += len(block)
+        if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
+            return None
+        codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
+        breaks = (codes == ord("\r")) | (codes == ord("\n"))
+        at = np.flatnonzero(breaks[1:])  # the LF and CR bytes of the block
+        if at.size:
+            longest = max(longest, int(np.diff(at, prepend=-1 - line).max()))
+            line = len(block) - 1 - int(at[-1])
+        else:
+            line += len(block)
+        ends = at[(codes[at + 1] == ord("\r")) | (codes[at] != ord("\r"))]  # the LF of a CRLF ends no line
+        empty = np.flatnonzero(breaks[ends])  # a line is empty when its end follows a break
+        skipped.extend((lines - header + empty - np.arange(empty.size)).tolist())
+        lines += ends.size - empty.size
+        last = block[-1:]
+        if copy is not None:
+            copy.write(block)
+    if max(longest, line) > csv.field_size_limit():
+        return None
+    return lines - header + (line > 0)  # a last line without a line end holds a record too
+
+
+def _bulk_columns(path: Path, fd: int):
+    """The ``usecols`` of ``y_true``, ``y_pred`` and ``confidence`` for
+    ``np.loadtxt``, from the first line of the CSV file open at ``fd``, or
+    ``None`` when :func:`_read_csv` must read the file: the line is not a
+    header NumPy can take, or it names a ``credit`` column, since an empty
+    credit cell, which means "no credit", fails ``np.loadtxt``."""
+    want = min(csv.field_size_limit() + 1, 1 << 22)  # the whole of a line NumPy may take, or 4 MiB
+    head = os.pread(fd, want, 0)
+    first = head.split(b"\n", 1)[0].split(b"\r", 1)[0]
+    if len(first) == want or not first.isascii():  # no line end in reach, or not ASCII
+        return None
+    try:
+        i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(csv.reader([first.decode()]), None))
+    except (IngestError, csv.Error):
+        return None
+    return None if i_credit >= 0 else (i_true, i_pred, i_conf)
+
+
+def _parsed(name: str, records: Optional[int], usecols, skiprows: int) -> Optional[np.ndarray]:
+    """The ``records`` records of the CSV file named ``name`` parsed by
+    NumPy, or ``None`` when :func:`_bulk_readable` found none it may take
+    (``records`` is ``None``) or NumPy cannot parse them."""
+    if records is None:
+        return None
+    if not records:  # blank lines only, of which loadtxt would warn
+        return np.empty(0, _BULK_DTYPE)
+    try:
+        with warnings.catch_warnings():
+            # a deprecated parse such as "1.0" as int
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                name, dtype=_BULK_DTYPE, delimiter=",", skiprows=skiprows, comments=None,
+                quotechar=None, encoding="utf-8", ndmin=1, usecols=usecols,
+            )
+    except (OSError, ValueError, Warning):
+        return None
+
+
+def _read_csv_range(path: Path, usecols, fd: int, start: int, stop: int, whole: bool = False):
+    """``(table, skipped)`` of bytes ``start`` to ``stop`` of a CSV file
+    whose header names ``usecols`` and no ``credit``: ``table``, the
+    range's records parsed by NumPy, and ``skipped``, its lines that start
+    no record, counting records from the range's first.  ``None`` when
+    :func:`_read_csv` must read the file.
+
+    A ``whole`` file is parsed from ``path``.  A range is parsed a piece
+    of about ``_SCAN_BLOCK`` bytes at a time, cut just past a LF: the
+    piece is read once, by :func:`_bulk_readable`, which copies it to an
+    in-memory file that NumPy parses by name, since only a name reaches
+    ``np.loadtxt``'s fast reader.  The file holds one piece at a time.
+    The pieces' tables are joined into one, which leaves their memory to
+    later allocations; kept apart, they raised the peak RSS of a whole
+    ``evaluate`` by 3 MB.  The file's first line, the header, is skipped.
+    """
+    from . import _ranges
+
+    skipped: List[int] = []
+    if whole:
+        table = _parsed(str(path), _bulk_readable(fd, start, stop, skipped), usecols, 1)
+        return None if table is None else (table, skipped)
+    try:
+        copy = os.fdopen(os.memfd_create("cwsa-eval-csv"), "wb")
+    except OSError:
+        return None
+    tables: List[np.ndarray] = []
+    with copy:
+        name = f"/proc/self/fd/{copy.fileno()}"
+        while start < stop:
+            end = _ranges._past_lf(fd, start + _SCAN_BLOCK, stop)
+            copy.seek(0)
+            copy.truncate()
+            piece_skipped: List[int] = []
+            records = _bulk_readable(fd, start, end, piece_skipped, copy)
+            copy.flush()
+            table = _parsed(name, records, usecols, int(start == 0))
+            if table is None:
+                return None
+            done = sum(map(len, tables))
+            skipped.extend(done + count for count in piece_skipped)
+            tables.append(table)
+            start = end
+    return np.concatenate(tables), skipped
+
+
+class _NotBulk(Exception):
+    """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
 
 
 def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
     """Append ``(y_true, y_pred, confidence, None)`` of a CSV file without a
-    ``credit`` column, parsed by NumPy in one pass, to ``parts`` and its
-    lines that start no record to ``skipped``, as :func:`_read_csv` does.
-    ``False``, with nothing appended, when :func:`_read_csv` must read the
-    file: every file that NumPy cannot parse comes to it."""
+    ``credit`` column, parsed by NumPy, to ``parts`` and its lines that
+    start no record to ``skipped``, as :func:`_read_csv` does.  A large
+    file is parsed by :func:`_read_csv_range` in byte ranges at the same
+    time (see :mod:`cwsa_eval._ranges`), one part a range.  ``False``, with
+    nothing appended, when :func:`_read_csv` must read the file: a pipe,
+    which only one pass can read, and every file of which NumPy cannot
+    parse a range."""
+    tables: List[np.ndarray] = []
     lines: List[int] = []
-    if not _bulk_readable(path, lines):
-        return False
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(csv.reader(fh), None))
-    except IngestError:
-        return False
-    if i_credit >= 0:  # an empty credit cell, which means "no credit", fails loadtxt
-        return False
-    dtype = [("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)]
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data", or a deprecated parse such as "1.0" as int
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                path, dtype=dtype, delimiter=",", skiprows=1, comments=None, quotechar=None,
-                encoding="utf-8", ndmin=1, usecols=(i_true, i_pred, i_conf),
-            )
-    except (ValueError, Warning):
-        return False
-    parts.append((table["y_true"], table["y_pred"], table["confidence"], None))
+
+    def join(result) -> None:
+        if result is None:
+            raise _NotBulk
+        table, range_skipped = result
+        records = sum(map(len, tables))
+        lines.extend(records + count for count in range_skipped)
+        tables.append(table)
+
+    from . import _ranges  # here: a run that reads no file never loads it
+
+    with open(path, "rb") as raw:
+        fd, info = raw.fileno(), os.fstat(raw.fileno())
+        if not stat.S_ISREG(info.st_mode) or (usecols := _bulk_columns(path, fd)) is None:
+            return False
+        try:
+            if not _ranges.read_ranges(raw, functools.partial(_read_csv_range, path, usecols), join):
+                join(_read_csv_range(path, usecols, fd, 0, info.st_size, whole=True))
+        except _NotBulk:
+            return False
+    parts.extend((table["y_true"], table["y_pred"], table["confidence"], None) for table in tables)
     skipped.extend(lines)
     return True
 
@@ -451,6 +564,47 @@ def _read_jsonl(path: Path, text, parts: List[tuple], skipped: List[int]) -> Non
     _close_chunk(path, parts, cells, rows, vectors, first, skipped)
 
 
+def _read_jsonl_range(path: Path, fd: int, start: int, stop: int):
+    """``(parts, skipped, fault)`` of bytes ``start`` to ``stop`` of a JSONL
+    file, which start a line, read by :func:`_read_jsonl`: ``skipped`` counts
+    records from the range's first, and ``fault`` is the text of the
+    :class:`IngestError` that stopped the reading, or ``None``."""
+    from . import _ranges
+
+    lines = _ranges._lines_before(fd, start)
+    parts: List[tuple] = []
+    skipped = [0] * lines
+    try:
+        with _text(io.BufferedReader(_ranges._ByteWindow(fd, start, stop))) as text:
+            _read_jsonl(path, text, parts, skipped)
+    except IngestError as exc:
+        return parts, skipped[lines:], str(exc)
+    return parts, skipped[lines:], None
+
+
+def _read_jsonl_file(path: Path, parts: List[tuple], skipped: List[int]) -> None:
+    """Read a JSONL file with :func:`_read_jsonl`, a large one by
+    :func:`_read_jsonl_range` in byte ranges at the same time (see
+    :mod:`cwsa_eval._ranges`).  The ranges join in file order up to the
+    first that reports a fault, which is raised, so ``parts``, ``skipped``
+    and the error are those of one reader of the whole file."""
+
+    def join(result) -> None:
+        range_parts, range_skipped, fault = result
+        records = sum(len(part[0]) for part in parts)
+        parts.extend(range_parts)
+        skipped.extend(records + count for count in range_skipped)
+        if fault is not None:
+            raise IngestError(fault)
+
+    from . import _ranges  # here: a run that reads no file never loads it
+
+    with open(path, "rb") as raw:
+        if not _ranges.read_ranges(raw, functools.partial(_read_jsonl_range, path), join):
+            with _text(raw) as text:
+                _read_jsonl(path, text, parts, skipped)
+
+
 def _text(raw) -> io.TextIOWrapper:
     """The binary stream ``raw`` decoded as ``open(path, "r", encoding="utf-8",
     errors="surrogateescape")`` decodes a file: LF, CRLF and CR end lines."""
@@ -484,9 +638,9 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
     before the file is opened.  One reader reads the file (for CSV, the
-    NumPy pass or else the row reader; a large JSONL file is split between
-    forked readers that read as one) up to its first fault, and one check
-    of what it read names the first malformed line in :class:`IngestError`.
+    NumPy pass or else the row reader; a large file is split between forked
+    readers that read as one) up to its first fault, and one check of what
+    it read names the first malformed line in :class:`IngestError`.
     """
     path = Path(path)
     class_count = _checked_class_count(class_count)
@@ -499,9 +653,7 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     skipped: List[int] = []  # the record count at each line that starts no record
     try:
         if fmt == "jsonl":
-            from ._jsonl_split import read_jsonl_file  # here: a run that reads no JSONL never loads it
-
-            read_jsonl_file(path, parts, skipped)
+            _read_jsonl_file(path, parts, skipped)
         elif not _read_csv_bulk(path, parts, skipped):
             _read_csv(path, parts, skipped)
     except IngestError:

@@ -1,13 +1,15 @@
 """Shared test helpers."""
 
 import contextlib
+import csv
 import os
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cwsa_eval import EvaluationSet, _jsonl_split, cwsa_plus, kernels
+from cwsa_eval import EvaluationSet, _ranges, cwsa_plus, kernels
 
 
 @pytest.fixture(autouse=True)
@@ -55,8 +57,9 @@ def weight_of(confidence, tau):
 
 @contextlib.contextmanager
 def forced_split(workers):
-    """Let ``ingest`` split a JSONL file of any size between ``workers``
-    readers; yields the list of the pids that ``os.fork`` returns meanwhile."""
+    """Let ``ingest`` split a CSV or JSONL file of any size between
+    ``workers`` readers; yields the list of the pids that ``os.fork``
+    returns meanwhile."""
     forks = []
     real_fork = os.fork
 
@@ -66,15 +69,22 @@ def forced_split(workers):
             forks.append(pid)
         return pid
 
-    with mock.patch.object(_jsonl_split, "_SPLIT_BYTES", 1), \
+    with mock.patch.object(_ranges, "_SPLIT_BYTES", 1), \
             mock.patch.object(kernels, "_usable_cpus", lambda: workers), \
             mock.patch.object(os, "fork", counting_fork):
         yield forks
 
 
-def splits(data, workers):
-    """Whether ``ingest`` under ``forced_split(workers)`` splits a JSONL file
-    of bytes ``data``: whether a LF lies between byte ``len(data) // workers``
-    and the last byte, which ends the first range."""
+def splits(data, workers, fmt="jsonl"):
+    """Whether ``ingest`` under ``forced_split(workers)`` splits a file of
+    bytes ``data``: whether a LF lies between byte ``len(data) // workers``
+    and the last byte, which ends the first range.  A CSV file is split
+    only for the NumPy pass, which takes a first line of ASCII that names
+    ``y_true``, ``y_pred`` and ``confidence`` and no ``credit``."""
+    if fmt == "csv":
+        first = re.split(rb"[\r\n]", data, maxsplit=1)[0]
+        names = {name.strip() for name in next(csv.reader([first.decode()]))} if first.isascii() else set()
+        if not {"y_true", "y_pred", "confidence"} <= names or "credit" in names:
+            return False
     workers = max(1, min(workers, len(data)))  # at least a byte per reader
     return b"\n" in data[len(data) // workers : -1]

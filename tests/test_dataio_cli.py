@@ -1,5 +1,6 @@
 import builtins
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -8,11 +9,13 @@ import os
 import pickle
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from cwsa_eval import (
     sweep,
     write_predictions_csv,
 )
-from cwsa_eval import _jsonl_split, cli, dataio, kernels
+from cwsa_eval import _ranges, cli, dataio, kernels
 from cwsa_eval.cli import main
 from cwsa_eval.dataio import dumps_report, file_digest, point_report_doc, sweep_report_doc
 from conftest import forced_split, splits
@@ -277,7 +280,9 @@ class TestBulkCsv:
             (_CSV_HEADER + "0,0,0.5\n" + long_row, False),  # the last line, with no newline
         ]:
             path.write_text(content)
-            assert dataio._bulk_readable(path, []) is readable
+            with open(path, "rb") as raw:
+                records = dataio._bulk_readable(raw.fileno(), 0, len(content), [])
+            assert (records is not None) is readable
 
     def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
         source = generate(ArchetypeSpec.for_kind("calibrated", n=2000, seed=4))
@@ -573,7 +578,7 @@ def _outcomes_at_each_split(path, class_count=None):
     for workers in (1, 2, 3):
         with forced_split(workers) as forks:
             outcomes.append(_ingest_outcome(path, class_count))
-        assert bool(forks) == splits(data, workers), workers
+        assert bool(forks) == splits(data, workers, path.suffix[1:]), workers
     return outcomes
 
 
@@ -677,14 +682,88 @@ class TestSplitJsonl:
         with open(path, "rb") as raw:
             for stop in [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]:
                 expected = len(re.findall(rb"\r\n|\r|\n", data[:stop]))
-                assert _jsonl_split._lines_before(raw.fileno(), stop) == expected, stop
+                assert _ranges._lines_before(raw.fileno(), stop) == expected, stop
             for workers in range(1, 12):
                 cuts = []
                 for k in range(1, workers):  # just past the first LF at or after k * size // workers
                     cut = data.index(b"\n", k * len(data) // workers) + 1 if b"\n" in data[k * len(data) // workers:] else len(data)
                     if cut < len(data) and cut not in cuts:
                         cuts.append(cut)
-                assert _jsonl_split._line_cuts(raw, len(data), workers) == cuts, workers
+                assert _ranges._line_cuts(raw, len(data), workers) == cuts, workers
+
+
+_MALFORMED_CSV = [name for name in MALFORMED_FILES if name.endswith(".csv")]
+_ROW = b"0,0,0.5\n"
+
+
+def _split_csv_cases():
+    """``(name, layout)`` of the CSV files of ``MALFORMED_FILES``: as they
+    are, and with valid rows that outweigh them twice at their end
+    ("fault_first") or after their header line ("fault_last"), where that
+    line holds no quote, and so no line end of the header."""
+    for name in _MALFORMED_CSV:
+        content = MALFORMED_FILES[name][0]
+        first = re.split(r"[\r\n]" if isinstance(content, str) else rb"[\r\n]", content, maxsplit=1)[0]
+        layouts = ["as_is", "fault_first"] + ["fault_last"] * ('"' not in str(first))
+        yield from ((name, layout) for layout in layouts)
+
+
+class TestSplitCsv:
+    """A CSV file split between forked readers reads as one reader reads it:
+    the same columns and class count, or the same error naming the same line."""
+
+    @pytest.mark.parametrize("name, layout", list(_split_csv_cases()))
+    def test_malformed_files_read_alike(self, tmp_path, name, layout):
+        content, line = MALFORMED_FILES[name]
+        content = content if isinstance(content, bytes) else content.encode()
+        filler = _ROW * (2 * len(content) // len(_ROW) + 4)
+        if layout == "fault_first":
+            content += filler
+        elif layout == "fault_last":
+            head = re.match(rb"[^\r\n]*(\r\n|\r|\n)", content).end()
+            content, line = content[:head] + filler + content[head:], line + filler.count(b"\n")
+        path = tmp_path / name
+        path.write_bytes(content)
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert re.match(rf"\S*{re.escape(name)}:{line}: ", outcomes[0])
+
+    @pytest.mark.parametrize("name", list(ACCEPTED_FILES))
+    def test_accepted_files_read_alike(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(ACCEPTED_FILES[name][0].encode())
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0][:3] == ACCEPTED_FILES[name][1]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_blank_line_files_read_alike_without_the_row_reader(self, tmp_path, monkeypatch, ending):
+        # Blank lines in every range keep the NumPy pass: none reaches the row reader.
+        path = tmp_path / "p.csv"
+        for lines, class_count in BLANK_LINE_FILES:
+            _write_lines(path, lines, ending)
+            with monkeypatch.context() as patched:
+                patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                expected = _ingest_outcome(path, class_count)
+            with monkeypatch.context() as patched:
+                patched.setattr(dataio, "_read_csv", _no_row_reader)
+                outcomes = _outcomes_at_each_split(path, class_count)
+            assert outcomes == [expected] * 3
+            assert isinstance(expected, str)  # each file breaks a rule
+            assert splits(path.read_bytes(), 2, "csv") == (ending != "\r")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_range_of_blank_lines_holds_no_records(self, tmp_path, monkeypatch, ending):
+        path = tmp_path / "p.csv"
+        data = (_CSV_HEADER + "0,1,0.5\n" * 2 + "\n" * 60).replace("\n", ending).encode()
+        path.write_bytes(data)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes == [(([0, 0], [1, 1], [0.5, 0.5], None), 2)] * 3
+        with open(path, "rb") as raw:
+            (cut,) = _ranges._line_cuts(raw, len(data), 2)
+            table, skipped = dataio._read_csv_range(path, (0, 1, 2), raw.fileno(), cut, len(data))
+        assert len(table) == 0 and skipped == [0] * data[cut:].count(ending.encode())
 
 
 _FAULT_IN_LAST_RANGE = _VALID * 20 + '{"y_true": 0, "probs": [0.5, 0.5]}\n\n' * 10 + "not json\n"
@@ -811,6 +890,184 @@ class TestSplitReaders:
         with forced_split(2) as forks:
             assert _ingest_outcome(path) == outcome
         assert forks
+
+
+_CSV_ROWS = _CSV_HEADER + "0,1,0.5\n\n2,2,0.25\n" * 20
+
+
+class TestSplitCsvReaders:
+    """A dead CSV reader's range is read again, a range that NumPy cannot
+    parse stops every reader, and a pipe is read once, by the row reader."""
+
+    @pytest.mark.parametrize("death", ["before_reading", "mid_payload"])
+    @pytest.mark.parametrize("text", [_CSV_ROWS, _CSV_ROWS + "0,0,1.5\n"], ids=["clean", "fault_in_last_range"])
+    def test_a_dead_reader_s_range_is_read_again(self, tmp_path, monkeypatch, text, death):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        expected = _ingest_outcome(path)  # one reader
+        parent = os.getpid()
+        if death == "before_reading":
+            scan = dataio._bulk_readable
+
+            def dying_scan(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return scan(*args)
+
+            monkeypatch.setattr(dataio, "_bulk_readable", dying_scan)
+        else:  # the child sends half its result, then exits as if all went well
+            dump = pickle.dump
+
+            def short_dump(obj, file, protocol):
+                if os.getpid() != parent:
+                    payload = pickle.dumps(obj, protocol)
+                    file.write(payload[: len(payload) // 2])
+                    file.flush()
+                    os._exit(0)
+                return dump(obj, file, protocol)
+
+            monkeypatch.setattr(pickle, "dump", short_dump)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)  # the parent reads the range with NumPy
+        with forced_split(3) as forks:
+            assert _ingest_outcome(path) == expected
+        assert len(forks) == 2
+
+    def test_readers_are_killed_when_the_first_range_needs_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text(_CSV_HEADER + '"0",1,0.5\n' + _CSV_ROWS[len(_CSV_HEADER):])  # a quote in the parent's range
+        expected = _ingest_outcome(path)
+        parent = os.getpid()
+        scan = dataio._bulk_readable
+
+        def slow_scan(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return scan(*args)
+
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(dataio, "_bulk_readable", slow_scan)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        with forced_split(3) as forks:
+            assert _ingest_outcome(path) == expected
+        assert time.monotonic() - start < 30
+        assert len(forks) == len(statuses) == 2
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL for status in statuses)
+
+    def test_without_an_in_memory_file_the_row_reader_reads_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text(_CSV_ROWS)
+        expected = _ingest_outcome(path)
+        row_reader, read = dataio._read_csv, []
+
+        def counted_row_reader(*args):
+            read.append(args[0])
+            return row_reader(*args)
+
+        def no_memfd(*args):
+            raise OSError(errno.ENOSYS, "memfd_create")
+
+        monkeypatch.setattr(os, "memfd_create", no_memfd)
+        monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
+        with forced_split(2) as forks:
+            assert _ingest_outcome(path) == expected
+        assert forks and read == [path]
+
+    @pytest.mark.parametrize("text", [
+        _CSV_ROWS,
+        # blank lines in later pieces follow the fault, after fewer records of their own piece
+        _CSV_HEADER + "0,1,0.5\n\n2,2,0.25\n0,0,1.5\n" + _CSV_ROWS[len(_CSV_HEADER):],
+    ], ids=["clean", "fault_in_first_piece"])
+    def test_the_in_memory_file_holds_one_piece_at_a_time(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        expected, row_lines = _ingest_outcome(path), []
+        dataio._read_csv(path, [], row_lines)
+        parsed, sizes = dataio._parsed, []
+
+        def measured(name, *args):
+            if name.startswith("/proc/self/fd/"):  # the in-memory file, in this process
+                sizes.append(os.stat(name).st_size)
+            return parsed(name, *args)
+
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        monkeypatch.setattr(dataio, "_parsed", measured)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        with forced_split(2) as forks:
+            assert _ingest_outcome(path) == expected
+            lines = []
+            assert dataio._read_csv_bulk(path, [], lines)
+        assert lines == row_lines  # the line map, joined across pieces and ranges
+        assert forks and len(sizes) > 1
+        assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
+
+    @pytest.mark.parametrize("limit", [sys.maxsize, 1 << 31])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raised_field_limit_reads_alike(self, tmp_path, monkeypatch, limit, workers):
+        path = tmp_path / "p.csv"
+        path.write_text(_CSV_ROWS)
+        expected = _ingest_outcome(path)
+        pread, asked = os.pread, []
+
+        def recorded_pread(fd, length, offset):
+            asked.append(length)
+            return pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", recorded_pread)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        before = csv.field_size_limit(limit)
+        try:
+            with forced_split(workers):
+                outcome = _ingest_outcome(path)
+        finally:
+            csv.field_size_limit(before)
+        assert outcome == expected
+        assert asked and max(asked) <= 1 << 22  # no read sized by the limit
+
+    def test_a_header_longer_than_the_first_read_goes_to_the_row_reader(self, tmp_path):
+        # NumPy would take the columns it sees in the header's first 4 MiB and drop the credit
+        path = tmp_path / "p.csv"
+        path.write_text("y_true,y_pred,confidence," + "x" * (1 << 22) + ",credit\n0,0,0.5,,0.25\n")
+        before = csv.field_size_limit(sys.maxsize)
+        try:
+            ds = ingest(path)
+        finally:
+            csv.field_size_limit(before)
+        assert ds.credit.tolist() == [0.25]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text, error", [
+        (_CSV_ROWS, None),
+        (_CSV_ROWS + "\n0,0,1.5\n", r":63: confidence 1\.5 outside \[0, 1\]$"),
+        (_CSV_ROWS.replace("\n", "\r"), None),
+    ], ids=["lf", "fault", "cr"])
+    def test_a_pipe_is_read_once_by_the_row_reader(self, tmp_path, text, error):
+        path = tmp_path / "p.csv"
+        path.write_text(text, newline="")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            with forced_split(2) as forks:
+                try:
+                    outcome = _outcome_of(ingest(f"/dev/fd/{read_end}", "csv"))
+                except IngestError as exc:
+                    outcome = str(exc)
+        finally:
+            os.close(read_end)
+        assert forks == []
+        if error is None:
+            assert outcome == _outcome(path)
+        else:
+            assert re.fullmatch(rf"/dev/fd/{read_end}{error}", outcome), outcome
+            assert re.fullmatch(rf"{re.escape(str(path))}{error}", _outcome(path))
 
 
 class TestStatedFieldsBesideProbs:
@@ -1031,6 +1288,26 @@ class TestCliEvaluate:
         assert run_cli(["evaluate", "--input", str(pred), "--bins", "1000000000",
                         "--output", out]) == 1
         assert "bin_count" in capsys.readouterr().err
+
+
+class TestCliStdin:
+    def test_evaluate_reads_a_csv_from_stdin(self, tmp_path):
+        pred = tmp_path / "p.csv"
+        run_cli(["synth", "--kind", "calibrated", "--n", "500", "--seed", "3", "--output", str(pred)])
+        assert run_cli(["evaluate", "--input", str(pred), "--tau", "0.7",
+                        "--output", str(tmp_path / "file.json")]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        piped = subprocess.run(
+            [sys.executable, "-m", "cwsa_eval.cli", "evaluate", "--input", "/dev/stdin", "--format", "csv",
+             "--tau", "0.7", "--output", str(tmp_path / "pipe.json")],
+            input=pred.read_bytes(), env=env, capture_output=True, timeout=120,
+        )
+        assert piped.returncode == 0, piped.stderr.decode()
+        docs = [json.loads((tmp_path / name).read_text()) for name in ("file.json", "pipe.json")]
+        for doc in docs:  # named after the input, and a pipe's digest is not yet of the bytes read
+            del doc["source_id"], doc["input_digest"]
+        assert docs[0] == docs[1]
 
 
 class TestCliSynthDeterminism:
@@ -1264,6 +1541,19 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.DENSE_EXPECTED}
         assert digests == self.DENSE_EXPECTED
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_csv_outputs_match_pinned_digests(self, tmp_path, workers):
+        cal = tmp_path / "cal.csv"
+        run_cli(["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)])
+        with forced_split(workers) as forks:
+            assert run_cli(["evaluate", "--input", str(cal), "--output", str(tmp_path / "sweep.json")]) == 0
+            assert run_cli(["evaluate", "--input", str(cal), "--tau", "0.7",
+                            "--output", str(tmp_path / "point.json")]) == 0
+        assert len(forks) == 2 * (workers - 1)
+        names = ("cal.csv", "sweep.json", "point.json")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+        assert digests == {name: self.EXPECTED[name] for name in names}
 
     # A JSONL file in each record layout, read by one reader and split
     # between two forked readers.

@@ -8,8 +8,8 @@ other exception fails.  Each file is ingested as shipped and in each of
 ``OTHER_WAYS``: a CSV file also with the NumPy pass off, so that the row
 reader reads it; a JSONL file also at chunk sizes that close chunks
 mid-file, each with the NumPy ``probs`` reduction on and off (off, every
-chunk is checked cell by cell).  The hypothesis JSONL test also splits
-each file between 2 and 3 forked readers, however small it is.
+chunk is checked cell by cell).  Each hypothesis test also splits each
+file between 2 and 3 forked readers, however small it is.
 """
 
 import json
@@ -146,7 +146,7 @@ def check_against_rules(text, fmt, class_count, split_workers=()):
         for workers in split_workers:
             with forced_split(workers) as forks:
                 check_ingest(path, expected, class_count)
-            assert bool(forks) == splits(path.read_bytes(), workers)
+            assert bool(forks) == splits(path.read_bytes(), workers, fmt)
 
 
 def check_ingest(path, expected, class_count):
@@ -171,7 +171,7 @@ def check_ingest(path, expected, class_count):
 @given(csv_texts(), CLASS_COUNTS)
 @settings(max_examples=60, deadline=None)
 def test_csv_ingest_follows_the_input_rules(text, class_count):
-    check_against_rules(text, "csv", class_count)
+    check_against_rules(text, "csv", class_count, split_workers=(2, 3))
 
 
 @given(jsonl_texts(), CLASS_COUNTS)
