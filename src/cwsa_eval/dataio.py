@@ -5,12 +5,13 @@ Formats
 * CSV: header row mandatory (``y_true,y_pred,confidence`` plus optional
   ``credit``), comma delimiter, UTF-8 with or without a byte-order mark,
   LF, CRLF or CR line endings, cells optionally quoted as in the ``csv``
-  module's default dialect.  An ASCII file without quotes or ``credit`` is
-  parsed by NumPy, whose scan of the bytes also maps its lines; a large
-  one is split at line starts into byte ranges, which forked readers
-  parse at the same time.  Any other file, a pipe, and every file NumPy
-  cannot parse is read by the row reader, whole.  One check of either
-  reader's columns names the first bad line.  The canonical output
+  module's default dialect.  An ASCII file without quotes or ``credit``
+  whose every line ends in LF or CRLF and holds one record, so that it
+  has no empty line, is parsed by NumPy; a large one is split at line
+  starts into byte ranges, which forked readers parse at the same time.
+  Any other file (an empty line or a lone CR included), a pipe, and every
+  file NumPy cannot parse is read by the row reader, whole.  One check of
+  either reader's columns names the first bad line.  The canonical output
   format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
@@ -30,6 +31,7 @@ Formats
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import functools
 import hashlib
@@ -68,8 +70,8 @@ __all__ = [
 PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# bytes read at a time by the CSV scan (_bulk_readable) and the line counts of _ranges, and the
-# size of a piece of a split CSV range (_read_csv_range); the search of _ranges for a LF reads no more
+# the bytes of a CSV range that _read_csv_range reads, checks and parses at a time, up to the
+# next LF, and the block of the line counts of _ranges; the search of _ranges for a LF reads no more
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
@@ -195,51 +197,34 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
             parts.append(_column_arrays(columns))
 
 
-def _bulk_readable(fd: int, start: int, stop: int, skipped: List[int], copy=None) -> Optional[int]:
-    """The count of records in bytes ``start`` to ``stop`` of the CSV file
-    open at ``fd``, which start a line, or ``None`` unless NumPy parses them
-    as :func:`_read_csv` does.  Appends to ``skipped`` as it goes what
-    :func:`_read_csv` would, counting records from the range's first: the
-    header's record count 0 where the range starts the file, then the
-    record count at each empty line, which ``np.loadtxt`` skips.  Writes
-    each block it reads to the binary stream ``copy`` unless that is ``None``.
+def _bulk_readable(piece: bytes) -> Optional[int]:
+    """The count of lines in ``piece``, bytes of a CSV file that start a
+    line and end one or the file, or ``None`` unless NumPy parses each line
+    as one record, as :func:`_read_csv` does.
 
     The bytes must be ASCII: NumPy reads some other letters as digits.  They
     must hold no quote, since NumPy does not unquote (so the header is one
     line, as NumPy's ``skiprows=1`` takes it, and a LF always ends a line),
     and none of the bytes 0x1c-0x1f, which NumPy strips as whitespace and
-    ``int()`` does not.  No line may be longer than the csv field limit,
-    which NumPy does not keep.  LF, CR and CRLF each end one line; for the
-    length limit, LF and CR each end one.
+    ``int()`` does not.  Each line must end in LF or CRLF, or else end the
+    file; none may be empty, since ``np.loadtxt`` skips it, nor longer than
+    the csv field limit, which NumPy does not keep.  A lone CR, which ends
+    a line for the row reader, fails the check.
     """
-    header = int(start == 0)
-    skipped.extend([0] * header)
-    lines = 0  # the lines that are not empty in the blocks before, the header included
-    longest = line = 0  # ``line``: the length of the line a block leaves open
-    last = b"\n"  # the byte before the block
-    offset = start
-    while offset < stop and (block := os.pread(fd, min(_SCAN_BLOCK, stop - offset), offset)):
-        offset += len(block)
-        if not block.isascii() or any(byte in block for byte in _NOT_BULK_BYTES):
-            return None
-        codes = np.frombuffer(last + block, dtype=np.uint8)  # codes[e] comes before block[e]
-        breaks = (codes == ord("\r")) | (codes == ord("\n"))
-        at = np.flatnonzero(breaks[1:])  # the LF and CR bytes of the block
-        if at.size:
-            longest = max(longest, int(np.diff(at, prepend=-1 - line).max()))
-            line = len(block) - 1 - int(at[-1])
-        else:
-            line += len(block)
-        ends = at[(codes[at + 1] == ord("\r")) | (codes[at] != ord("\r"))]  # the LF of a CRLF ends no line
-        empty = np.flatnonzero(breaks[ends])  # a line is empty when its end follows a break
-        skipped.extend((lines - header + empty - np.arange(empty.size)).tolist())
-        lines += ends.size - empty.size
-        last = block[-1:]
-        if copy is not None:
-            copy.write(block)
-    if max(longest, line) > csv.field_size_limit():
+    if not piece.isascii() or any(byte in piece for byte in _NOT_BULK_BYTES):
         return None
-    return lines - header + (line > 0)  # a last line without a line end holds a record too
+    codes = np.frombuffer(piece, dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    lengths = np.diff(ends, prepend=-1)  # each ended line's bytes, its LF included
+    if b"\r" in piece:
+        crlf = codes[ends - 1] == ord("\r")  # at ends[0] == 0, a wrong byte, but of an empty line
+        if np.count_nonzero(crlf) != np.count_nonzero(codes == ord("\r")):  # a lone CR
+            return None
+        lengths -= crlf  # a CRLF counts as one byte, as a LF does
+    last = len(piece) - 1 - int(ends[-1]) if ends.size else len(piece)  # the bytes after the last LF
+    if lengths.min(initial=2) < 2 or max(int(lengths.max(initial=0)), last) > csv.field_size_limit():
+        return None  # an empty line, or one over the field limit
+    return ends.size + (last > 0)  # a last line with no line end holds a record too
 
 
 def _bulk_columns(path: Path, fd: int):
@@ -260,17 +245,13 @@ def _bulk_columns(path: Path, fd: int):
     return None if i_credit >= 0 else (i_true, i_pred, i_conf)
 
 
-def _parsed(name: str, records: Optional[int], usecols, skiprows: int) -> Optional[np.ndarray]:
-    """The ``records`` records of the CSV file named ``name`` parsed by
-    NumPy, or ``None`` when :func:`_bulk_readable` found none it may take
-    (``records`` is ``None``) or NumPy cannot parse them."""
-    if records is None:
-        return None
-    if not records:  # blank lines only, of which loadtxt would warn
-        return np.empty(0, _BULK_DTYPE)
+def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
+    """The records of the CSV file named ``name``, after its first
+    ``skiprows`` lines, parsed by NumPy, or ``None`` when NumPy cannot
+    parse them or finds none."""
     try:
         with warnings.catch_warnings():
-            # a deprecated parse such as "1.0" as int
+            # a deprecated parse such as "1.0" as int, or an input with no data
             warnings.simplefilter("error")
             return np.loadtxt(
                 name, dtype=_BULK_DTYPE, delimiter=",", skiprows=skiprows, comments=None,
@@ -281,49 +262,59 @@ def _parsed(name: str, records: Optional[int], usecols, skiprows: int) -> Option
 
 
 def _read_csv_range(path: Path, usecols, fd: int, start: int, stop: int, whole: bool = False):
-    """``(table, skipped)`` of bytes ``start`` to ``stop`` of a CSV file
-    whose header names ``usecols`` and no ``credit``: ``table``, the
-    range's records parsed by NumPy, and ``skipped``, its lines that start
-    no record, counting records from the range's first.  ``None`` when
-    :func:`_read_csv` must read the file.
+    """The records of bytes ``start`` to ``stop`` of a CSV file whose
+    header names ``usecols`` and no ``credit``, parsed by NumPy into one
+    table, or ``None`` when :func:`_read_csv` must read the file.
 
-    A ``whole`` file is parsed from ``path``.  A range is parsed a piece
-    of about ``_SCAN_BLOCK`` bytes at a time, cut just past a LF: the
-    piece is read once, by :func:`_bulk_readable`, which copies it to an
-    in-memory file that NumPy parses by name, since only a name reaches
-    ``np.loadtxt``'s fast reader.  The file holds one piece at a time.
-    The pieces' tables are joined into one, which leaves their memory to
-    later allocations; kept apart, they raised the peak RSS of a whole
-    ``evaluate`` by 3 MB.  The file's first line, the header, is skipped.
+    The range is taken a piece of about ``_SCAN_BLOCK`` bytes at a time,
+    cut just past a LF.  A piece longer than ``_SCAN_BLOCK`` plus the csv
+    field limit holds a line over the limit and is left unread; any other
+    is read once, by one ``os.pread``, and :func:`_bulk_readable` counts
+    its lines.  Each line after the file's first, the header, must be a
+    record: a table of any other length sends the file to :func:`_read_csv`.
+
+    A ``whole`` file is then parsed from ``path``.  The pieces of a range
+    are each copied to an in-memory file that NumPy parses by name, since
+    only a name reaches ``np.loadtxt``'s fast reader; the file holds one
+    piece at a time.  The pieces' tables are joined into one, which leaves
+    their memory to later allocations; kept apart, they raised the peak RSS
+    of a whole ``evaluate`` by 3 MB.
     """
     from . import _ranges
 
-    skipped: List[int] = []
-    if whole:
-        table = _parsed(str(path), _bulk_readable(fd, start, stop, skipped), usecols, 1)
-        return None if table is None else (table, skipped)
-    try:
-        copy = os.fdopen(os.memfd_create("cwsa-eval-csv"), "wb")
-    except OSError:
-        return None
+    header = int(start == 0)
+    lines = 0  # in the pieces scanned so far
     tables: List[np.ndarray] = []
-    with copy:
-        name = f"/proc/self/fd/{copy.fileno()}"
+    with contextlib.ExitStack() as stack:
+        if not whole:
+            try:
+                copy = stack.enter_context(os.fdopen(os.memfd_create("cwsa-eval-csv"), "wb"))
+            except OSError:
+                return None
+            name = f"/proc/self/fd/{copy.fileno()}"
         while start < stop:
             end = _ranges._past_lf(fd, start + _SCAN_BLOCK, stop)
-            copy.seek(0)
-            copy.truncate()
-            piece_skipped: List[int] = []
-            records = _bulk_readable(fd, start, end, piece_skipped, copy)
-            copy.flush()
-            table = _parsed(name, records, usecols, int(start == 0))
-            if table is None:
+            if end - start > _SCAN_BLOCK + csv.field_size_limit():  # its last line is over the limit
                 return None
-            done = sum(map(len, tables))
-            skipped.extend(done + count for count in piece_skipped)
-            tables.append(table)
+            piece = os.pread(fd, end - start, start)
+            count = _bulk_readable(piece)
+            if count is None or len(piece) < end - start:  # a short read, as of a piece over 2 GiB
+                return None
+            lines += count
+            if not whole:
+                copy.seek(0)
+                copy.truncate()
+                copy.write(piece)
+                copy.flush()
+                if (table := _parsed(name, usecols, int(start == 0))) is None:
+                    return None
+                tables.append(table)
             start = end
-    return np.concatenate(tables), skipped
+    if whole:
+        if (table := _parsed(str(path), usecols, 1)) is None:
+            return None
+        tables.append(table)
+    return np.concatenate(tables) if sum(map(len, tables)) == lines - header else None
 
 
 class _NotBulk(Exception):
@@ -332,22 +323,19 @@ class _NotBulk(Exception):
 
 def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
     """Append ``(y_true, y_pred, confidence, None)`` of a CSV file without a
-    ``credit`` column, parsed by NumPy, to ``parts`` and its lines that
-    start no record to ``skipped``, as :func:`_read_csv` does.  A large
-    file is parsed by :func:`_read_csv_range` in byte ranges at the same
-    time (see :mod:`cwsa_eval._ranges`), one part a range.  ``False``, with
-    nothing appended, when :func:`_read_csv` must read the file: a pipe,
-    which only one pass can read, and every file of which NumPy cannot
-    parse a range."""
+    ``credit`` column, parsed by NumPy, to ``parts``, and the header's
+    record count 0 to ``skipped``, as :func:`_read_csv` does: each line
+    after the header holds one record, so record ``i`` sits on line
+    ``i + 2``.  A large file is parsed by :func:`_read_csv_range` in byte
+    ranges at the same time (see :mod:`cwsa_eval._ranges`), one part a
+    range.  ``False``, with nothing appended, when :func:`_read_csv` must
+    read the file: a pipe, which only one pass can read, and every file of
+    which NumPy cannot parse a range."""
     tables: List[np.ndarray] = []
-    lines: List[int] = []
 
-    def join(result) -> None:
-        if result is None:
+    def join(table) -> None:
+        if table is None:
             raise _NotBulk
-        table, range_skipped = result
-        records = sum(map(len, tables))
-        lines.extend(records + count for count in range_skipped)
         tables.append(table)
 
     from . import _ranges  # here: a run that reads no file never loads it
@@ -362,7 +350,7 @@ def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
         except _NotBulk:
             return False
     parts.extend((table["y_true"], table["y_pred"], table["confidence"], None) for table in tables)
-    skipped.extend(lines)
+    skipped.append(0)
     return True
 
 

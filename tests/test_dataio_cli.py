@@ -269,19 +269,14 @@ class TestBulkCsv:
         with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
             ingest(path)
 
-    @pytest.mark.parametrize("block", [5, 4096, 1 << 16])
-    def test_scan_finds_an_over_limit_line_across_blocks(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
-        path = tmp_path / "p.csv"
+    def test_scan_finds_an_over_limit_line(self):
         long_row = "0,0,0." + "0" * 140_000 + "5"
         for content, readable in [
             (_CSV_HEADER + "0,0,0.5\n" * 3, True),
             (_CSV_HEADER + long_row + "\n0,0,0.5\n", False),
             (_CSV_HEADER + "0,0,0.5\n" + long_row, False),  # the last line, with no newline
         ]:
-            path.write_text(content)
-            with open(path, "rb") as raw:
-                records = dataio._bulk_readable(raw.fileno(), 0, len(content), [])
+            records = dataio._bulk_readable(content.encode())
             assert (records is not None) is readable
 
     def test_valid_file_needs_no_row_reader(self, tmp_path, monkeypatch):
@@ -293,38 +288,43 @@ class TestBulkCsv:
         for name in ("y_true", "y_pred", "confidence"):
             assert np.array_equal(getattr(ds, name), getattr(source, name))
 
-    def test_lone_cr_file_over_the_field_limit_needs_no_row_reader(self, tmp_path, monkeypatch):
+    def test_lone_cr_file_over_the_field_limit_goes_to_the_row_reader(self, tmp_path, monkeypatch):
         source = generate(ArchetypeSpec.for_kind("calibrated", n=8000, seed=4))
         path = tmp_path / "cal.csv"
         write_predictions_csv(source, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         assert path.stat().st_size > csv.field_size_limit()  # one line, if CR ended none
-        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        read = _count_row_reads(monkeypatch)
         ds = ingest(path)
+        assert read == [path]
         for name in ("y_true", "y_pred", "confidence"):
             assert np.array_equal(getattr(ds, name), getattr(source, name))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
     def test_broken_rule_is_named_without_the_row_reader(self, tmp_path, monkeypatch, ending, block):
-        # The line is found from the bulk arrays and the scan's line map, and equals the row reader's.
+        # The line is found from the bulk arrays, where record i sits on line i + 2, and equals the
+        # row reader's.  A lone CR or an empty line sends the file to the row reader, once.
         path = tmp_path / "p.csv"
         row_reader = dataio._read_csv
-        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
-        path.write_text(_CSV_HEADER + "0,0,0.5\n" * 5 + "1,1,1.5\n0,0,0.5\n")
+        read = _count_row_reads(monkeypatch)
+        _write_lines(path, ["0,0,0.5"] * 5 + ["1,1,1.5", "0,0,0.5", ""], ending)
         with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
             ingest(path)
+        assert len(read) == (ending in ("\r", "mixed"))
         for lines, class_count in BLANK_LINE_FILES:
             _write_lines(path, lines, ending)
-            assert dataio._read_csv_bulk(path, [], [])  # NumPy parses every cell
+            assert not dataio._read_csv_bulk(path, [], [])  # an empty line
             parts, skipped = [], []
             row_reader(path, parts, skipped)
             with pytest.raises(IngestError) as direct:
                 dataio._checked_arrays(path, parts, class_count, skipped)
+            read.clear()
             with pytest.raises(IngestError) as shipped:
                 ingest(path, class_count=class_count)
             assert str(shipped.value) == str(direct.value)
+            assert read == [path]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
@@ -333,7 +333,7 @@ class TestBulkCsv:
         path = tmp_path / "p.csv"
         files = [(content, None) for content, _ in ACCEPTED_FILES.values()] + [
             (None, lines) for lines, _ in BLANK_LINE_FILES
-        ]
+        ] + [(None, [line for line in lines if line]) for lines, _ in BLANK_LINE_FILES]
         bulk_read = 0
         for content, lines in files:
             if content is None:
@@ -342,21 +342,29 @@ class TestBulkCsv:
                 path.write_bytes(content.encode())
             bulk_parts, bulk_skipped = [], []
             if not dataio._read_csv_bulk(path, bulk_parts, bulk_skipped):
-                assert content is not None and (bulk_parts, bulk_skipped) == ([], [])
+                assert (bulk_parts, bulk_skipped) == ([], [])
+                with monkeypatch.context() as patched:
+                    patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                    expected = _outcome(path)
+                with monkeypatch.context() as patched:
+                    read = _count_row_reads(patched)
+                    assert _outcome(path) == expected
+                assert read == [path]
                 continue
             bulk_read += 1
             row_parts, row_skipped = [], []
             dataio._read_csv(path, row_parts, row_skipped)
-            assert bulk_skipped == row_skipped
+            assert bulk_skipped == row_skipped == [0]
             (bulk,), (row,) = bulk_parts, row_parts
             for bulk_column, row_column in zip(bulk[:3], row[:3]):
                 assert bulk_column.tolist() == row_column.tolist()
             assert bulk[3] is None and np.isnan(row[3]).all()
-        assert bulk_read == 2 + len(BLANK_LINE_FILES)  # crlf.csv and lone_cr.csv among the accepted files
+        # crlf.csv, and the files without empty lines at LF and CRLF endings
+        assert bulk_read == 1 + len(BLANK_LINE_FILES) * (ending in ("\n", "\r\n"))
 
 
-# record lines after the header of files that NumPy parses, each with a class_count
-# under which one of them breaks a rule
+# record lines after the header of files with empty lines, which the row reader
+# reads, each with a class_count under which one of them breaks a rule
 BLANK_LINE_FILES = [
     (["0,0,0.5", "", "", "1,1,1.5", "", "0,0,0.5", ""], None),
     (["", "0,0,0.5", "", "0,-1,0.5", "0,0,1.5"], None),
@@ -375,6 +383,18 @@ def _write_lines(path, lines, ending):
 
 def _no_row_reader(*args):
     raise AssertionError("the row reader read a valid file")
+
+
+def _count_row_reads(monkeypatch):
+    """Let ``dataio._read_csv`` note each path it reads in the list returned."""
+    row_reader, read = dataio._read_csv, []
+
+    def counted_row_reader(path, *args):
+        read.append(path)
+        return row_reader(path, *args)
+
+    monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
+    return read
 
 
 def _no_bulk_pass(path, parts, skipped):
@@ -737,8 +757,23 @@ class TestSplitCsv:
         assert outcomes[0][0][:3] == ACCEPTED_FILES[name][1]
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
-    def test_blank_line_files_read_alike_without_the_row_reader(self, tmp_path, monkeypatch, ending):
-        # Blank lines in every range keep the NumPy pass: none reaches the row reader.
+    def test_every_file_reads_alike_at_each_ending(self, tmp_path, monkeypatch, ending):
+        endings = itertools.cycle([b"\r", b"\r\n", b"\n"] if ending == "mixed" else [ending.encode()])
+        files = [MALFORMED_FILES[name][0] for name in _MALFORMED_CSV]
+        files += [content for content, _ in ACCEPTED_FILES.values()]
+        files += [_CSV_HEADER + "\n".join(lines) for lines, _ in BLANK_LINE_FILES]
+        path = tmp_path / "p.csv"
+        for content in files:
+            content = content if isinstance(content, bytes) else content.encode()
+            path.write_bytes(re.sub(rb"\r\n|\r|\n", lambda _: next(endings), content))
+            with monkeypatch.context() as patched:
+                patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                expected = _ingest_outcome(path)
+            assert _outcomes_at_each_split(path) == [expected] * 3, content[:80]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_blank_line_files_read_alike(self, tmp_path, monkeypatch, ending):
+        # An empty line in any range sends the file to the row reader, once at each split.
         path = tmp_path / "p.csv"
         for lines, class_count in BLANK_LINE_FILES:
             _write_lines(path, lines, ending)
@@ -746,24 +781,113 @@ class TestSplitCsv:
                 patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
                 expected = _ingest_outcome(path, class_count)
             with monkeypatch.context() as patched:
-                patched.setattr(dataio, "_read_csv", _no_row_reader)
+                read = _count_row_reads(patched)
                 outcomes = _outcomes_at_each_split(path, class_count)
             assert outcomes == [expected] * 3
+            assert read == [path] * 3
             assert isinstance(expected, str)  # each file breaks a rule
             assert splits(path.read_bytes(), 2, "csv") == (ending != "\r")
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_a_range_of_blank_lines_holds_no_records(self, tmp_path, monkeypatch, ending):
+    def test_a_range_of_blank_lines_goes_to_the_row_reader(self, tmp_path, monkeypatch, ending):
         path = tmp_path / "p.csv"
         data = (_CSV_HEADER + "0,1,0.5\n" * 2 + "\n" * 60).replace("\n", ending).encode()
         path.write_bytes(data)
-        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        read = _count_row_reads(monkeypatch)
         outcomes = _outcomes_at_each_split(path)
         assert outcomes == [(([0, 0], [1, 1], [0.5, 0.5], None), 2)] * 3
+        assert read == [path] * 3
         with open(path, "rb") as raw:
             (cut,) = _ranges._line_cuts(raw, len(data), 2)
-            table, skipped = dataio._read_csv_range(path, (0, 1, 2), raw.fileno(), cut, len(data))
-        assert len(table) == 0 and skipped == [0] * data[cut:].count(ending.encode())
+            assert dataio._read_csv_range(path, (0, 1, 2), raw.fileno(), cut, len(data)) is None
+
+
+_FILLER = "0,1,0.5\n2,2,0.25\n" * 4
+_LONG_ROW = "0,0,0." + "0" * 140_000 + "5"  # a valid row longer than the default csv field limit
+# file name -> contents that break one rule of the NumPy pass; valid rows around the break
+# keep the first range of a split more than the header
+BULK_RULE_BREAKS = {
+    "quote.csv": _CSV_HEADER + _FILLER + '"1",1,0.5\n' + _FILLER,
+    "separator_byte.csv": _CSV_HEADER + _FILLER + "1\x1c,0,0.5\n" + _FILLER,
+    "non_ascii.csv": _CSV_HEADER + _FILLER + "\u01fe1,0,0.5\n" + _FILLER,
+    "lone_cr.csv": _CSV_HEADER + _FILLER + "0,0,0.5\r" + _FILLER,
+    "lone_cr_last.csv": _CSV_HEADER + _FILLER + "0,0,0.5\r",  # the last byte of the last piece
+    "empty_first_lf.csv": _CSV_HEADER + "\n" + _FILLER,
+    "empty_mid_lf.csv": _CSV_HEADER + _FILLER + "\n" + _FILLER,
+    "empty_last_lf.csv": _CSV_HEADER + _FILLER + "\n",
+    "empty_first_crlf.csv": (_CSV_HEADER + "\n" + _FILLER).replace("\n", "\r\n"),
+    "empty_mid_crlf.csv": (_CSV_HEADER + _FILLER + "\n" + _FILLER).replace("\n", "\r\n"),
+    "empty_last_crlf.csv": (_CSV_HEADER + _FILLER + "\n").replace("\n", "\r\n"),
+    "over_limit.csv": _CSV_HEADER + _FILLER + _LONG_ROW + "\n" + _FILLER,
+    "over_limit_last.csv": _CSV_HEADER + _FILLER + _LONG_ROW,  # with no line end
+}
+
+
+class TestBulkCheck:
+    """The NumPy pass takes a CSV file only when each line after the header
+    holds one record; any other file is read by the row reader, once, to
+    the outcome it reads with the NumPy pass off."""
+
+    @pytest.mark.parametrize("block", [64, 1 << 22])
+    @pytest.mark.parametrize("name", list(BULK_RULE_BREAKS))
+    def test_a_broken_rule_sends_the_file_to_the_row_reader(self, tmp_path, monkeypatch, name, block):
+        content = BULK_RULE_BREAKS[name]
+        path = tmp_path / name
+        path.write_bytes(content.encode())
+        assert dataio._bulk_readable(content.encode()) is None
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+            expected = _ingest_outcome(path)
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        read = _count_row_reads(monkeypatch)
+        assert _outcomes_at_each_split(path) == [expected] * 3
+        assert read == [path] * 3
+
+    def test_a_piece_over_the_field_limit_is_not_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text(BULK_RULE_BREAKS["over_limit.csv"])
+        expected = _ingest_outcome(path)
+        pread, asked = os.pread, []
+
+        def recorded_pread(fd, length, offset):
+            asked.append(length)
+            return pread(fd, length, offset)
+
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        monkeypatch.setattr(os, "pread", recorded_pread)
+        read = _count_row_reads(monkeypatch)
+        assert _ingest_outcome(path) == expected
+        assert read == [path]
+        assert max(asked) < len(_LONG_ROW)  # the header's read, at most the field limit and a byte
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_small_pieces_read_alike_without_the_row_reader(self, tmp_path, monkeypatch, ending):
+        source = generate(ArchetypeSpec.for_kind("calibrated", n=300, seed=4))
+        path = tmp_path / "cal.csv"
+        write_predictions_csv(source, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+            expected = _ingest_outcome(path)
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        assert _outcomes_at_each_split(path) == [expected] * 3
+        assert expected[0][0] == source.y_true.tolist()
+
+    def test_a_table_short_of_the_counted_lines_goes_to_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text(_CSV_ROWS)
+        expected = _ingest_outcome(path)
+        parsed = dataio._parsed
+
+        def one_row_short(*args):
+            table = parsed(*args)
+            return None if table is None else table[:-1]
+
+        monkeypatch.setattr(dataio, "_parsed", one_row_short)
+        read = _count_row_reads(monkeypatch)
+        assert _outcomes_at_each_split(path) == [expected] * 3
+        assert read == [path] * 3
 
 
 _FAULT_IN_LAST_RANGE = _VALID * 20 + '{"y_true": 0, "probs": [0.5, 0.5]}\n\n' * 10 + "not json\n"
@@ -892,7 +1016,7 @@ class TestSplitReaders:
         assert forks
 
 
-_CSV_ROWS = _CSV_HEADER + "0,1,0.5\n\n2,2,0.25\n" * 20
+_CSV_ROWS = _CSV_HEADER + "0,1,0.5\n2,2,0.25\n" * 20  # no empty line, so NumPy reads it
 
 
 class TestSplitCsvReaders:
@@ -909,10 +1033,10 @@ class TestSplitCsvReaders:
         if death == "before_reading":
             scan = dataio._bulk_readable
 
-            def dying_scan(*args):
+            def dying_scan(piece):
                 if os.getpid() != parent:
                     os._exit(3)
-                return scan(*args)
+                return scan(piece)
 
             monkeypatch.setattr(dataio, "_bulk_readable", dying_scan)
         else:  # the child sends half its result, then exits as if all went well
@@ -939,10 +1063,10 @@ class TestSplitCsvReaders:
         parent = os.getpid()
         scan = dataio._bulk_readable
 
-        def slow_scan(*args):
+        def slow_scan(piece):
             if os.getpid() != parent:
                 time.sleep(60)
-            return scan(*args)
+            return scan(piece)
 
         statuses = []
         waitpid = os.waitpid
@@ -965,25 +1089,20 @@ class TestSplitCsvReaders:
         path = tmp_path / "p.csv"
         path.write_text(_CSV_ROWS)
         expected = _ingest_outcome(path)
-        row_reader, read = dataio._read_csv, []
-
-        def counted_row_reader(*args):
-            read.append(args[0])
-            return row_reader(*args)
 
         def no_memfd(*args):
             raise OSError(errno.ENOSYS, "memfd_create")
 
         monkeypatch.setattr(os, "memfd_create", no_memfd)
-        monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
+        read = _count_row_reads(monkeypatch)
         with forced_split(2) as forks:
             assert _ingest_outcome(path) == expected
         assert forks and read == [path]
 
     @pytest.mark.parametrize("text", [
         _CSV_ROWS,
-        # blank lines in later pieces follow the fault, after fewer records of their own piece
-        _CSV_HEADER + "0,1,0.5\n\n2,2,0.25\n0,0,1.5\n" + _CSV_ROWS[len(_CSV_HEADER):],
+        # later pieces follow the fault, whose line is found from the joined tables
+        _CSV_HEADER + "0,1,0.5\n2,2,0.25\n0,0,1.5\n" + _CSV_ROWS[len(_CSV_HEADER):],
     ], ids=["clean", "fault_in_first_piece"])
     def test_the_in_memory_file_holds_one_piece_at_a_time(self, tmp_path, monkeypatch, text):
         path = tmp_path / "p.csv"
@@ -1004,7 +1123,7 @@ class TestSplitCsvReaders:
             assert _ingest_outcome(path) == expected
             lines = []
             assert dataio._read_csv_bulk(path, [], lines)
-        assert lines == row_lines  # the line map, joined across pieces and ranges
+        assert lines == row_lines == [0]  # the header's line alone starts no record
         assert forks and len(sizes) > 1
         assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
 
@@ -1045,7 +1164,7 @@ class TestSplitCsvReaders:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("text, error", [
         (_CSV_ROWS, None),
-        (_CSV_ROWS + "\n0,0,1.5\n", r":63: confidence 1\.5 outside \[0, 1\]$"),
+        (_CSV_ROWS + "\n0,0,1.5\n", r":43: confidence 1\.5 outside \[0, 1\]$"),
         (_CSV_ROWS.replace("\n", "\r"), None),
     ], ids=["lf", "fault", "cr"])
     def test_a_pipe_is_read_once_by_the_row_reader(self, tmp_path, text, error):
