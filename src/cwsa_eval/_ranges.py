@@ -6,9 +6,12 @@ reads the ranges with a range reader the format passes in: the calling
 process reads the first, and a forked child reads each other and pickles
 its result back through a pipe.  The format then joins the results in
 file order.  Each reader reads its own bytes of the one open file with
-``os.pread``, so readers share no file offset.  JSONL ranges are decoded
-by ``dataio._read_jsonl`` and CSV ranges parsed by NumPy; both hold the
-interpreter lock, so threads could not share the reading.
+``os.pread``, so readers share no file offset, and reads no byte before
+its range: it numbers its own lines from 1, and the format's join adds
+the lines of the ranges before.  So the engine knows no line end but the
+LF it cuts after.  JSONL ranges are decoded and CSV ranges parsed by
+NumPy; both hold the interpreter lock, so threads could not share the
+reading.
 
 Forking is safe only in a process running one thread, so off Linux and
 beside a second thread a file is one range, which the format reads in
@@ -27,7 +30,7 @@ import threading
 from signal import SIGKILL
 from typing import Callable, List
 
-from . import dataio, kernels
+from . import kernels
 
 _SPLIT_BYTES = 1 << 22  # the fewest bytes per reader
 _LF_SEARCH = 1 << 16  # the most bytes read at a time in search of a LF
@@ -64,7 +67,7 @@ def _past_lf(fd: int, at: int, stop: int) -> int:
     """The offset just past the first LF at or after ``at`` in the file
     open at ``fd``, or ``stop`` when none comes before it."""
     while at < stop:
-        block = os.pread(fd, min(_LF_SEARCH, dataio._SCAN_BLOCK, stop - at), at)
+        block = os.pread(fd, min(_LF_SEARCH, stop - at), at)
         if not block:
             break
         found = block.find(b"\n")
@@ -85,20 +88,6 @@ def _line_cuts(raw, size: int, workers: int) -> List[int]:
         if not cuts or cut > cuts[-1]:
             cuts.append(cut)
     return cuts
-
-
-def _lines_before(fd: int, stop: int) -> int:
-    """The line ends (LF, CRLF and lone CR) in the first ``stop`` bytes of
-    the file open at ``fd``, counted ``dataio._SCAN_BLOCK`` bytes at a time."""
-    lines, last = 0, b""
-    for at in range(0, stop, dataio._SCAN_BLOCK):
-        block = os.pread(fd, min(dataio._SCAN_BLOCK, stop - at), at)
-        lines += block.count(b"\n")
-        if b"\r" in block:  # a CR ends a line unless a LF follows it
-            lines += block.count(b"\r") - block.count(b"\r\n")
-        lines -= last + block[:1] == b"\r\n"  # a CRLF across the blocks' seam
-        last = block[-1:]
-    return lines
 
 
 def _fork_reader(read_range: Callable, fd: int, start: int, stop: int):

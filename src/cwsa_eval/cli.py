@@ -21,7 +21,6 @@ from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec
 from .core import validate_threshold
 from .dataio import (
-    IngestError,
     compare_report_doc,
     file_digest,
     ingest,
@@ -192,10 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IngestError, ValueError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # IngestError is a ValueError
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -70,8 +70,7 @@ __all__ = [
 PROBS_TOLERANCE = 1e-6
 # ASCII bytes that NumPy's CSV parse reads otherwise than the row reader (see _bulk_readable).
 _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# the bytes of a CSV range that _read_csv_range reads, checks and parses at a time, up to the
-# next LF, and the block of the line counts of _ranges; the search of _ranges for a LF reads no more
+# the bytes of a CSV range that _read_csv_range reads, checks and parses at a time, up to the next LF
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
@@ -91,6 +90,14 @@ class IngestError(ValueError):
     """A prediction file could not be parsed or failed validation."""
 
 
+class _Fault(Exception):
+    """``_Fault(line, reason)``: a fault on line ``line`` of the lines a reader
+    read, counted from 1; :func:`ingest` names the file and the file's line."""
+
+    line = property(lambda self: self.args[0])
+    reason = property(lambda self: self.args[1])
+
+
 def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix == ".csv":
@@ -100,7 +107,7 @@ def _infer_format(path: Path) -> str:
     raise IngestError(f"{path}: cannot infer format from suffix {suffix!r}; pass format explicitly")
 
 
-def _label(raw: object, name: str, path: Path, line_no: int) -> int:
+def _label(raw: object, name: str, line_no: int) -> int:
     """A label cell as an int that fits in int64: ``int()`` of text, or a
     JSON int or integral float.  The range is checked on the column."""
     if isinstance(raw, float) and raw.is_integer():
@@ -110,13 +117,13 @@ def _label(raw: object, name: str, path: Path, line_no: int) -> int:
             raise ValueError
         value = int(raw)
     except ValueError:
-        raise IngestError(f"{path}:{line_no}: {name} must be an integer, got {raw!r}") from None
+        raise _Fault(line_no, f"{name} must be an integer, got {raw!r}") from None
     if not INT64_MIN <= value <= INT64_MAX:
-        raise IngestError(f"{path}:{line_no}: {name} {value} does not fit in int64")
+        raise _Fault(line_no, f"{name} {value} does not fit in int64")
     return value
 
 
-def _number(raw: object, name: str, path: Path, line_no: int) -> float:
+def _number(raw: object, name: str, line_no: int) -> float:
     """A number cell as ``float()`` of text or of a JSON number.  The range
     is checked on the column."""
     if isinstance(raw, (str, int, float)) and not isinstance(raw, bool):
@@ -124,26 +131,26 @@ def _number(raw: object, name: str, path: Path, line_no: int) -> float:
             return float(raw)
         except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
             pass
-    raise IngestError(f"{path}:{line_no}: {name} must be a number, got {raw!r}")
+    raise _Fault(line_no, f"{name} must be a number, got {raw!r}")
 
 
-def _credit(raw: object, path: Path, line_no: int) -> float:
+def _credit(raw: object, line_no: int) -> float:
     """A credit cell as a number other than NaN.  The range is checked on the column."""
-    value = _number(raw, "credit", path, line_no)
+    value = _number(raw, "credit", line_no)
     if math.isnan(value):  # NaN would read as "absent" in the column
-        raise IngestError(f"{path}:{line_no}: credit {raw!r} outside [0, 1]")
+        raise _Fault(line_no, f"credit {raw!r} outside [0, 1]")
     return value
 
 
-def _utf8_lines(lines, path: Path, first_line: int = 1):
-    """Lines read with ``errors="surrogateescape"``, the first of them line
-    ``first_line`` of ``path``; one that held bytes other than UTF-8 raises."""
-    for line_no, line in enumerate(lines, start=first_line):
+def _utf8_lines(lines):
+    """Lines read with ``errors="surrogateescape"``; one that held bytes
+    other than UTF-8 raises, naming its line counted from the first."""
+    for line_no, line in enumerate(lines, start=1):
         if not line.isascii():
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise IngestError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
+                raise _Fault(line_no, f"not valid UTF-8 ({exc.reason})") from None
         yield line
 
 
@@ -170,7 +177,7 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
     columns = y_true, y_pred, confidence, credit = [], [], [], []
     # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = csv.reader(_utf8_lines(fh))
         try:
             i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(reader, None))
             width = max(i_true, i_pred, i_conf) + 1
@@ -183,16 +190,16 @@ def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
                     skipped.append(len(y_true))
                     continue
                 if len(row) < width:
-                    raise IngestError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
-                t = _label(row[i_true], "y_true", path, line_no)
-                p = _label(row[i_pred], "y_pred", path, line_no)
-                c = _number(row[i_conf], "confidence", path, line_no)
+                    raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
+                t = _label(row[i_true], "y_true", line_no)
+                p = _label(row[i_pred], "y_pred", line_no)
+                c = _number(row[i_conf], "confidence", line_no)
                 given = 0 <= i_credit < len(row) and row[i_credit].strip()
-                r = _credit(row[i_credit], path, line_no) if given else None
+                r = _credit(row[i_credit], line_no) if given else None
                 for column, value in zip(columns, (t, p, c, r)):
                     column.append(value)
         except csv.Error as exc:
-            raise IngestError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+            raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
         finally:
             parts.append(_column_arrays(columns))
 
@@ -354,11 +361,11 @@ def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
     return True
 
 
-def _reduce_probs(probs: object, confidence: object, path: Path, line_no: int):
+def _reduce_probs(probs: object, confidence: object, line_no: int):
     """``(argmax, max)`` of a ``probs`` vector, which must agree with the
     record's ``confidence`` unless that is ``_ABSENT``."""
     if not (isinstance(probs, list) and probs and all(type(p) in (int, float) for p in probs)):
-        raise IngestError(f"{path}:{line_no}: probs must be a non-empty list of numbers")
+        raise _Fault(line_no, "probs must be a non-empty list of numbers")
     try:
         values = [float(p) for p in probs]
         total = math.fsum(values)
@@ -366,13 +373,13 @@ def _reduce_probs(probs: object, confidence: object, path: Path, line_no: int):
         total = math.nan
     # A NaN or infinite entry makes the total NaN or infinite, which fails here.
     if not abs(total - 1.0) <= PROBS_TOLERANCE:
-        raise IngestError(f"{path}:{line_no}: probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
+        raise _Fault(line_no, f"probs sum to {total!r}, expected 1 within {PROBS_TOLERANCE}")
     top = max(values)
     top_index = values.index(top)  # lowest index wins ties
     if confidence is not _ABSENT:
-        conf = _number(confidence, "confidence", path, line_no)
+        conf = _number(confidence, "confidence", line_no)
         if abs(conf - top) > PROBS_TOLERANCE:
-            raise IngestError(f"{path}:{line_no}: confidence {confidence!r} disagrees with max(probs) {top!r}")
+            raise _Fault(line_no, f"confidence {confidence!r} disagrees with max(probs) {top!r}")
     return top_index, top
 
 
@@ -415,23 +422,23 @@ def _top_of_probs(vectors: List[list]):
     return top_index, top
 
 
-def _jsonl_record(cells, probs: object, path: Path, line_no: int):
+def _jsonl_record(cells, probs: object, line_no: int):
     """``(y_true, y_pred, confidence, credit)`` of a JSONL record from its raw
     cells and ``probs``, under the row rules.  ``_ABSENT`` marks a missing
     key, and ``None`` a missing or null credit, in the cells and the result."""
     t_raw, p_raw, c_raw, credit = cells
     if t_raw is _ABSENT:
-        raise IngestError(f"{path}:{line_no}: missing key 'y_true'")
-    t = _label(t_raw, "y_true", path, line_no)
+        raise _Fault(line_no, "missing key 'y_true'")
+    t = _label(t_raw, "y_true", line_no)
     if probs is not _ABSENT:
-        top_index, top = _reduce_probs(probs, c_raw, path, line_no)
+        top_index, top = _reduce_probs(probs, c_raw, line_no)
         p_raw = top_index if p_raw is _ABSENT else p_raw
         c_raw = top if c_raw is _ABSENT else c_raw
     elif p_raw is _ABSENT or c_raw is _ABSENT:
-        raise IngestError(f"{path}:{line_no}: need y_pred and confidence (or probs)")
-    p = _label(p_raw, "y_pred", path, line_no)
-    c = _number(c_raw, "confidence", path, line_no)
-    return t, p, c, None if credit is None else _credit(credit, path, line_no)
+        raise _Fault(line_no, "need y_pred and confidence (or probs)")
+    p = _label(p_raw, "y_pred", line_no)
+    c = _number(c_raw, "confidence", line_no)
+    return t, p, c, None if credit is None else _credit(credit, line_no)
 
 
 def _plain_arrays(cells, rows: List[int], vectors: List[list]):
@@ -472,7 +479,7 @@ def _plain_arrays(cells, rows: List[int], vectors: List[list]):
     return arrays
 
 
-def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: int, skipped: List[int]) -> int:
+def _close_chunk(parts: List[tuple], cells, rows, vectors, first: int, skipped: List[int]) -> int:
     """Append the column arrays of a chunk of JSONL records from record
     ``first`` on to ``parts``, empty it and return the next record's index.
     A chunk :func:`_plain_arrays` rejects is converted record by record; a
@@ -483,8 +490,8 @@ def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: in
         records = ([], [], [], [])
         for i, raw in enumerate(zip(*cells)):
             try:
-                values = _jsonl_record(raw, probs_at.get(i, _ABSENT), path, _line_of(first + i, skipped))
-            except IngestError as exc:
+                values = _jsonl_record(raw, probs_at.get(i, _ABSENT), _line_of(first + i, skipped))
+            except _Fault as exc:
                 fault = exc
                 break
             for column, value in zip(records, values):
@@ -499,23 +506,22 @@ def _close_chunk(path: Path, parts: List[tuple], cells, rows, vectors, first: in
     return first
 
 
-def _read_jsonl(path: Path, text, parts: List[tuple], skipped: List[int]) -> None:
+def _read_jsonl(text, parts: List[tuple], skipped: List[int]) -> None:
     """Append the column arrays of the JSONL records in the text stream
-    ``text``, which starts at a line start of ``path``, to ``parts``, as
-    :func:`_read_csv` does; on entry ``skipped`` holds a 0 for each line of
-    the file before it, so that every message names the file's own line.
-    Each line is decoded once, by ``raw_decode`` or, where that fails or
-    leaves more than the newline, by ``json.loads``.  A record whose
-    ``probs`` is not a non-empty list is checked at once; the others are
-    held, a chunk of ``_PROBS_CHUNK`` probs values at a time, for
-    :func:`_close_chunk`, which also runs before a line's fault is raised."""
+    ``text`` to ``parts``, and the record count at each line that starts no
+    record to ``skipped``, which starts empty, as :func:`_read_csv` does; a
+    :class:`_Fault` counts lines from the stream's first.  Each line is
+    decoded once, by ``raw_decode`` or, where that fails or leaves more
+    than the newline, by ``json.loads``.  A record whose ``probs`` is not a
+    non-empty list is checked at once; the others are held, a chunk of
+    ``_PROBS_CHUNK`` probs values at a time, for :func:`_close_chunk`,
+    which also runs before a line's fault is raised."""
     decode = json.JSONDecoder().raw_decode
     cells = y_true, y_pred, confidence, credit = [], [], [], []
     rows, vectors = [], []  # the chunk's records with a probs vector, and the vectors
     held = first = 0  # the values in ``vectors``; the index of the chunk's first record
-    first_line = len(skipped) + 1
     try:
-        for line_no, line in enumerate(_utf8_lines(text, path, first_line), start=first_line):
+        for line_no, line in enumerate(_utf8_lines(text), start=1):
             try:
                 obj, end = decode(line)
                 if line[end:] not in ("\n", ""):
@@ -527,15 +533,15 @@ def _read_jsonl(path: Path, text, parts: List[tuple], skipped: List[int]) -> Non
                 try:
                     obj = json.loads(line)
                 except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                    raise IngestError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+                    raise _Fault(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
             if type(obj) is not dict:
-                raise IngestError(f"{path}:{line_no}: expected a JSON object")
+                raise _Fault(line_no, "expected a JSON object")
             get = obj.get
             probs = get("probs", _ABSENT)
             if probs is not _ABSENT:
                 if type(probs) is not list or not probs:  # the row rules raise, naming the record's first fault
                     raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT), get("confidence", _ABSENT), get("credit"))
-                    _jsonl_record(raw, probs, path, line_no)
+                    _jsonl_record(raw, probs, line_no)
                 rows.append(len(y_true))
                 vectors.append(probs)
                 held += len(probs)
@@ -544,30 +550,29 @@ def _read_jsonl(path: Path, text, parts: List[tuple], skipped: List[int]) -> Non
             confidence.append(get("confidence", _ABSENT))
             credit.append(get("credit"))
             if held >= _PROBS_CHUNK:
-                first = _close_chunk(path, parts, cells, rows, vectors, first, skipped)
+                first = _close_chunk(parts, cells, rows, vectors, first, skipped)
                 held = 0
-    except IngestError:
-        _close_chunk(path, parts, cells, rows, vectors, first, skipped)  # an earlier fault may lie in it
+    except _Fault:
+        _close_chunk(parts, cells, rows, vectors, first, skipped)  # an earlier fault may lie in it
         raise
-    _close_chunk(path, parts, cells, rows, vectors, first, skipped)
+    _close_chunk(parts, cells, rows, vectors, first, skipped)
 
 
-def _read_jsonl_range(path: Path, fd: int, start: int, stop: int):
+def _read_jsonl_range(fd: int, start: int, stop: int):
     """``(parts, skipped, fault)`` of bytes ``start`` to ``stop`` of a JSONL
     file, which start a line, read by :func:`_read_jsonl`: ``skipped`` counts
-    records from the range's first, and ``fault`` is the text of the
-    :class:`IngestError` that stopped the reading, or ``None``."""
+    records and ``fault``, the :class:`_Fault` that stopped the reading or
+    ``None``, counts lines from the range's first."""
     from . import _ranges
 
-    lines = _ranges._lines_before(fd, start)
     parts: List[tuple] = []
-    skipped = [0] * lines
+    skipped: List[int] = []
     try:
         with _text(io.BufferedReader(_ranges._ByteWindow(fd, start, stop))) as text:
-            _read_jsonl(path, text, parts, skipped)
-    except IngestError as exc:
-        return parts, skipped[lines:], str(exc)
-    return parts, skipped[lines:], None
+            _read_jsonl(text, parts, skipped)
+    except _Fault as fault:
+        return parts, skipped, fault
+    return parts, skipped, None
 
 
 def _read_jsonl_file(path: Path, parts: List[tuple], skipped: List[int]) -> None:
@@ -575,22 +580,24 @@ def _read_jsonl_file(path: Path, parts: List[tuple], skipped: List[int]) -> None
     :func:`_read_jsonl_range` in byte ranges at the same time (see
     :mod:`cwsa_eval._ranges`).  The ranges join in file order up to the
     first that reports a fault, which is raised, so ``parts``, ``skipped``
-    and the error are those of one reader of the whole file."""
+    and the fault's line are those of one reader of the whole file: each
+    line of a range joined before holds a record or a ``skipped`` entry."""
 
     def join(result) -> None:
         range_parts, range_skipped, fault = result
         records = sum(len(part[0]) for part in parts)
+        lines = records + len(skipped)
         parts.extend(range_parts)
         skipped.extend(records + count for count in range_skipped)
         if fault is not None:
-            raise IngestError(fault)
+            raise _Fault(lines + fault.line, fault.reason)
 
     from . import _ranges  # here: a run that reads no file never loads it
 
     with open(path, "rb") as raw:
-        if not _ranges.read_ranges(raw, functools.partial(_read_jsonl_range, path), join):
+        if not _ranges.read_ranges(raw, _read_jsonl_range, join):
             with _text(raw) as text:
-                _read_jsonl(path, text, parts, skipped)
+                _read_jsonl(text, parts, skipped)
 
 
 def _text(raw) -> io.TextIOWrapper:
@@ -606,8 +613,9 @@ def _line_of(index: int, skipped: List[int]) -> int:
 
 def _checked_arrays(path: Path, parts: List[tuple], class_count: Optional[int], skipped: List[int]):
     """The column arrays of ``parts`` joined, once every record keeps the record
-    rules; a record that breaks one raises :class:`IngestError` naming its line.
-    A ``None`` credit part, which comes alone, holds no credit."""
+    rules; a record that breaks one raises :class:`IngestError` naming
+    ``path`` and the record's line, found from ``skipped``.  A ``None``
+    credit part, which comes alone, holds no credit."""
     *columns, credits = zip(*parts)
     arrays = [np.concatenate(column) for column in columns]
     credit = None if all(part is None for part in credits) else np.concatenate(credits)
@@ -644,10 +652,10 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
             _read_jsonl_file(path, parts, skipped)
         elif not _read_csv_bulk(path, parts, skipped):
             _read_csv(path, parts, skipped)
-    except IngestError:
+    except _Fault as fault:
         # A record rule broken on an earlier line is the first fault.
         _checked_arrays(path, parts, class_count, skipped)
-        raise
+        raise IngestError(f"{path}:{fault.line}: {fault.reason}") from None
     arrays = _checked_arrays(path, parts, class_count, skipped)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")

@@ -42,7 +42,7 @@ import numpy as np
 
 __all__ = ["sequential_sum", "point_accumulate", "sweep_accumulate", "credit_accumulate"]
 
-# Values per block of ``sweep_accumulate``: rows times live thresholds.
+# Values per block of the kernels: rows times live thresholds (one in ``point_accumulate``).
 _BLOCK_VALUES = 65536
 
 
@@ -70,14 +70,20 @@ def _weights(confidence: np.ndarray, mask: np.ndarray, tau: float) -> np.ndarray
 def point_accumulate(confidence: np.ndarray, correct: np.ndarray, tau: float):
     """Retained count, correct count and the weight sums split by correctness.
 
-    Returns ``(retained, hits, s_correct, s_wrong)`` for one threshold.
+    Returns ``(retained, hits, s_correct, s_wrong)`` for one threshold, from
+    ``_BLOCK_VALUES`` records at a time so that the cost per record stays flat
+    past the cache; each sum starts a block from its total so far.
     """
-    keep = confidence >= tau
-    hit = keep & (correct != 0)
-    retained = int(np.count_nonzero(keep))
-    hits = int(np.count_nonzero(hit))
-    s_correct = sequential_sum(_weights(confidence, hit, tau))
-    s_wrong = sequential_sum(_weights(confidence, keep ^ hit, tau))
+    retained = hits = 0
+    s_correct = s_wrong = 0.0
+    for start in range(0, confidence.size, _BLOCK_VALUES):
+        block = confidence[start : start + _BLOCK_VALUES]
+        keep = block >= tau
+        hit = keep & (correct[start : start + _BLOCK_VALUES] != 0)
+        retained += int(np.count_nonzero(keep))
+        hits += int(np.count_nonzero(hit))
+        s_correct = sequential_sum(np.concatenate(([s_correct], _weights(block, hit, tau))))
+        s_wrong = sequential_sum(np.concatenate(([s_wrong], _weights(block, keep ^ hit, tau))))
     return retained, hits, s_correct, s_wrong
 
 

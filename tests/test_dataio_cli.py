@@ -307,7 +307,7 @@ class TestBulkCsv:
         # row reader's.  A lone CR or an empty line sends the file to the row reader, once.
         path = tmp_path / "p.csv"
         row_reader = dataio._read_csv
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        _small_blocks(monkeypatch, block)
         read = _count_row_reads(monkeypatch)
         _write_lines(path, ["0,0,0.5"] * 5 + ["1,1,1.5", "0,0,0.5", ""], ending)
         with pytest.raises(IngestError, match=r"p\.csv:7: confidence 1\.5 outside \[0, 1\]"):
@@ -329,7 +329,7 @@ class TestBulkCsv:
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
     def test_bulk_pass_reads_what_the_row_reader_reads(self, tmp_path, monkeypatch, ending, block):
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        _small_blocks(monkeypatch, block)
         path = tmp_path / "p.csv"
         files = [(content, None) for content, _ in ACCEPTED_FILES.values()] + [
             (None, lines) for lines, _ in BLANK_LINE_FILES
@@ -383,6 +383,13 @@ def _write_lines(path, lines, ending):
 
 def _no_row_reader(*args):
     raise AssertionError("the row reader read a valid file")
+
+
+def _small_blocks(monkeypatch, block):
+    """Let the NumPy CSV pass take pieces of about ``block`` bytes, and
+    search for a LF at most ``block`` bytes at a time."""
+    monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(_ranges, "_LF_SEARCH", min(block, _ranges._LF_SEARCH))
 
 
 def _count_row_reads(monkeypatch):
@@ -650,20 +657,27 @@ class TestSplitJsonl:
     """A JSONL file split between forked readers reads as one reader reads it:
     the same columns and class count, or the same error naming the same line."""
 
-    @pytest.mark.parametrize("layout", ["as_is", "fault_first", "fault_last"])
+    @pytest.mark.parametrize("layout", ["as_is", "fault_first", "fault_last", "fault_middle"])
     @pytest.mark.parametrize("name", _MALFORMED_JSONL)
     def test_malformed_files_read_alike(self, tmp_path, name, layout):
         content, line = MALFORMED_FILES[name]
         content = content if isinstance(content, bytes) else content.encode()
         filler = _VALID.encode() * (2 * len(content) // len(_VALID) + 4)  # outweighs the content twice
+        middle = (len(filler), len(filler) + len(content))  # where the content lies in "fault_middle"
         if layout == "fault_first":
             content += filler
         elif layout == "fault_last":
             content, line = filler + content, line + filler.count(b"\n")
+        elif layout == "fault_middle":
+            content, line = filler + content + filler, line + filler.count(b"\n")
         path = tmp_path / name
         path.write_bytes(content)
         if layout != "as_is":
             assert splits(content, 2) and splits(content, 3)
+        if layout == "fault_middle":  # the middle of 3 ranges holds the whole content, fault and all
+            with open(path, "rb") as raw:
+                first, second = _ranges._line_cuts(raw, len(content), 3)
+            assert first <= middle[0] and middle[1] <= second
         outcomes = _outcomes_at_each_split(path)
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert re.match(rf"\S*{re.escape(name)}:{line}: ", outcomes[0])
@@ -693,16 +707,13 @@ class TestSplitJsonl:
         assert splits(path.read_bytes(), 3) == (ending != "\r")
 
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 22])
-    def test_cuts_and_line_counts_across_blocks(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+    def test_cuts_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(_ranges, "_LF_SEARCH", block)
         data = b"ab\r\ncd\re\n\n\r\r\nlonger line\n" * 3 + b"x" * 40 + b"\n\r\r\nlast"
         path = tmp_path / "p.jsonl"
         path.write_bytes(data)
         with open(path, "rb") as raw:
-            for stop in [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]:
-                expected = len(re.findall(rb"\r\n|\r|\n", data[:stop]))
-                assert _ranges._lines_before(raw.fileno(), stop) == expected, stop
             for workers in range(1, 12):
                 cuts = []
                 for k in range(1, workers):  # just past the first LF at or after k * size // workers
@@ -838,7 +849,7 @@ class TestBulkCheck:
         with monkeypatch.context() as patched:
             patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
             expected = _ingest_outcome(path)
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
+        _small_blocks(monkeypatch, block)
         read = _count_row_reads(monkeypatch)
         assert _outcomes_at_each_split(path) == [expected] * 3
         assert read == [path] * 3
@@ -853,7 +864,7 @@ class TestBulkCheck:
             asked.append(length)
             return pread(fd, length, offset)
 
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        _small_blocks(monkeypatch, 64)
         monkeypatch.setattr(os, "pread", recorded_pread)
         read = _count_row_reads(monkeypatch)
         assert _ingest_outcome(path) == expected
@@ -869,7 +880,7 @@ class TestBulkCheck:
         with monkeypatch.context() as patched:
             patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
             expected = _ingest_outcome(path)
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        _small_blocks(monkeypatch, 64)
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         assert _outcomes_at_each_split(path) == [expected] * 3
         assert expected[0][0] == source.y_true.tolist()
@@ -1019,6 +1030,37 @@ class TestSplitReaders:
 _CSV_ROWS = _CSV_HEADER + "0,1,0.5\n2,2,0.25\n" * 20  # no empty line, so NumPy reads it
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name, text", [("p.jsonl", _VALID * 30), ("p.csv", _CSV_ROWS)], ids=["jsonl", "csv"])
+def test_no_forked_reader_reads_a_byte_before_its_range(tmp_path, monkeypatch, name, text, workers):
+    path = tmp_path / name
+    path.write_text(text)
+    expected = _ingest_outcome(path)
+    log = tmp_path / "reads"  # "pid offset" of each os.pread in a child
+    parent, pread = os.getpid(), os.pread
+
+    def logged_pread(fd, length, offset):
+        if os.getpid() != parent:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {offset}\n")
+        return pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", logged_pread)
+    monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)  # a CSV range is read by the NumPy pass
+    with forced_split(workers) as forks:
+        assert _ingest_outcome(path) == expected
+    lowest = {}
+    for entry in log.read_text().splitlines():
+        pid, offset = map(int, entry.split())
+        lowest[pid] = min(offset, lowest.get(pid, offset))
+    with open(path, "rb") as raw:
+        starts = _ranges._line_cuts(raw, len(text), workers)  # of the ranges after the first
+    assert len(forks) == len(starts) == workers - 1
+    assert sorted(lowest) == sorted(forks)  # each child read its range
+    for pid, start in zip(forks, starts):
+        assert lowest[pid] >= start
+
+
 class TestSplitCsvReaders:
     """A dead CSV reader's range is read again, a range that NumPy cannot
     parse stops every reader, and a pipe is read once, by the row reader."""
@@ -1116,7 +1158,7 @@ class TestSplitCsvReaders:
                 sizes.append(os.stat(name).st_size)
             return parsed(name, *args)
 
-        monkeypatch.setattr(dataio, "_SCAN_BLOCK", 64)
+        _small_blocks(monkeypatch, 64)
         monkeypatch.setattr(dataio, "_parsed", measured)
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         with forced_split(2) as forks:

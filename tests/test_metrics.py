@@ -162,7 +162,9 @@ class TestExactness:
         credits = rng.uniform(0, 1, len(pairs)).tolist()
         return pairs, credits
 
-    def test_point_accumulate_equals_sequential_loop(self, data):
+    @pytest.mark.parametrize("block", [1, 7, kernels._BLOCK_VALUES])
+    def test_point_accumulate_equals_sequential_loop(self, data, monkeypatch, block):
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", block)  # records per block of the point kernel
         pairs, _ = data
         ds = make_set(pairs)
         for tau in self.TAUS:

@@ -1,6 +1,9 @@
 """The fork, kill and reap code of ingest lives in one module, the range
 engine that both file formats share, and the in-memory file that NumPy
-parses a CSV piece from in one other, ``dataio``."""
+parses a CSV piece from in one other, ``dataio``.  The engine uses nothing
+of ``dataio`` and keeps no line-end rule, and ``dataio`` writes the
+``file:line`` of an error in one place for a reader's fault and one for a
+record rule's."""
 
 from pathlib import Path
 
@@ -8,7 +11,8 @@ import pytest
 
 import cwsa_eval
 
-SOURCES = sorted(Path(cwsa_eval.__file__).parent.glob("*.py"))
+PACKAGE = Path(cwsa_eval.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("needle", ["os.fork(", "SIGKILL"])
@@ -19,3 +23,13 @@ def test_one_module_forks_and_kills(needle):
 @pytest.mark.parametrize("needle", ["memfd_create", "/proc/self/fd/"])
 def test_one_module_makes_an_in_memory_file(needle):
     assert [path.name for path in SOURCES if needle in path.read_text()] == ["dataio.py"]
+
+
+def test_the_range_engine_uses_no_dataio_and_no_line_end_rule():
+    source = (PACKAGE / "_ranges.py").read_text()
+    assert "dataio." not in source
+    assert "\\r" not in source
+
+
+def test_one_file_line_format_per_fault_kind():
+    assert (PACKAGE / "dataio.py").read_text().count('f"{path}:{') == 2
