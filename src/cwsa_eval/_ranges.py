@@ -1,22 +1,22 @@
 """Reading a file in byte ranges at the same time, one forked reader per CPU.
 
-:func:`read_ranges` cuts a large file just past a LF into one byte range
-per CPU the process may run on, at most one per ``_SPLIT_BYTES``, and
-reads the ranges with a range reader the format passes in: the calling
-process reads the first, and a forked child reads each other and pickles
-its result back through a pipe.  The format then joins the results in
-file order.  Each reader reads its own bytes of the one open file with
-``os.pread``, so readers share no file offset, and reads no byte before
-its range: it numbers its own lines from 1, and the format's join adds
-the lines of the ranges before.  So the engine knows no line end but the
-LF it cuts after.  JSONL ranges are decoded and CSV ranges parsed by
-NumPy; both hold the interpreter lock, so threads could not share the
-reading.
+:func:`read_ranges` cuts a file just past a LF into one byte range per
+CPU the process may run on, at most one per ``_SPLIT_BYTES``, and reads
+the ranges with a range reader the format passes in: the calling process
+reads the first, and a forked child reads each other and pickles its
+result back through a pipe.  A small file is one range, read in the
+calling process.  The format then joins the results in file order.  Each
+reader reads its own bytes of the one open file with ``os.pread``, so
+readers share no file offset, and reads no byte before its range: it
+numbers its own lines from 1, and the format's join adds the lines of
+the ranges before.  So the engine knows no line end but the LF it cuts
+after.  JSONL ranges are decoded and CSV ranges parsed by NumPy; both
+hold the interpreter lock, so threads could not share the reading.
 
 Forking is safe only in a process running one thread, so off Linux and
-beside a second thread a file is one range, which the format reads in
-the calling process.  ``dataio`` imports this module when it first
-reads a file.
+beside a second thread a file is one range.  The file must be a regular
+file, whose size ``os.fstat`` gives: ``dataio`` copies a pipe to one
+first.  ``dataio`` imports this module when it first reads a file.
 """
 
 from __future__ import annotations
@@ -123,24 +123,20 @@ def _reap(pid: int) -> None:
         os.waitpid(pid, 0)
 
 
-def read_ranges(raw, read_range: Callable, join: Callable) -> bool:
-    """Read the file open as ``raw`` in ``_workers`` byte ranges cut just
-    past a LF, at the same time, and pass each range's ``read_range(fd,
-    start, stop)`` to ``join`` in file order.  ``False``, with nothing read,
-    when the file is one range: the caller then reads it whole (a pipe,
-    whose size reads 0, is one range).
+def read_ranges(raw, read_range: Callable, join: Callable) -> None:
+    """Read the regular file open as ``raw`` in ``_workers`` byte ranges
+    cut just past a LF, at the same time, and pass each range's
+    ``read_range(fd, start, stop)`` to ``join`` in file order.
 
-    This process reads the first range while a forked child reads each
-    other.  A range whose child died, or sent less than its whole result,
-    is read here.  ``join`` stops the reading by raising, which this
-    function raises on once every child is killed and reaped.
+    This process reads the first range, the whole file when it is one
+    range, while a forked child reads each other.  A range whose child
+    died, or sent less than its whole result, is read here.  ``join``
+    stops the reading by raising, which this function raises on once every
+    child is killed and reaped.
     """
     fd = raw.fileno()
     size = os.fstat(fd).st_size
-    workers = _workers(size)
-    bounds = [0, *_line_cuts(raw, size, workers), size]
-    if len(bounds) == 2:
-        return False
+    bounds = [0, *_line_cuts(raw, size, _workers(size)), size]
     ranges = list(zip(bounds, bounds[1:]))
     children = [_fork_reader(read_range, fd, start, stop) for start, stop in ranges[1:]]
     try:
@@ -167,4 +163,3 @@ def read_ranges(raw, read_range: Callable, join: Callable) -> bool:
             pipe.close()
         for pid, _ in live:
             _reap(pid)
-    return True

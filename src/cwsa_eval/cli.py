@@ -21,9 +21,8 @@ from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec
 from .core import validate_threshold
 from .dataio import (
+    _ingest,
     compare_report_doc,
-    file_digest,
-    ingest,
     point_report_doc,
     sweep_report_doc,
     write_curves,
@@ -99,8 +98,7 @@ def _cmd_evaluate(args) -> int:
     grid = ThresholdGrid.parse(args.grid) if args.grid else ThresholdGrid()
     if args.tau is not None:
         validate_threshold(args.tau)
-    dataset = ingest(args.input, args.format, args.class_count)
-    digest = file_digest(args.input)
+    dataset, digest = _ingest(args.input, args.format, args.class_count)
     if args.tau is not None:
         doc = point_report_doc(dataset, args.tau, bins, digest)
     else:
@@ -139,8 +137,8 @@ def _cmd_compare(args) -> int:
     reports = []
     digests = {}
     for path in paths:
-        dataset = ingest(path)
-        digests[dataset.source_id] = file_digest(path)
+        dataset, digest = _ingest(path)
+        digests[dataset.source_id] = digest
         reports.append(sweep(dataset, grid, bins))
     doc = compare_report_doc(reports, args.by, digests)
     write_report(doc, args.output)

@@ -9,8 +9,8 @@ Formats
   whose every line ends in LF or CRLF and holds one record, so that it
   has no empty line, is parsed by NumPy; a large one is split at line
   starts into byte ranges, which forked readers parse at the same time.
-  Any other file (an empty line or a lone CR included), a pipe, and every
-  file NumPy cannot parse is read by the row reader, whole.  One check of
+  Any other file (an empty line or a lone CR included) and every file
+  NumPy cannot parse is read by the row reader, whole.  One check of
   either reader's columns names the first bad line.  The canonical output
   format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
@@ -23,6 +23,9 @@ Formats
 * Both formats split a file the same way (see :mod:`cwsa_eval._ranges`):
   one byte range per CPU, and the records, line numbers and faults of
   one reader of the whole file.
+* An input is opened once, and a pipe first copied to its end into a
+  temporary file.  Every reader, NumPy's parse and the digest read the one
+  descriptor, with ``os.pread`` or as ``/dev/fd/N``, so POSIX systems only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -41,7 +44,7 @@ import math
 import os
 import stat
 import warnings
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -57,7 +60,6 @@ __all__ = [
     "IngestError",
     "ingest",
     "write_predictions_csv",
-    "file_digest",
     "point_report_doc",
     "sweep_report_doc",
     "compare_report_doc",
@@ -159,27 +161,29 @@ def _column_arrays(columns):
     return tuple(np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMN_DTYPES))
 
 
-def _csv_columns(path: Path, header: Optional[List[str]]):
+def _csv_columns(header: Optional[List[str]]):
     """The indices of ``y_true``, ``y_pred``, ``confidence`` and ``credit``
-    (-1 when absent) in the header row of a CSV file."""
+    (-1 when absent) in the header row of a CSV file; a :class:`_Fault` of
+    no line when it lacks one."""
     if header is None:
-        raise IngestError(f"{path}: empty file")
+        raise _Fault(None, "empty file")
     index = {name.strip(): i for i, name in enumerate(header)}
     for required in ("y_true", "y_pred", "confidence"):
         if required not in index:
-            raise IngestError(f"{path}: missing required column {required!r}")
+            raise _Fault(None, f"missing required column {required!r}")
     return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
 
 
-def _read_csv(path: Path, parts: List[tuple], skipped: List[int]) -> None:
-    """Append the column arrays of a CSV file's records, even when a fault stops
-    the reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
+def _read_csv(raw, parts: List[tuple], skipped: List[int]) -> None:
+    """Append the column arrays of the CSV file open as ``raw``, even when a fault stops the
+    reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
+    raw.seek(0)  # on macOS, NumPy's parse of /dev/fd/N moved this offset
     # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+    with open(raw.fileno(), "r", encoding="utf-8-sig", errors="surrogateescape", newline="", closefd=False) as fh:
         reader = csv.reader(_utf8_lines(fh))
         try:
-            i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(reader, None))
+            i_true, i_pred, i_conf, i_credit = _csv_columns(next(reader, None))
             width = max(i_true, i_pred, i_conf) + 1
             end = reader.line_num  # the last line of the row read before
             skipped.extend([0] * end)  # the header's lines
@@ -234,7 +238,7 @@ def _bulk_readable(piece: bytes) -> Optional[int]:
     return ends.size + (last > 0)  # a last line with no line end holds a record too
 
 
-def _bulk_columns(path: Path, fd: int):
+def _bulk_columns(fd: int):
     """The ``usecols`` of ``y_true``, ``y_pred`` and ``confidence`` for
     ``np.loadtxt``, from the first line of the CSV file open at ``fd``, or
     ``None`` when :func:`_read_csv` must read the file: the line is not a
@@ -246,8 +250,8 @@ def _bulk_columns(path: Path, fd: int):
     if len(first) == want or not first.isascii():  # no line end in reach, or not ASCII
         return None
     try:
-        i_true, i_pred, i_conf, i_credit = _csv_columns(path, next(csv.reader([first.decode()]), None))
-    except (IngestError, csv.Error):
+        i_true, i_pred, i_conf, i_credit = _csv_columns(next(csv.reader([first.decode()]), None))
+    except (_Fault, csv.Error):
         return None
     return None if i_credit >= 0 else (i_true, i_pred, i_conf)
 
@@ -268,7 +272,7 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
         return None
 
 
-def _read_csv_range(path: Path, usecols, fd: int, start: int, stop: int, whole: bool = False):
+def _read_csv_range(usecols, fd: int, start: int, stop: int):
     """The records of bytes ``start`` to ``stop`` of a CSV file whose
     header names ``usecols`` and no ``credit``, parsed by NumPy into one
     table, or ``None`` when :func:`_read_csv` must read the file.
@@ -280,20 +284,24 @@ def _read_csv_range(path: Path, usecols, fd: int, start: int, stop: int, whole: 
     its lines.  Each line after the file's first, the header, must be a
     record: a table of any other length sends the file to :func:`_read_csv`.
 
-    A ``whole`` file is then parsed from ``path``.  The pieces of a range
-    are each copied to an in-memory file that NumPy parses by name, since
-    only a name reaches ``np.loadtxt``'s fast reader; the file holds one
-    piece at a time.  The pieces' tables are joined into one, which leaves
-    their memory to later allocations; kept apart, they raised the peak RSS
-    of a whole ``evaluate`` by 3 MB.
+    Since only a name reaches ``np.loadtxt``'s fast reader, a range of the
+    whole file is then parsed from the open file by the name ``/dev/fd/N``,
+    and the pieces of any other range are each copied to an in-memory file
+    that NumPy parses by name; that file holds one piece at a time.  The
+    pieces' tables are joined into one, which leaves their memory to later
+    allocations; kept apart, they raised the peak RSS of a whole
+    ``evaluate`` by 3 MB.
     """
     from . import _ranges
 
     header = int(start == 0)
+    whole = header and stop == os.fstat(fd).st_size
     lines = 0  # in the pieces scanned so far
     tables: List[np.ndarray] = []
     with contextlib.ExitStack() as stack:
-        if not whole:
+        if whole:
+            name = f"/dev/fd/{fd}"
+        else:
             try:
                 copy = stack.enter_context(os.fdopen(os.memfd_create("cwsa-eval-csv"), "wb"))
             except OSError:
@@ -318,7 +326,7 @@ def _read_csv_range(path: Path, usecols, fd: int, start: int, stop: int, whole: 
                 tables.append(table)
             start = end
     if whole:
-        if (table := _parsed(str(path), usecols, 1)) is None:
+        if (table := _parsed(name, usecols, 1)) is None:
             return None
         tables.append(table)
     return np.concatenate(tables) if sum(map(len, tables)) == lines - header else None
@@ -328,16 +336,15 @@ class _NotBulk(Exception):
     """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
 
 
-def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
-    """Append ``(y_true, y_pred, confidence, None)`` of a CSV file without a
-    ``credit`` column, parsed by NumPy, to ``parts``, and the header's
-    record count 0 to ``skipped``, as :func:`_read_csv` does: each line
-    after the header holds one record, so record ``i`` sits on line
-    ``i + 2``.  A large file is parsed by :func:`_read_csv_range` in byte
-    ranges at the same time (see :mod:`cwsa_eval._ranges`), one part a
-    range.  ``False``, with nothing appended, when :func:`_read_csv` must
-    read the file: a pipe, which only one pass can read, and every file of
-    which NumPy cannot parse a range."""
+def _read_csv_bulk(raw, parts: List[tuple], skipped: List[int]) -> bool:
+    """Append ``(y_true, y_pred, confidence, None)`` of the CSV file open as
+    ``raw``, parsed by NumPy, to ``parts``, and the header's record count 0
+    to ``skipped``, as :func:`_read_csv` does: each line after the header
+    holds one record, so record ``i`` sits on line ``i + 2``.  The file is
+    parsed by :func:`_read_csv_range`, a large one in byte ranges at the
+    same time (see :mod:`cwsa_eval._ranges`), one part a range.  ``False``,
+    with nothing appended, when :func:`_read_csv` must read the file: its
+    header is not one NumPy can take, or NumPy cannot parse one of its ranges."""
     tables: List[np.ndarray] = []
 
     def join(table) -> None:
@@ -347,15 +354,12 @@ def _read_csv_bulk(path: Path, parts: List[tuple], skipped: List[int]) -> bool:
 
     from . import _ranges  # here: a run that reads no file never loads it
 
-    with open(path, "rb") as raw:
-        fd, info = raw.fileno(), os.fstat(raw.fileno())
-        if not stat.S_ISREG(info.st_mode) or (usecols := _bulk_columns(path, fd)) is None:
-            return False
-        try:
-            if not _ranges.read_ranges(raw, functools.partial(_read_csv_range, path, usecols), join):
-                join(_read_csv_range(path, usecols, fd, 0, info.st_size, whole=True))
-        except _NotBulk:
-            return False
+    if (usecols := _bulk_columns(raw.fileno())) is None:
+        return False
+    try:
+        _ranges.read_ranges(raw, functools.partial(_read_csv_range, usecols), join)
+    except _NotBulk:
+        return False
     parts.extend((table["y_true"], table["y_pred"], table["confidence"], None) for table in tables)
     skipped.append(0)
     return True
@@ -567,21 +571,23 @@ def _read_jsonl_range(fd: int, start: int, stop: int):
 
     parts: List[tuple] = []
     skipped: List[int] = []
+    window = io.BufferedReader(_ranges._ByteWindow(fd, start, stop))
     try:
-        with _text(io.BufferedReader(_ranges._ByteWindow(fd, start, stop))) as text:
+        # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
+        with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
             _read_jsonl(text, parts, skipped)
     except _Fault as fault:
         return parts, skipped, fault
     return parts, skipped, None
 
 
-def _read_jsonl_file(path: Path, parts: List[tuple], skipped: List[int]) -> None:
-    """Read a JSONL file with :func:`_read_jsonl`, a large one by
-    :func:`_read_jsonl_range` in byte ranges at the same time (see
-    :mod:`cwsa_eval._ranges`).  The ranges join in file order up to the
-    first that reports a fault, which is raised, so ``parts``, ``skipped``
-    and the fault's line are those of one reader of the whole file: each
-    line of a range joined before holds a record or a ``skipped`` entry."""
+def _read_jsonl_file(raw, parts: List[tuple], skipped: List[int]) -> None:
+    """Read the JSONL file open as ``raw`` with :func:`_read_jsonl_range`, a
+    large one in byte ranges at the same time (see :mod:`cwsa_eval._ranges`).
+    The ranges join in file order up to the first that reports a fault,
+    which is raised, so ``parts``, ``skipped`` and the fault's line are
+    those of one reader of the whole file: each line of a range joined
+    before holds a record or a ``skipped`` entry."""
 
     def join(result) -> None:
         range_parts, range_skipped, fault = result
@@ -594,16 +600,7 @@ def _read_jsonl_file(path: Path, parts: List[tuple], skipped: List[int]) -> None
 
     from . import _ranges  # here: a run that reads no file never loads it
 
-    with open(path, "rb") as raw:
-        if not _ranges.read_ranges(raw, _read_jsonl_range, join):
-            with _text(raw) as text:
-                _read_jsonl(text, parts, skipped)
-
-
-def _text(raw) -> io.TextIOWrapper:
-    """The binary stream ``raw`` decoded as ``open(path, "r", encoding="utf-8",
-    errors="surrogateescape")`` decodes a file: LF, CRLF and CR end lines."""
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    _ranges.read_ranges(raw, _read_jsonl_range, join)
 
 
 def _line_of(index: int, skipped: List[int]) -> int:
@@ -633,11 +630,20 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     """Read and validate a prediction file into an :class:`EvaluationSet`.
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
-    before the file is opened.  One reader reads the file (for CSV, the
-    NumPy pass or else the row reader; a large file is split between forked
-    readers that read as one) up to its first fault, and one check of what
-    it read names the first malformed line in :class:`IngestError`.
+    before the file is opened.  The file is opened once, and a pipe first
+    copied to its end into a temporary file.  One reader reads the file
+    (for CSV, the NumPy pass or else the row reader; a large file is split
+    between forked readers that read as one) up to its first fault, and one
+    check of what it read names the first malformed line in :class:`IngestError`.
     """
+    return _ingest(path, fmt, class_count, digested=False)[0]
+
+
+def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, digested: bool = True):
+    """``(dataset, digest)``: :func:`ingest` of ``path``, and the ``sha256:``
+    digest of the bytes it read (``None`` unless ``digested``).  The digest
+    is taken from the open file before any reader reads it, so a file
+    replaced after the open is neither read nor digested."""
     path = Path(path)
     class_count = _checked_class_count(class_count)
     if fmt is None:
@@ -647,19 +653,41 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
 
     parts: List[tuple] = []  # the column arrays of the records read, in file order
     skipped: List[int] = []  # the record count at each line that starts no record
-    try:
-        if fmt == "jsonl":
-            _read_jsonl_file(path, parts, skipped)
-        elif not _read_csv_bulk(path, parts, skipped):
-            _read_csv(path, parts, skipped)
-    except _Fault as fault:
-        # A record rule broken on an earlier line is the first fault.
-        _checked_arrays(path, parts, class_count, skipped)
-        raise IngestError(f"{path}:{fault.line}: {fault.reason}") from None
+    with contextlib.ExitStack() as stack:
+        raw = stack.enter_context(open(path, "rb"))
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe, which only one pass can read
+            # here: imported at the top, they raised the peak RSS of every run by 2 MB
+            import shutil
+            import tempfile
+
+            spool = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(raw, spool)
+            spool.seek(0)  # flushes the copy; on macOS, /dev/fd/N shares this offset
+            raw = spool
+        digest = _digest(raw.fileno()) if digested else None
+        try:
+            if fmt == "jsonl":
+                _read_jsonl_file(raw, parts, skipped)
+            elif not _read_csv_bulk(raw, parts, skipped):
+                _read_csv(raw, parts, skipped)
+        except _Fault as fault:
+            # A record rule broken on an earlier line is the first fault.
+            _checked_arrays(path, parts, class_count, skipped)
+            where = path if fault.line is None else f"{path}:{fault.line}"
+            raise IngestError(f"{where}: {fault.reason}") from None
     arrays = _checked_arrays(path, parts, class_count, skipped)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
-    return EvaluationSet(*arrays, class_count=class_count, source_id=path.name)
+    return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
+
+
+def _digest(fd: int) -> str:
+    """``sha256:`` and the hex SHA-256 of the file open at ``fd``, read with ``os.pread``."""
+    digest, at = hashlib.sha256(), 0
+    while block := os.pread(fd, 1 << 16, at):
+        digest.update(block)
+        at += len(block)
+    return f"sha256:{digest.hexdigest()}"
 
 
 def write_predictions_csv(dataset: EvaluationSet, path) -> None:
@@ -676,14 +704,6 @@ def write_predictions_csv(dataset: EvaluationSet, path) -> None:
                 f"{t},{p},{c!r},{'' if math.isnan(r) else repr(r)}\n"
                 for t, p, c, r in zip(*columns, dataset.credit.tolist())
             )
-
-
-def file_digest(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return f"sha256:{digest.hexdigest()}"
 
 
 # --------------------------------------------------------------------------
@@ -831,8 +851,9 @@ def write_curve_csv(curve: Dict[str, list], path) -> None:
 def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional[float]]) -> str:
     """A minimal SVG line chart of metric value against threshold.
 
-    Hand-emitted SVG 1.1: axes, threshold ticks, one polyline (split at
-    undefined points).  No plotting dependency on purpose.
+    Hand-emitted SVG 1.1: axes, threshold ticks, and one polyline per run
+    of defined points, or a circle for a lone one.  No plotting dependency
+    on purpose.
     """
     from xml.sax.saxutils import escape  # here: it imports urllib.request, which would slow every start
 
@@ -899,23 +920,13 @@ def curve_svg(metric_name: str, taus: Sequence[float], values: Sequence[Optional
             f'font-size="10" text-anchor="end">{y_val:.3g}</text>'
         )
 
-    segment: List[str] = []
-    for tau, value in zip(taus, values):
-        if value is None:
-            if len(segment) > 1:
-                parts.append(
-                    f'<polyline points="{" ".join(segment)}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
-                )
-            segment = []
-            continue
-        segment.append(f"{sx(float(tau)):.2f},{sy(float(value)):.2f}")
-    if len(segment) > 1:
-        parts.append(
-            f'<polyline points="{" ".join(segment)}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
-        )
-    elif len(segment) == 1:
-        x, y = segment[0].split(",")
-        parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#1f6fb2"/>')
+    for undefined, run in groupby(zip(taus, values), key=lambda point: point[1] is None):
+        points = [f"{sx(float(tau)):.2f},{sy(float(value)):.2f}" for tau, value in run if not undefined]
+        if len(points) > 1:
+            parts.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
+        elif points:
+            x, y = points[0].split(",")
+            parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#1f6fb2"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

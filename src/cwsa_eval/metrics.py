@@ -128,16 +128,9 @@ def cwsa_generalized(dataset: EvaluationSet, tau: float) -> float:
     :func:`cwsa`.  Every retained record must carry a credit value.
     """
     tau = validate_threshold(tau)
-    if dataset.credit is None:
-        first = np.flatnonzero(dataset.confidence >= tau)
-        if first.size == 0:
-            return 0.0
-        raise ValueError(
-            f"record {int(first[0])}: credit required for graded scoring but absent"
-        )
-    retained, signed, first_missing = kernels.credit_accumulate(
-        dataset.confidence, dataset.credit, tau
-    )
+    # A set without a credit column is one whose every credit is absent (NaN).
+    credit = np.full(len(dataset), np.nan) if dataset.credit is None else dataset.credit
+    retained, signed, first_missing = kernels.credit_accumulate(dataset.confidence, credit, tau)
     if first_missing >= 0:
         raise ValueError(
             f"record {first_missing}: credit required for graded scoring but absent"

@@ -36,7 +36,7 @@ from cwsa_eval import (
 )
 from cwsa_eval import _ranges, cli, dataio, kernels
 from cwsa_eval.cli import main
-from cwsa_eval.dataio import dumps_report, file_digest, point_report_doc, sweep_report_doc
+from cwsa_eval.dataio import dumps_report, point_report_doc, sweep_report_doc
 from conftest import forced_split, splits
 
 
@@ -315,9 +315,9 @@ class TestBulkCsv:
         assert len(read) == (ending in ("\r", "mixed"))
         for lines, class_count in BLANK_LINE_FILES:
             _write_lines(path, lines, ending)
-            assert not dataio._read_csv_bulk(path, [], [])  # an empty line
+            assert not _opened(dataio._read_csv_bulk, path, [], [])  # an empty line
             parts, skipped = [], []
-            row_reader(path, parts, skipped)
+            _opened(row_reader, path, parts, skipped)
             with pytest.raises(IngestError) as direct:
                 dataio._checked_arrays(path, parts, class_count, skipped)
             read.clear()
@@ -341,7 +341,7 @@ class TestBulkCsv:
             else:
                 path.write_bytes(content.encode())
             bulk_parts, bulk_skipped = [], []
-            if not dataio._read_csv_bulk(path, bulk_parts, bulk_skipped):
+            if not _opened(dataio._read_csv_bulk, path, bulk_parts, bulk_skipped):
                 assert (bulk_parts, bulk_skipped) == ([], [])
                 with monkeypatch.context() as patched:
                     patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
@@ -353,7 +353,7 @@ class TestBulkCsv:
                 continue
             bulk_read += 1
             row_parts, row_skipped = [], []
-            dataio._read_csv(path, row_parts, row_skipped)
+            _opened(dataio._read_csv, path, row_parts, row_skipped)
             assert bulk_skipped == row_skipped == [0]
             (bulk,), (row,) = bulk_parts, row_parts
             for bulk_column, row_column in zip(bulk[:3], row[:3]):
@@ -392,19 +392,25 @@ def _small_blocks(monkeypatch, block):
     monkeypatch.setattr(_ranges, "_LF_SEARCH", min(block, _ranges._LF_SEARCH))
 
 
+def _opened(reader, path, *args):
+    """``reader(raw, *args)`` of the file at ``path`` open as ``raw``, as ``ingest`` passes it."""
+    with open(path, "rb") as raw:
+        return reader(raw, *args)
+
+
 def _count_row_reads(monkeypatch):
-    """Let ``dataio._read_csv`` note each path it reads in the list returned."""
+    """Let ``dataio._read_csv`` note the path of each file it reads in the list returned."""
     row_reader, read = dataio._read_csv, []
 
-    def counted_row_reader(path, *args):
-        read.append(path)
-        return row_reader(path, *args)
+    def counted_row_reader(raw, *args):
+        read.append(Path(raw.name))
+        return row_reader(raw, *args)
 
     monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
     return read
 
 
-def _no_bulk_pass(path, parts, skipped):
+def _no_bulk_pass(raw, parts, skipped):
     """A ``_read_csv_bulk`` that declines every file, so that the row reader reads it."""
     return False
 
@@ -810,7 +816,7 @@ class TestSplitCsv:
         assert read == [path] * 3
         with open(path, "rb") as raw:
             (cut,) = _ranges._line_cuts(raw, len(data), 2)
-            assert dataio._read_csv_range(path, (0, 1, 2), raw.fileno(), cut, len(data)) is None
+            assert dataio._read_csv_range((0, 1, 2), raw.fileno(), cut, len(data)) is None
 
 
 _FILLER = "0,1,0.5\n2,2,0.25\n" * 4
@@ -1003,16 +1009,17 @@ class TestSplitReaders:
         assert forks  # the same read forks once the thread is gone
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_is_read_by_one_reader(self):
+    def test_a_pipe_is_split_as_its_file_would_be(self):
+        data = (_VALID * 30).encode()
         read_end, write_end = os.pipe()
         try:
-            os.write(write_end, (_VALID * 30).encode())
+            os.write(write_end, data)
             os.close(write_end)
             with forced_split(2) as forks:
                 ds = ingest(f"/dev/fd/{read_end}", "jsonl")
         finally:
             os.close(read_end)
-        assert len(ds) == 30 and forks == []
+        assert len(ds) == 30 and bool(forks) == splits(data, 2)
 
     def test_no_fork_off_linux(self, tmp_path, monkeypatch):
         path = tmp_path / "p.jsonl"
@@ -1150,7 +1157,7 @@ class TestSplitCsvReaders:
         path = tmp_path / "p.csv"
         path.write_text(text)
         expected, row_lines = _ingest_outcome(path), []
-        dataio._read_csv(path, [], row_lines)
+        _opened(dataio._read_csv, path, [], row_lines)
         parsed, sizes = dataio._parsed, []
 
         def measured(name, *args):
@@ -1164,7 +1171,7 @@ class TestSplitCsvReaders:
         with forced_split(2) as forks:
             assert _ingest_outcome(path) == expected
             lines = []
-            assert dataio._read_csv_bulk(path, [], lines)
+            assert _opened(dataio._read_csv_bulk, path, [], lines)
         assert lines == row_lines == [0]  # the header's line alone starts no record
         assert forks and len(sizes) > 1
         assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
@@ -1209,7 +1216,7 @@ class TestSplitCsvReaders:
         (_CSV_ROWS + "\n0,0,1.5\n", r":43: confidence 1\.5 outside \[0, 1\]$"),
         (_CSV_ROWS.replace("\n", "\r"), None),
     ], ids=["lf", "fault", "cr"])
-    def test_a_pipe_is_read_once_by_the_row_reader(self, tmp_path, text, error):
+    def test_a_pipe_is_read_as_its_file_is(self, tmp_path, text, error):
         path = tmp_path / "p.csv"
         path.write_text(text, newline="")
         read_end, write_end = os.pipe()
@@ -1223,7 +1230,7 @@ class TestSplitCsvReaders:
                     outcome = str(exc)
         finally:
             os.close(read_end)
-        assert forks == []
+        assert bool(forks) == splits(text.encode(), 2, "csv")
         if error is None:
             assert outcome == _outcome(path)
         else:
@@ -1404,7 +1411,7 @@ class TestCliEvaluate:
         def no_ingest(*args):
             raise AssertionError("the input was read")
 
-        monkeypatch.setattr(cli, "ingest", no_ingest)
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
         assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"), "--tau", "1.5",
                         "--output", str(tmp_path / "r.json")]) == 1
         assert "threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
@@ -1413,7 +1420,7 @@ class TestCliEvaluate:
         def no_ingest(*args):
             raise AssertionError("the input was read")
 
-        monkeypatch.setattr(cli, "ingest", no_ingest)
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
         assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"),
                         "--grid", "0.5:0.9:inf", "--output", str(tmp_path / "r.json")]) == 1
         assert "step must be finite and positive, got inf" in capsys.readouterr().err
@@ -1422,7 +1429,7 @@ class TestCliEvaluate:
         def no_ingest(*args):
             raise AssertionError("the input was read")
 
-        monkeypatch.setattr(cli, "ingest", no_ingest)
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
         assert run_cli(["evaluate", "--input", str(tmp_path / "absent.csv"),
                         "--grid", "0.99999999999:0.99999999999:0.01",
                         "--output", str(tmp_path / "r.json")]) == 1
@@ -1455,20 +1462,143 @@ class TestCliStdin:
     def test_evaluate_reads_a_csv_from_stdin(self, tmp_path):
         pred = tmp_path / "p.csv"
         run_cli(["synth", "--kind", "calibrated", "--n", "500", "--seed", "3", "--output", str(pred)])
+        self._reads_as_the_file(tmp_path, pred, "csv")
+
+    def test_evaluate_reads_a_jsonl_from_stdin(self, tmp_path):
+        source = generate(ArchetypeSpec.for_kind("calibrated", n=500, seed=3))
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(_jsonl_text(
+            {"y_true": t, "y_pred": p, "confidence": c}
+            for t, p, c in zip(source.y_true.tolist(), source.y_pred.tolist(), source.confidence.tolist())
+        ))
+        self._reads_as_the_file(tmp_path, pred, "jsonl")
+
+    @staticmethod
+    def _reads_as_the_file(tmp_path, pred, fmt):
         assert run_cli(["evaluate", "--input", str(pred), "--tau", "0.7",
                         "--output", str(tmp_path / "file.json")]) == 0
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         piped = subprocess.run(
-            [sys.executable, "-m", "cwsa_eval.cli", "evaluate", "--input", "/dev/stdin", "--format", "csv",
+            [sys.executable, "-m", "cwsa_eval.cli", "evaluate", "--input", "/dev/stdin", "--format", fmt,
              "--tau", "0.7", "--output", str(tmp_path / "pipe.json")],
             input=pred.read_bytes(), env=env, capture_output=True, timeout=120,
         )
         assert piped.returncode == 0, piped.stderr.decode()
         docs = [json.loads((tmp_path / name).read_text()) for name in ("file.json", "pipe.json")]
-        for doc in docs:  # named after the input, and a pipe's digest is not yet of the bytes read
-            del doc["source_id"], doc["input_digest"]
+        for doc in docs:  # named after the input
+            del doc["source_id"]
         assert docs[0] == docs[1]
+        assert docs[1]["input_digest"] == "sha256:" + hashlib.sha256(pred.read_bytes()).hexdigest()
+
+
+# file name -> contents, for the NumPy CSV pass, the row reader and JSONL
+_ONE_OPEN_INPUTS = {
+    "bulk.csv": _CSV_ROWS,
+    "quoted.csv": _CSV_ROWS.replace("0,1,0.5", '"0",1,0.5'),
+    "p.jsonl": _VALID * 20 + '{"y_true": 1, "y_pred": 0, "confidence": 0.75}\n' * 20,
+}
+
+
+class TestOneOpen:
+    """``evaluate`` and ``compare`` open each input path once: the digest,
+    every reader and NumPy's parse read that one open file."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The paths given to ``open`` and to ``dataio._parsed``, as text."""
+        real_open, parsed = builtins.open, dataio._parsed
+        names = {"open": [], "parsed": []}
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                names["open"].append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def counted_parsed(name, *args):
+            names["parsed"].append(name)
+            return parsed(name, *args)
+
+        monkeypatch.setattr(builtins, "open", counted_open)
+        monkeypatch.setattr(dataio, "_parsed", counted_parsed)
+        return names
+
+    @pytest.mark.parametrize("name, workers", [
+        ("bulk.csv", 1), ("bulk.csv", 2), ("quoted.csv", 1), ("p.jsonl", 1), ("p.jsonl", 2),
+    ])
+    def test_evaluate_opens_its_input_once(self, tmp_path, opened, name, workers):
+        path = tmp_path / name
+        path.write_text(_ONE_OPEN_INPUTS[name])
+        with forced_split(workers) as forks:
+            assert run_cli(["evaluate", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+        assert len(forks) == workers - 1
+        assert opened["open"].count(str(path)) == 1
+        assert str(path) not in opened["parsed"]
+        assert bool(opened["parsed"]) == (name == "bulk.csv")
+
+    def test_compare_opens_each_input_once(self, tmp_path, opened):
+        paths = [tmp_path / name for name in _ONE_OPEN_INPUTS]
+        for path in paths:
+            path.write_text(_ONE_OPEN_INPUTS[path.name])
+        with forced_split(2) as forks:
+            assert run_cli(["compare", "--inputs", ",".join(map(str, paths)), "--by", "cwsa",
+                            "--output", str(tmp_path / "r.json")]) == 0
+        assert len(forks) == sum(splits(path.read_bytes(), 2, path.suffix[1:]) for path in paths)
+        assert [opened["open"].count(str(path)) for path in paths] == [1, 1, 1]
+        assert opened["parsed"] and not set(map(str, paths)) & set(opened["parsed"])
+
+    @pytest.mark.parametrize("name, workers", [("bulk.csv", 1), ("bulk.csv", 2), ("quoted.csv", 1), ("p.jsonl", 2)])
+    def test_a_file_replaced_after_the_open_is_neither_read_nor_digested(self, tmp_path, monkeypatch,
+                                                                          name, workers):
+        path = tmp_path / name
+        original = _ONE_OPEN_INPUTS[name].encode()
+        path.write_bytes(original)
+        with forced_split(workers):
+            assert run_cli(["evaluate", "--input", str(path), "--output", str(tmp_path / "file.json")]) == 0
+        other = tmp_path / "other"
+        other.write_bytes(_ONE_OPEN_INPUTS["p.jsonl" if name == "bulk.csv" else "bulk.csv"].encode())
+        real_open = builtins.open
+
+        def replacing_open(file, *args, **kwargs):
+            opened = real_open(file, *args, **kwargs)
+            if str(file) == str(path) and other.exists():
+                os.replace(other, path)
+            return opened
+
+        monkeypatch.setattr(builtins, "open", replacing_open)
+        with forced_split(workers):
+            assert run_cli(["evaluate", "--input", str(path), "--format", path.suffix[1:],
+                            "--output", str(tmp_path / "replaced.json")]) == 0
+        monkeypatch.undo()
+        assert path.read_bytes() != original
+        docs = [json.loads((tmp_path / name).read_text()) for name in ("file.json", "replaced.json")]
+        assert docs[0] == docs[1]
+        assert docs[1]["input_digest"] == "sha256:" + hashlib.sha256(original).hexdigest()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_ONE_OPEN_INPUTS))
+    def test_a_pipe_reports_as_its_file(self, tmp_path, name, workers):
+        path = tmp_path / name
+        path.write_text(_ONE_OPEN_INPUTS[name])
+        data, fmt = path.read_bytes(), path.suffix[1:]
+        with forced_split(workers):
+            assert run_cli(["evaluate", "--input", str(path), "--output", str(tmp_path / "file.json")]) == 0
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)  # less than a pipe's buffer
+            os.close(write_end)
+            with forced_split(workers) as forks:
+                assert run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
+                                "--output", str(tmp_path / "pipe.json")]) == 0
+        finally:
+            os.close(read_end)
+        assert bool(forks) == splits(data, workers, fmt)
+        docs = [json.loads((tmp_path / name).read_text()) for name in ("file.json", "pipe.json")]
+        assert docs[1]["source_id"] == str(read_end)
+        del docs[0]["source_id"], docs[1]["source_id"]
+        assert docs[0] == docs[1]
+        assert docs[1]["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 class TestCliSynthDeterminism:
@@ -1606,6 +1736,20 @@ class TestCliCurves:
         assert message in capsys.readouterr().err
         assert not outdir.exists() and not (tmp_path / "up.csv").exists()
 
+    @pytest.mark.parametrize("values, polylines, circles", [
+        ([None, 0.5, None, 0.6, 0.7], 1, 1),  # a lone point between undefined ones
+        ([0.4, 0.5, None, 0.6, None], 1, 1),
+        ([0.4, 0.5, None, None, 0.6], 1, 1),  # a lone point at the end
+        ([0.4, None, 0.5, None, 0.6], 0, 3),
+        ([0.4, 0.5, 0.6, 0.7, 0.8], 1, 0),
+        ([None] * 5, 0, 0),
+    ])
+    def test_each_run_of_defined_points_is_drawn(self, tmp_path, values, polylines, circles):
+        curve = {"tau": [0.1, 0.2, 0.3, 0.4, 0.5], "coverage": [1.0] * 5, "value": values}
+        dataio.write_curves({"report_type": "sweep", "curves": {"m": curve}}, tmp_path)
+        tags = [child.tag.rsplit("}", 1)[-1] for child in ET.fromstring((tmp_path / "m.svg").read_text())]
+        assert (tags.count("polyline"), tags.count("circle")) == (polylines, circles)
+
     def test_undefined_values_leave_gaps(self, tmp_path):
         pred = tmp_path / "p.csv"
         pred.write_text("y_true,y_pred,confidence\n0,0,0.6\n1,1,0.55\n")
@@ -1650,7 +1794,7 @@ class TestEvaluateDeterminism:
         out = tmp_path / "r.json"
         run_cli(["evaluate", "--input", str(pred), "--output", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["input_digest"] == file_digest(pred)
+        assert doc["input_digest"] == "sha256:" + hashlib.sha256(pred.read_bytes()).hexdigest()
         assert doc["input_digest"].startswith("sha256:")
 
 

@@ -3,8 +3,10 @@ engine that both file formats share, and the in-memory file that NumPy
 parses a CSV piece from in one other, ``dataio``.  The engine uses nothing
 of ``dataio`` and keeps no line-end rule, and ``dataio`` writes the
 ``file:line`` of an error in one place for a reader's fault and one for a
-record rule's."""
+record rule's.  ``dataio`` opens an input by path in one place, and the
+engine reads every file, one range or many, so it never declines one."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,16 @@ def test_the_range_engine_uses_no_dataio_and_no_line_end_rule():
 
 def test_one_file_line_format_per_fault_kind():
     assert (PACKAGE / "dataio.py").read_text().count('f"{path}:{') == 2
+
+
+def test_dataio_opens_an_input_by_path_in_one_place():
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    reads = [call for call in calls if not any(
+        isinstance(arg, ast.Constant) and "w" in str(arg.value) for arg in call.args[1:2])]
+    assert [ast.unparse(call.args[0]) for call in reads] == ["raw.fileno()", "path"]
+
+
+def test_the_range_engine_reads_every_file():
+    assert "return False" not in (PACKAGE / "_ranges.py").read_text()
