@@ -7,12 +7,12 @@ Formats
   LF, CRLF or CR line endings, cells optionally quoted as in the ``csv``
   module's default dialect.  An ASCII file without quotes or ``credit``
   whose every line ends in LF or CRLF and holds one record, so that it
-  has no empty line, is parsed by NumPy; a large one is split at line
-  starts into byte ranges, which forked readers parse at the same time.
-  Any other file (an empty line or a lone CR included) and every file
-  NumPy cannot parse is read by the row reader, whole.  One check of
-  either reader's columns names the first bad line.  The canonical output
-  format for synthetic sets.
+  has no empty line, is parsed by NumPy a piece at a time; a large one is
+  split at line starts into byte ranges, which forked readers parse at
+  the same time.  Any other file (an empty line or a lone CR included)
+  and every file NumPy cannot parse is read by the row reader in one
+  pass.  One check of either reader's columns names the first bad line.
+  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
@@ -23,9 +23,11 @@ Formats
 * Both formats split a file the same way (see :mod:`cwsa_eval._ranges`):
   one byte range per CPU, and the records, line numbers and faults of
   one reader of the whole file.
-* An input is opened once, and a pipe first copied to its end into a
-  temporary file.  Every reader, NumPy's parse and the digest read the one
-  descriptor, with ``os.pread`` or as ``/dev/fd/N``, so POSIX systems only.
+* An input is opened once.  A pipe's first line is checked, and the pipe
+  then copied to its end into a temporary file.  Every reader and the
+  digest read the one descriptor with ``os.pread``.  NumPy parses copies:
+  each piece of a CSV file is written to a temporary file that it reads
+  as ``/dev/fd/N``, so POSIX systems only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -42,7 +44,9 @@ import io
 import json
 import math
 import os
+import shutil
 import stat
+import tempfile
 import warnings
 from itertools import chain, groupby
 from pathlib import Path
@@ -76,6 +80,7 @@ _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
+_PIPE_HEAD = 1 << 20  # the most bytes of a pipe _spooled checks before it copies the rest
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -178,7 +183,6 @@ def _read_csv(raw, parts: List[tuple], skipped: List[int]) -> None:
     """Append the column arrays of the CSV file open as ``raw``, even when a fault stops the
     reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
-    raw.seek(0)  # on macOS, NumPy's parse of /dev/fd/N moved this offset
     # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
     with open(raw.fileno(), "r", encoding="utf-8-sig", errors="surrogateescape", newline="", closefd=False) as fh:
         reader = csv.reader(_utf8_lines(fh))
@@ -275,38 +279,28 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
 def _read_csv_range(usecols, fd: int, start: int, stop: int):
     """The records of bytes ``start`` to ``stop`` of a CSV file whose
     header names ``usecols`` and no ``credit``, parsed by NumPy into one
-    table, or ``None`` when :func:`_read_csv` must read the file.
+    table a piece, or ``None`` when :func:`_read_csv` must read the file.
 
     The range is taken a piece of about ``_SCAN_BLOCK`` bytes at a time,
     cut just past a LF.  A piece longer than ``_SCAN_BLOCK`` plus the csv
     field limit holds a line over the limit and is left unread; any other
     is read once, by one ``os.pread``, and :func:`_bulk_readable` counts
     its lines.  Each line after the file's first, the header, must be a
-    record: a table of any other length sends the file to :func:`_read_csv`.
+    record: a table of any other length sends the file to :func:`_read_csv`,
+    and a piece of the header alone gives no table.
 
-    Since only a name reaches ``np.loadtxt``'s fast reader, a range of the
-    whole file is then parsed from the open file by the name ``/dev/fd/N``,
-    and the pieces of any other range are each copied to an in-memory file
-    that NumPy parses by name; that file holds one piece at a time.  The
-    pieces' tables are joined into one, which leaves their memory to later
-    allocations; kept apart, they raised the peak RSS of a whole
-    ``evaluate`` by 3 MB.
+    Since only a name reaches ``np.loadtxt``'s fast reader, each piece is
+    copied to one temporary file, which holds one piece at a time, and
+    parsed by the name ``/dev/fd/N``.
     """
     from . import _ranges
 
-    header = int(start == 0)
-    whole = header and stop == os.fstat(fd).st_size
-    lines = 0  # in the pieces scanned so far
     tables: List[np.ndarray] = []
-    with contextlib.ExitStack() as stack:
-        if whole:
-            name = f"/dev/fd/{fd}"
-        else:
-            try:
-                copy = stack.enter_context(os.fdopen(os.memfd_create("cwsa-eval-csv"), "wb"))
-            except OSError:
-                return None
-            name = f"/proc/self/fd/{copy.fileno()}"
+    try:
+        copy = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    with copy:
         while start < stop:
             end = _ranges._past_lf(fd, start + _SCAN_BLOCK, stop)
             if end - start > _SCAN_BLOCK + csv.field_size_limit():  # its last line is over the limit
@@ -315,21 +309,18 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
             count = _bulk_readable(piece)
             if count is None or len(piece) < end - start:  # a short read, as of a piece over 2 GiB
                 return None
-            lines += count
-            if not whole:
+            header = int(start == 0)
+            if count > header:
                 copy.seek(0)
                 copy.truncate()
                 copy.write(piece)
-                copy.flush()
-                if (table := _parsed(name, usecols, int(start == 0))) is None:
+                copy.seek(0)  # flushes the piece; on macOS, /dev/fd/N shares this offset
+                table = _parsed(f"/dev/fd/{copy.fileno()}", usecols, header)
+                if table is None or len(table) != count - header:
                     return None
                 tables.append(table)
             start = end
-    if whole:
-        if (table := _parsed(name, usecols, 1)) is None:
-            return None
-        tables.append(table)
-    return np.concatenate(tables) if sum(map(len, tables)) == lines - header else None
+    return tables or None
 
 
 class _NotBulk(Exception):
@@ -342,15 +333,15 @@ def _read_csv_bulk(raw, parts: List[tuple], skipped: List[int]) -> bool:
     to ``skipped``, as :func:`_read_csv` does: each line after the header
     holds one record, so record ``i`` sits on line ``i + 2``.  The file is
     parsed by :func:`_read_csv_range`, a large one in byte ranges at the
-    same time (see :mod:`cwsa_eval._ranges`), one part a range.  ``False``,
+    same time (see :mod:`cwsa_eval._ranges`), one part a piece.  ``False``,
     with nothing appended, when :func:`_read_csv` must read the file: its
     header is not one NumPy can take, or NumPy cannot parse one of its ranges."""
     tables: List[np.ndarray] = []
 
-    def join(table) -> None:
-        if table is None:
+    def join(range_tables) -> None:
+        if range_tables is None:
             raise _NotBulk
-        tables.append(table)
+        tables.extend(range_tables)
 
     from . import _ranges  # here: a run that reads no file never loads it
 
@@ -630,11 +621,12 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     """Read and validate a prediction file into an :class:`EvaluationSet`.
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
-    before the file is opened.  The file is opened once, and a pipe first
-    copied to its end into a temporary file.  One reader reads the file
-    (for CSV, the NumPy pass or else the row reader; a large file is split
-    between forked readers that read as one) up to its first fault, and one
-    check of what it read names the first malformed line in :class:`IngestError`.
+    before the file is opened.  The file is opened once, and a pipe, once
+    its first line is checked, copied to its end into a temporary file.
+    One reader reads the file (for CSV, the NumPy pass or else the row
+    reader; a large file is split between forked readers that read as one)
+    up to its first fault, and one check of what it read names the first
+    malformed line in :class:`IngestError`.
     """
     return _ingest(path, fmt, class_count, digested=False)[0]
 
@@ -655,30 +647,59 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
     skipped: List[int] = []  # the record count at each line that starts no record
     with contextlib.ExitStack() as stack:
         raw = stack.enter_context(open(path, "rb"))
-        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe, which only one pass can read
-            # here: imported at the top, they raised the peak RSS of every run by 2 MB
-            import shutil
-            import tempfile
-
-            spool = stack.enter_context(tempfile.TemporaryFile())
-            shutil.copyfileobj(raw, spool)
-            spool.seek(0)  # flushes the copy; on macOS, /dev/fd/N shares this offset
-            raw = spool
-        digest = _digest(raw.fileno()) if digested else None
         try:
+            if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe, which only one pass can read
+                raw = _spooled(raw, fmt, stack.enter_context(tempfile.TemporaryFile()), parts, skipped)
+            digest = _digest(raw.fileno()) if digested else None
             if fmt == "jsonl":
                 _read_jsonl_file(raw, parts, skipped)
             elif not _read_csv_bulk(raw, parts, skipped):
                 _read_csv(raw, parts, skipped)
         except _Fault as fault:
-            # A record rule broken on an earlier line is the first fault.
-            _checked_arrays(path, parts, class_count, skipped)
+            if parts:  # a record rule broken on an earlier line is the first fault
+                _checked_arrays(path, parts, class_count, skipped)
             where = path if fault.line is None else f"{path}:{fault.line}"
             raise IngestError(f"{where}: {fault.reason}") from None
     arrays = _checked_arrays(path, parts, class_count, skipped)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
+
+
+def _spooled(pipe, fmt: str, spool, parts: List[tuple], skipped: List[int]):
+    """``spool``, a temporary file, rewound once it holds all of ``pipe``.
+
+    First the pipe's first line is read and checked as the reader checks
+    it, so that a producer of endless bad lines ends in its fault and does
+    not fill the disk: a CSV header, when the line is complete and holds
+    no quote, by :func:`_csv_columns`, and for JSONL the lines up to the
+    first that is not blank, by :func:`_read_jsonl`, which appends to
+    ``parts`` and ``skipped`` only when it raises.  At most ``_PIPE_HEAD``
+    bytes are read for the check; a line that goes on past them is left
+    unchecked.
+    """
+    head: List[bytes] = []
+    size = 0
+    while True:
+        line = pipe.readline(_PIPE_HEAD - size)
+        head.append(line)
+        size += len(line)
+        if fmt == "csv" or line.strip() or not line.endswith(b"\n"):
+            break
+    data = b"".join(head)
+    if data.endswith(b"\n") or size < _PIPE_HEAD:  # else the last line goes on past the bound
+        if fmt == "jsonl":
+            _read_jsonl(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"), parts, skipped)
+            parts.clear()
+            skipped.clear()
+        elif b'"' not in data:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="surrogateescape", newline="")
+            with contextlib.suppress(csv.Error):  # the row reader names it
+                _csv_columns(next(csv.reader(_utf8_lines(text)), None))
+    spool.write(data)
+    shutil.copyfileobj(pipe, spool)
+    spool.seek(0)  # flushes the copy, which os.pread then reads
+    return spool
 
 
 def _digest(fd: int) -> str:

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -355,10 +356,11 @@ class TestBulkCsv:
             row_parts, row_skipped = [], []
             _opened(dataio._read_csv, path, row_parts, row_skipped)
             assert bulk_skipped == row_skipped == [0]
-            (bulk,), (row,) = bulk_parts, row_parts
-            for bulk_column, row_column in zip(bulk[:3], row[:3]):
-                assert bulk_column.tolist() == row_column.tolist()
-            assert bulk[3] is None and np.isnan(row[3]).all()
+            (row,) = row_parts
+            *bulk, bulk_credit = zip(*bulk_parts)  # one part a piece
+            for bulk_column, row_column in zip(bulk, row[:3]):
+                assert np.concatenate(bulk_column).tolist() == row_column.tolist()
+            assert set(bulk_credit) == {None} and np.isnan(row[3]).all()
         # crlf.csv, and the files without empty lines at LF and CRLF endings
         assert bulk_read == 1 + len(BLANK_LINE_FILES) * (ending in ("\n", "\r\n"))
 
@@ -415,10 +417,10 @@ def _no_bulk_pass(raw, parts, skipped):
     return False
 
 
-def _outcome(path):
+def _outcome(path, fmt=None):
     """The columns ``ingest`` reads from ``path``, or the text of its error."""
     try:
-        return _outcome_of(ingest(path))
+        return _outcome_of(ingest(path, fmt))
     except IngestError as exc:
         return str(exc)
 
@@ -1134,15 +1136,15 @@ class TestSplitCsvReaders:
         assert len(forks) == len(statuses) == 2
         assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL for status in statuses)
 
-    def test_without_an_in_memory_file_the_row_reader_reads_the_file(self, tmp_path, monkeypatch):
+    def test_without_a_scratch_file_the_row_reader_reads_the_file(self, tmp_path, monkeypatch):
         path = tmp_path / "p.csv"
         path.write_text(_CSV_ROWS)
         expected = _ingest_outcome(path)
 
-        def no_memfd(*args):
-            raise OSError(errno.ENOSYS, "memfd_create")
+        def no_scratch_file(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "TemporaryFile")
 
-        monkeypatch.setattr(os, "memfd_create", no_memfd)
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_scratch_file)
         read = _count_row_reads(monkeypatch)
         with forced_split(2) as forks:
             assert _ingest_outcome(path) == expected
@@ -1153,7 +1155,8 @@ class TestSplitCsvReaders:
         # later pieces follow the fault, whose line is found from the joined tables
         _CSV_HEADER + "0,1,0.5\n2,2,0.25\n0,0,1.5\n" + _CSV_ROWS[len(_CSV_HEADER):],
     ], ids=["clean", "fault_in_first_piece"])
-    def test_the_in_memory_file_holds_one_piece_at_a_time(self, tmp_path, monkeypatch, text):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_scratch_file_holds_one_piece_at_a_time(self, tmp_path, monkeypatch, text, workers):
         path = tmp_path / "p.csv"
         path.write_text(text)
         expected, row_lines = _ingest_outcome(path), []
@@ -1161,19 +1164,19 @@ class TestSplitCsvReaders:
         parsed, sizes = dataio._parsed, []
 
         def measured(name, *args):
-            if name.startswith("/proc/self/fd/"):  # the in-memory file, in this process
-                sizes.append(os.stat(name).st_size)
+            assert not os.path.samefile(name, path)  # a copy of the piece, not the input
+            sizes.append(os.stat(name).st_size)  # in this process
             return parsed(name, *args)
 
         _small_blocks(monkeypatch, 64)
         monkeypatch.setattr(dataio, "_parsed", measured)
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
-        with forced_split(2) as forks:
+        with forced_split(workers) as forks:
             assert _ingest_outcome(path) == expected
             lines = []
             assert _opened(dataio._read_csv_bulk, path, [], lines)
         assert lines == row_lines == [0]  # the header's line alone starts no record
-        assert forks and len(sizes) > 1
+        assert bool(forks) == (workers > 1) and len(sizes) > 1
         assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
 
     @pytest.mark.parametrize("limit", [sys.maxsize, 1 << 31])
@@ -1492,6 +1495,104 @@ class TestCliStdin:
         assert docs[1]["input_digest"] == "sha256:" + hashlib.sha256(pred.read_bytes()).hexdigest()
 
 
+def _feed(write_end, data, repeat=1):
+    """Write ``data`` ``repeat`` times into the pipe ``write_end``, or until
+    its reader closes it, and close it; returns the thread that writes."""
+
+    def feed():
+        try:
+            for _ in range(repeat):
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(write_end, view):]
+        except BrokenPipeError:  # EPIPE: the reader closed the pipe
+            pass
+        finally:
+            os.close(write_end)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    return thread
+
+
+def _piped_outcome(data, fmt):
+    """:func:`_outcome` of ``data`` written into a pipe, with the pipe's name
+    in an error's text replaced by ``<input>``."""
+    read_end, write_end = os.pipe()
+    thread = _feed(write_end, data)
+    try:
+        outcome = _outcome(f"/dev/fd/{read_end}", fmt)
+    finally:
+        os.close(read_end)
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    return outcome.replace(f"/dev/fd/{read_end}", "<input>") if isinstance(outcome, str) else outcome
+
+
+# file name -> contents whose first lines a pipe's check reads, most of them bad
+_PIPE_HEAD_FILES = {
+    "empty.csv": b"",
+    "no_header.csv": b"0,0,0.5\n0,1,0.5\n",
+    "bom_short_header.csv": b"\xef\xbb\xbfy_true,y_pred\n0,0\n",
+    "not_utf8_header.csv": b"y_true,y_pred,confidence\xff\n0,0,0.5\n",
+    "cr_header.csv": b"y_true,y_pred\rconfidence\n0,0,0.5\n",
+    "nul_header.csv": b"y_true,y_pred,confidence\x00\n0,0,0.5\n",
+    "not_json.jsonl": b"y\n" * 50,
+    "blank_then_bad.jsonl": b"\n  \n\r\n\t\n[1]\n",
+    "cr_lines.jsonl": b'{"y_true":0,"y_pred":0,"confidence":1.5}\r{"y_true":0}\n',
+    "blank_then_late_fault.jsonl": b"\n \n" + _VALID.encode() * 3 + b"[1]\n",
+}
+# file name -> contents, each read from a pipe as from its file
+_PIPED_FILES = {
+    **{name: content for name, (content, _) in {**MALFORMED_FILES, **ACCEPTED_FILES}.items()},
+    **ACCEPTED_JSONL_FILES,
+    **_PIPE_HEAD_FILES,
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipeHead:
+    """A pipe's first line is checked before the rest is copied, so that an
+    endless producer of bad lines fails at once, and a pipe fails as its
+    file fails, with the same text."""
+
+    @pytest.mark.parametrize("fmt, error", [
+        ("csv", r"<input>: missing required column 'y_true'"),
+        ("jsonl", r"<input>:1: invalid JSON \(Expecting value\)"),
+    ])
+    def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, error):
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda: tempfile.NamedTemporaryFile(dir=spools, delete=False))
+        read_end, write_end = os.pipe()
+        # as `yes` writes, until EPIPE; the bound only keeps a failing run from filling the disk
+        thread = _feed(write_end, b"y\n" * 4096, repeat=64 * dataio._PIPE_HEAD // 8192)
+        try:
+            status = run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
+                              "--tau", "0.7", "--output", str(tmp_path / "r.json")])
+        finally:
+            os.close(read_end)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert status == 1
+        assert re.search(error, capsys.readouterr().err.replace(f"/dev/fd/{read_end}", "<input>"))
+        sizes = [spool.stat().st_size for spool in spools.iterdir()]
+        assert sizes and max(sizes) <= dataio._PIPE_HEAD
+
+    @pytest.mark.parametrize("head", [1 << 20, 16, 1], ids=["default", "16", "1"])
+    @pytest.mark.parametrize("name", list(_PIPED_FILES))
+    def test_a_pipe_reads_as_its_file(self, tmp_path, monkeypatch, name, head):
+        content = _PIPED_FILES[name]
+        data = content if isinstance(content, bytes) else content.encode()
+        path = tmp_path / name
+        path.write_bytes(data)
+        expected = _outcome(path)
+        monkeypatch.setattr(dataio, "_PIPE_HEAD", head)
+        outcome = _piped_outcome(data, path.suffix[1:])
+        assert outcome == (expected.replace(str(path), "<input>") if isinstance(expected, str) else expected)
+
+
 # file name -> contents, for the NumPy CSV pass, the row reader and JSONL
 _ONE_OPEN_INPUTS = {
     "bulk.csv": _CSV_ROWS,
@@ -1546,6 +1647,49 @@ class TestOneOpen:
         assert len(forks) == sum(splits(path.read_bytes(), 2, path.suffix[1:]) for path in paths)
         assert [opened["open"].count(str(path)) for path in paths] == [1, 1, 1]
         assert opened["parsed"] and not set(map(str, paths)) & set(opened["parsed"])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numpy_parses_no_name_of_the_input(self, tmp_path, monkeypatch, piped, workers):
+        path = tmp_path / "bulk.csv"
+        path.write_text(_ONE_OPEN_INPUTS["bulk.csv"])
+        expected = _outcome(path)
+        log = tmp_path / "files"  # "role device inode" of each file read, from any process
+        bulk, parsed = dataio._read_csv_bulk, dataio._parsed
+
+        def noted(role, st):
+            with open(log, "a") as out:
+                out.write(f"{role} {st.st_dev} {st.st_ino}\n")
+
+        def noted_bulk(raw, *args):
+            noted("input", os.fstat(raw.fileno()))  # the file, or the spool of the pipe
+            return bulk(raw, *args)
+
+        def noted_parsed(name, *args):
+            noted("parsed", os.stat(name))
+            return parsed(name, *args)
+
+        monkeypatch.setattr(dataio, "_read_csv_bulk", noted_bulk)
+        monkeypatch.setattr(dataio, "_parsed", noted_parsed)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        read_end, write_end = os.pipe()
+        try:
+            if piped:
+                os.write(write_end, path.read_bytes())  # less than a pipe's buffer
+            os.close(write_end)
+            with forced_split(workers) as forks:
+                outcome = _outcome_of(ingest(f"/dev/fd/{read_end}" if piped else path, "csv"))
+        finally:
+            os.close(read_end)
+        assert outcome == expected
+        assert len(forks) == workers - 1
+        files = {"input": set(), "parsed": set()}
+        for entry in log.read_text().splitlines():
+            role, *identity = entry.split()
+            files[role].add(tuple(identity))
+        assert len(files["input"]) == 1 and files["parsed"]
+        assert not files["input"] & files["parsed"]
 
     @pytest.mark.parametrize("name, workers", [("bulk.csv", 1), ("bulk.csv", 2), ("quoted.csv", 1), ("p.jsonl", 2)])
     def test_a_file_replaced_after_the_open_is_neither_read_nor_digested(self, tmp_path, monkeypatch,

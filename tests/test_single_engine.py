@@ -1,10 +1,11 @@
 """The fork, kill and reap code of ingest lives in one module, the range
-engine that both file formats share, and the in-memory file that NumPy
-parses a CSV piece from in one other, ``dataio``.  The engine uses nothing
-of ``dataio`` and keeps no line-end rule, and ``dataio`` writes the
-``file:line`` of an error in one place for a reader's fault and one for a
-record rule's.  ``dataio`` opens an input by path in one place, and the
-engine reads every file, one range or many, so it never declines one."""
+engine that both file formats share, and the temporary file that NumPy
+parses each CSV piece from in one other, ``dataio``, which names no
+Linux-only file.  The engine uses nothing of ``dataio`` and keeps no
+line-end rule, and ``dataio`` writes the ``file:line`` of an error in one
+place for a reader's fault and one for a record rule's.  ``dataio`` opens
+an input by path in one place, and the engine reads every file, one range
+or many, so it never declines one."""
 
 import ast
 from pathlib import Path
@@ -22,9 +23,14 @@ def test_one_module_forks_and_kills(needle):
     assert [path.name for path in SOURCES if needle in path.read_text()] == ["_ranges.py"]
 
 
-@pytest.mark.parametrize("needle", ["memfd_create", "/proc/self/fd/"])
-def test_one_module_makes_an_in_memory_file(needle):
+@pytest.mark.parametrize("needle", ["TemporaryFile(", "np.loadtxt"])
+def test_one_module_makes_a_scratch_file_for_numpy(needle):
     assert [path.name for path in SOURCES if needle in path.read_text()] == ["dataio.py"]
+
+
+@pytest.mark.parametrize("needle", ["memfd_create", "/proc/self/fd/"])
+def test_no_module_makes_a_linux_only_file(needle):
+    assert [path.name for path in SOURCES if needle in path.read_text()] == []
 
 
 def test_the_range_engine_uses_no_dataio_and_no_line_end_rule():
