@@ -5,13 +5,13 @@ CPU the process may run on, at most one per ``_SPLIT_BYTES``, and reads
 the ranges with a range reader the format passes in: the calling process
 reads the first, and a forked child reads each other and pickles its
 result back through a pipe.  A small file is one range, read in the
-calling process.  The format then joins the results in file order.  Each
-reader reads its own bytes of the one open file with ``os.pread``, so
-readers share no file offset, and reads no byte before its range: it
-numbers its own lines from 1, and the format's join adds the lines of
-the ranges before.  So the engine knows no line end but the LF it cuts
-after.  JSONL ranges are decoded and CSV ranges parsed by NumPy; both
-hold the interpreter lock, so threads could not share the reading.
+calling process.  ``dataio`` joins the results in file order, in one join
+for both formats.  Each reader reads its own bytes of the one open file
+with ``os.pread``, so readers share no file offset, and reads no byte
+before its range: it numbers its own lines from 1, and the join adds the
+lines of the ranges before.  So the engine knows no line end but the LF
+it cuts after.  JSONL ranges are decoded and CSV ranges parsed by NumPy;
+both hold the interpreter lock, so threads could not share the reading.
 
 Forking is safe only in a process running one thread, so off Linux and
 beside a second thread a file is one range.  The file must be a regular
@@ -38,8 +38,8 @@ _DIED = object()  # the result of a child that sent less than its whole result
 
 
 class _ByteWindow(io.RawIOBase):
-    """Bytes ``start`` to ``stop`` of the file open at ``fd``, read with
-    ``os.pread``, so that readers sharing ``fd`` share no file offset."""
+    """Bytes ``start`` to ``stop`` of the file open at ``fd`` (a JSONL range, or all
+    of a CSV file), read with ``os.pread``, so that readers share no file offset."""
 
     def __init__(self, fd: int, start: int, stop: int) -> None:
         self._fd, self._at, self._stop = fd, start, stop

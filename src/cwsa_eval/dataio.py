@@ -20,14 +20,14 @@ Formats
   columns a chunk at a time, and any other record cell by cell in the
   same pass, under the same rules.  A large file is split at line
   starts into byte ranges, which forked readers read at the same time.
-* Both formats split a file the same way (see :mod:`cwsa_eval._ranges`):
-  one byte range per CPU, and the records, line numbers and faults of
-  one reader of the whole file.
+* Both formats split a file the same way (see :mod:`cwsa_eval._ranges`)
+  into one byte range per CPU, and one join gives the records, line
+  numbers and faults of one reader of the whole file.
 * An input is opened once.  A pipe's first line is checked, and the pipe
-  then copied to its end into a temporary file.  Every reader and the
-  digest read the one descriptor with ``os.pread``.  NumPy parses copies:
-  each piece of a CSV file is written to a temporary file that it reads
-  as ``/dev/fd/N``, so POSIX systems only.
+  then copied to its end into a temporary file.  Every reader, the row
+  reader included, and the digest read the one descriptor by ``os.pread``,
+  none at its offset.  NumPy parses copies: each piece of a CSV file is
+  written to a temporary file read as ``/dev/fd/N``, so POSIX only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -179,37 +179,49 @@ def _csv_columns(header: Optional[List[str]]):
     return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
 
 
+def _csv_rows(fd: int):
+    """``(line, row)`` of each row of the CSV file open at ``fd``, read from byte 0 with ``os.pread``:
+    ``line`` is the row's last line.  A row the ``csv`` module cannot read raises :class:`_Fault`."""
+    from . import _ranges
+
+    window = io.BufferedReader(_ranges._ByteWindow(fd, 0, os.fstat(fd).st_size))
+    # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
+    with io.TextIOWrapper(window, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+        reader = csv.reader(_utf8_lines(text))
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
+
+
 def _read_csv(raw, parts: List[tuple], skipped: List[int]) -> None:
     """Append the column arrays of the CSV file open as ``raw``, even when a fault stops the
     reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
-    # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
-    with open(raw.fileno(), "r", encoding="utf-8-sig", errors="surrogateescape", newline="", closefd=False) as fh:
-        reader = csv.reader(_utf8_lines(fh))
-        try:
-            i_true, i_pred, i_conf, i_credit = _csv_columns(next(reader, None))
-            width = max(i_true, i_pred, i_conf) + 1
-            end = reader.line_num  # the last line of the row read before
-            skipped.extend([0] * end)  # the header's lines
-            for row in reader:
-                line_no, end = end + 1, reader.line_num
-                skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
-                if not row:
-                    skipped.append(len(y_true))
-                    continue
-                if len(row) < width:
-                    raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
-                t = _label(row[i_true], "y_true", line_no)
-                p = _label(row[i_pred], "y_pred", line_no)
-                c = _number(row[i_conf], "confidence", line_no)
-                given = 0 <= i_credit < len(row) and row[i_credit].strip()
-                r = _credit(row[i_credit], line_no) if given else None
-                for column, value in zip(columns, (t, p, c, r)):
-                    column.append(value)
-        except csv.Error as exc:
-            raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
-        finally:
-            parts.append(_column_arrays(columns))
+    rows = _csv_rows(raw.fileno())
+    try:
+        end, header = next(rows, (0, None))  # end: the last line of the row read before
+        i_true, i_pred, i_conf, i_credit = _csv_columns(header)
+        width = max(i_true, i_pred, i_conf) + 1
+        skipped.extend([0] * end)  # the header's lines
+        for last, row in rows:
+            line_no, end = end + 1, last
+            skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
+            if not row:
+                skipped.append(len(y_true))
+                continue
+            if len(row) < width:
+                raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
+            t = _label(row[i_true], "y_true", line_no)
+            p = _label(row[i_pred], "y_pred", line_no)
+            c = _number(row[i_conf], "confidence", line_no)
+            given = 0 <= i_credit < len(row) and row[i_credit].strip()
+            r = _credit(row[i_credit], line_no) if given else None
+            for column, value in zip(columns, (t, p, c, r)):
+                column.append(value)
+    finally:
+        parts.append(_column_arrays(columns))
 
 
 def _bulk_readable(piece: bytes) -> Optional[int]:
@@ -277,9 +289,10 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
 
 
 def _read_csv_range(usecols, fd: int, start: int, stop: int):
-    """The records of bytes ``start`` to ``stop`` of a CSV file whose
-    header names ``usecols`` and no ``credit``, parsed by NumPy into one
-    table a piece, or ``None`` when :func:`_read_csv` must read the file.
+    """``(parts, skipped, None)`` of bytes ``start`` to ``stop`` of a CSV file
+    whose header names ``usecols`` and no ``credit``: one part a piece,
+    parsed by NumPy, and in the file's first range the header's record
+    count 0.  ``None`` when :func:`_read_csv` must read the file.
 
     The range is taken a piece of about ``_SCAN_BLOCK`` bytes at a time,
     cut just past a LF.  A piece longer than ``_SCAN_BLOCK`` plus the csv
@@ -287,7 +300,7 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
     is read once, by one ``os.pread``, and :func:`_bulk_readable` counts
     its lines.  Each line after the file's first, the header, must be a
     record: a table of any other length sends the file to :func:`_read_csv`,
-    and a piece of the header alone gives no table.
+    and so does a range that gives no table, such as the header alone.
 
     Since only a name reaches ``np.loadtxt``'s fast reader, each piece is
     copied to one temporary file, which holds one piece at a time, and
@@ -295,7 +308,7 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
     """
     from . import _ranges
 
-    tables: List[np.ndarray] = []
+    parts, skipped = [], [0] if start == 0 else []  # the header's line starts no record
     try:
         copy = tempfile.TemporaryFile()
     except OSError:
@@ -318,42 +331,18 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
                 table = _parsed(f"/dev/fd/{copy.fileno()}", usecols, header)
                 if table is None or len(table) != count - header:
                     return None
-                tables.append(table)
+                parts.append((table["y_true"], table["y_pred"], table["confidence"], None))
             start = end
-    return tables or None
-
-
-class _NotBulk(Exception):
-    """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
+    return (parts, skipped, None) if parts else None
 
 
 def _read_csv_bulk(raw, parts: List[tuple], skipped: List[int]) -> bool:
-    """Append ``(y_true, y_pred, confidence, None)`` of the CSV file open as
-    ``raw``, parsed by NumPy, to ``parts``, and the header's record count 0
-    to ``skipped``, as :func:`_read_csv` does: each line after the header
-    holds one record, so record ``i`` sits on line ``i + 2``.  The file is
-    parsed by :func:`_read_csv_range`, a large one in byte ranges at the
-    same time (see :mod:`cwsa_eval._ranges`), one part a piece.  ``False``,
-    with nothing appended, when :func:`_read_csv` must read the file: its
-    header is not one NumPy can take, or NumPy cannot parse one of its ranges."""
-    tables: List[np.ndarray] = []
-
-    def join(range_tables) -> None:
-        if range_tables is None:
-            raise _NotBulk
-        tables.extend(range_tables)
-
-    from . import _ranges  # here: a run that reads no file never loads it
-
-    if (usecols := _bulk_columns(raw.fileno())) is None:
-        return False
-    try:
-        _ranges.read_ranges(raw, functools.partial(_read_csv_range, usecols), join)
-    except _NotBulk:
-        return False
-    parts.extend((table["y_true"], table["y_pred"], table["confidence"], None) for table in tables)
-    skipped.append(0)
-    return True
+    """Read the CSV file open as ``raw`` as :func:`_read_csv` does, by
+    :func:`_read_csv_range` and :func:`_read_ranges`.  ``False``, with
+    nothing appended, when :func:`_read_csv` must read it: NumPy cannot
+    take its header (see :func:`_bulk_columns`) or parse one of its ranges."""
+    usecols = _bulk_columns(raw.fileno())
+    return usecols is not None and _read_ranges(raw, functools.partial(_read_csv_range, usecols), parts, skipped)
 
 
 def _reduce_probs(probs: object, confidence: object, line_no: int):
@@ -560,8 +549,7 @@ def _read_jsonl_range(fd: int, start: int, stop: int):
     ``None``, counts lines from the range's first."""
     from . import _ranges
 
-    parts: List[tuple] = []
-    skipped: List[int] = []
+    parts, skipped = [], []
     window = io.BufferedReader(_ranges._ByteWindow(fd, start, stop))
     try:
         # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
@@ -572,15 +560,22 @@ def _read_jsonl_range(fd: int, start: int, stop: int):
     return parts, skipped, None
 
 
-def _read_jsonl_file(raw, parts: List[tuple], skipped: List[int]) -> None:
-    """Read the JSONL file open as ``raw`` with :func:`_read_jsonl_range`, a
-    large one in byte ranges at the same time (see :mod:`cwsa_eval._ranges`).
-    The ranges join in file order up to the first that reports a fault,
-    which is raised, so ``parts``, ``skipped`` and the fault's line are
-    those of one reader of the whole file: each line of a range joined
-    before holds a record or a ``skipped`` entry."""
+class _NotBulk(Exception):
+    """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
+
+
+def _read_ranges(raw, read_range, parts: List[tuple], skipped: List[int]) -> bool:
+    """Read the regular file open as ``raw`` with ``read_range``, a large one in
+    byte ranges at the same time (see :mod:`cwsa_eval._ranges`), and join
+    each range's ``(parts, skipped, fault)`` in file order into ``parts`` and
+    ``skipped``, which start empty, adding the records and lines read
+    before to its ``skipped`` and to its fault's line, which is raised: so
+    they are those of one reader of the whole file.  ``False``, with nothing
+    appended, when a range's result is ``None``."""
 
     def join(result) -> None:
+        if result is None:
+            raise _NotBulk
         range_parts, range_skipped, fault = result
         records = sum(len(part[0]) for part in parts)
         lines = records + len(skipped)
@@ -591,7 +586,13 @@ def _read_jsonl_file(raw, parts: List[tuple], skipped: List[int]) -> None:
 
     from . import _ranges  # here: a run that reads no file never loads it
 
-    _ranges.read_ranges(raw, _read_jsonl_range, join)
+    try:
+        _ranges.read_ranges(raw, read_range, join)
+    except _NotBulk:
+        parts.clear()
+        skipped.clear()
+        return False
+    return True
 
 
 def _line_of(index: int, skipped: List[int]) -> int:
@@ -652,7 +653,7 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
                 raw = _spooled(raw, fmt, stack.enter_context(tempfile.TemporaryFile()), parts, skipped)
             digest = _digest(raw.fileno()) if digested else None
             if fmt == "jsonl":
-                _read_jsonl_file(raw, parts, skipped)
+                _read_ranges(raw, _read_jsonl_range, parts, skipped)
             elif not _read_csv_bulk(raw, parts, skipped):
                 _read_csv(raw, parts, skipped)
         except _Fault as fault:
@@ -667,38 +668,35 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
 
 
 def _spooled(pipe, fmt: str, spool, parts: List[tuple], skipped: List[int]):
-    """``spool``, a temporary file, rewound once it holds all of ``pipe``.
+    """``spool``, a temporary file, flushed once it holds all of ``pipe``.
 
-    First the pipe's first line is read and checked as the reader checks
-    it, so that a producer of endless bad lines ends in its fault and does
-    not fill the disk: a CSV header, when the line is complete and holds
-    no quote, by :func:`_csv_columns`, and for JSONL the lines up to the
-    first that is not blank, by :func:`_read_jsonl`, which appends to
-    ``parts`` and ``skipped`` only when it raises.  At most ``_PIPE_HEAD``
-    bytes are read for the check; a line that goes on past them is left
-    unchecked.
+    First the pipe's first line is spooled and read from the spool as the
+    reader reads it, so that a producer of endless bad lines ends in its
+    fault and does not fill the disk: a CSV header, when the line is
+    complete and holds no quote, by :func:`_csv_rows` and
+    :func:`_csv_columns`, and for JSONL the lines up to the first that is
+    not blank, by :func:`_read_jsonl_range` and :func:`_read_ranges`, which
+    leave ``parts`` and ``skipped`` filled only when they raise.  At most
+    ``_PIPE_HEAD`` bytes are read for the check; a line that goes on past
+    them is left unchecked.
     """
-    head: List[bytes] = []
-    size = 0
+    data = bytearray()
     while True:
-        line = pipe.readline(_PIPE_HEAD - size)
-        head.append(line)
-        size += len(line)
+        line = pipe.readline(_PIPE_HEAD - len(data))
+        data += line
         if fmt == "csv" or line.strip() or not line.endswith(b"\n"):
             break
-    data = b"".join(head)
-    if data.endswith(b"\n") or size < _PIPE_HEAD:  # else the last line goes on past the bound
+    spool.write(data)
+    spool.flush()  # os.pread reads the spool
+    if data.endswith(b"\n") or len(data) < _PIPE_HEAD:  # else the last line goes on past the bound
         if fmt == "jsonl":
-            _read_jsonl(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"), parts, skipped)
+            _read_ranges(spool, _read_jsonl_range, parts, skipped)
             parts.clear()
             skipped.clear()
         elif b'"' not in data:
-            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="surrogateescape", newline="")
-            with contextlib.suppress(csv.Error):  # the row reader names it
-                _csv_columns(next(csv.reader(_utf8_lines(text)), None))
-    spool.write(data)
+            _csv_columns(next(_csv_rows(spool.fileno()), (0, None))[1])
     shutil.copyfileobj(pipe, spool)
-    spool.seek(0)  # flushes the copy, which os.pread then reads
+    spool.flush()
     return spool
 
 

@@ -699,6 +699,20 @@ class TestSplitJsonl:
         assert not isinstance(outcomes[0], str), outcomes[0]
         assert splits(path.read_bytes(), 2) == (name != "cr.jsonl")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_unicode_line_separators_in_a_string_end_no_line(self, tmp_path):
+        # Lines end as io.TextIOWrapper ends them, at LF, CRLF and CR;
+        # str.splitlines would also end one at U+2028, U+2029 and U+0085.
+        records = [{"y_true": i % 2, "y_pred": 0, "confidence": 0.5, "note": f"a{sep}b"}
+                   for i, sep in enumerate(["\u2028", "\u0085", "\u2029"] * 10)]
+        path = tmp_path / "p.jsonl"
+        path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records), encoding="utf-8")
+        assert "\u2028".encode() in path.read_bytes() and "\u0085".encode() in path.read_bytes()
+        outcomes = _outcomes_at_each_split(path)
+        assert outcomes == [outcomes[0]] * 3
+        assert outcomes[0][0][0] == [record["y_true"] for record in records]
+        assert _piped_outcome(path.read_bytes(), "jsonl") == outcomes[0][0]
+
     @pytest.mark.parametrize("fault", list(_FAULT_LINES))
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
     def test_blank_lines_before_a_later_range_keep_line_numbers(self, tmp_path, ending, fault):
@@ -1495,14 +1509,15 @@ class TestCliStdin:
         assert docs[1]["input_digest"] == "sha256:" + hashlib.sha256(pred.read_bytes()).hexdigest()
 
 
-def _feed(write_end, data, repeat=1):
-    """Write ``data`` ``repeat`` times into the pipe ``write_end``, or until
-    its reader closes it, and close it; returns the thread that writes."""
+def _feed(write_end, data, repeat=1, head=b""):
+    """Write ``head``, then ``data`` ``repeat`` times, into the pipe
+    ``write_end``, or until its reader closes it, and close it; returns the
+    thread that writes."""
 
     def feed():
         try:
-            for _ in range(repeat):
-                view = memoryview(data)
+            for chunk in itertools.chain([head], itertools.repeat(data, repeat)):
+                view = memoryview(chunk)
                 while view:
                     view = view[os.write(write_end, view):]
         except BrokenPipeError:  # EPIPE: the reader closed the pipe
@@ -1559,6 +1574,7 @@ class TestPipeHead:
     @pytest.mark.parametrize("fmt, error", [
         ("csv", r"<input>: missing required column 'y_true'"),
         ("jsonl", r"<input>:1: invalid JSON \(Expecting value\)"),
+        ("csv", r"<input>:1: malformed CSV \(field larger than field limit \(131072\)\)"),
     ])
     def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, error):
         spools = tmp_path / "spools"
@@ -1566,8 +1582,10 @@ class TestPipeHead:
         monkeypatch.setattr(tempfile, "TemporaryFile",
                             lambda: tempfile.NamedTemporaryFile(dir=spools, delete=False))
         read_end, write_end = os.pipe()
-        # as `yes` writes, until EPIPE; the bound only keeps a failing run from filling the disk
-        thread = _feed(write_end, b"y\n" * 4096, repeat=64 * dataio._PIPE_HEAD // 8192)
+        # as `yes` writes, until EPIPE, after a header cell over the csv field limit for the
+        # malformed CSV; the bound only keeps a failing run from filling the disk
+        head, line = (b"x" * 200_000 + b"\n", b"0,0,0.5\n") if "malformed" in error else (b"", b"y\n")
+        thread = _feed(write_end, line * (8192 // len(line)), repeat=64 * dataio._PIPE_HEAD // 8192, head=head)
         try:
             status = run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
                               "--tau", "0.7", "--output", str(tmp_path / "r.json")])
@@ -1690,6 +1708,23 @@ class TestOneOpen:
             files[role].add(tuple(identity))
         assert len(files["input"]) == 1 and files["parsed"]
         assert not files["input"] & files["parsed"]
+
+    def test_no_reader_reads_at_the_descriptor_s_offset(self, tmp_path, monkeypatch):
+        # On macOS, /dev/fd/N shares the offset of the shell's descriptor, which may have moved on.
+        path = tmp_path / "quoted.csv"
+        path.write_text(_ONE_OPEN_INPUTS["quoted.csv"])
+        expected, digest = dataio._ingest(path)
+
+        def moved_offset(fd):
+            os.lseek(fd, 7, os.SEEK_SET)
+            return None  # so the row reader reads the file
+
+        monkeypatch.setattr(dataio, "_bulk_columns", moved_offset)
+        read = _count_row_reads(monkeypatch)
+        ds, moved_digest = dataio._ingest(path)
+        assert read == [path]
+        assert _outcome_of(ds) == _outcome_of(expected)
+        assert moved_digest == digest
 
     @pytest.mark.parametrize("name, workers", [("bulk.csv", 1), ("bulk.csv", 2), ("quoted.csv", 1), ("p.jsonl", 2)])
     def test_a_file_replaced_after_the_open_is_neither_read_nor_digested(self, tmp_path, monkeypatch,

@@ -4,8 +4,10 @@ parses each CSV piece from in one other, ``dataio``, which names no
 Linux-only file.  The engine uses nothing of ``dataio`` and keeps no
 line-end rule, and ``dataio`` writes the ``file:line`` of an error in one
 place for a reader's fault and one for a record rule's.  ``dataio`` opens
-an input by path in one place, and the engine reads every file, one range
-or many, so it never declines one."""
+an input by path in one place and no descriptor with ``open``, calls the
+engine in one place, whose join alone adds the lines before a range to a
+fault's line, and the engine reads every file, one range or many, so it
+never declines one."""
 
 import ast
 from pathlib import Path
@@ -49,7 +51,19 @@ def test_dataio_opens_an_input_by_path_in_one_place():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"]
     reads = [call for call in calls if not any(
         isinstance(arg, ast.Constant) and "w" in str(arg.value) for arg in call.args[1:2])]
-    assert [ast.unparse(call.args[0]) for call in reads] == ["raw.fileno()", "path"]
+    assert [ast.unparse(call.args[0]) for call in reads] == ["path"]
+
+
+def test_dataio_joins_the_ranges_in_one_place():
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    engine_calls = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "_ranges.read_ranges"]
+    fault_lines = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                   and any(isinstance(side, ast.Attribute) and side.attr == "line"
+                           for side in (node.left, node.right))]
+    assert len(engine_calls) == 1
+    assert [ast.unparse(node) for node in fault_lines] == ["lines + fault.line"]
 
 
 def test_the_range_engine_reads_every_file():
