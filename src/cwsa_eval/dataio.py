@@ -11,8 +11,7 @@ Formats
   split at line starts into byte ranges, which forked readers parse at
   the same time.  Any other file (an empty line or a lone CR included)
   and every file NumPy cannot parse is read by the row reader in one
-  pass.  One check of either reader's columns names the first bad line.
-  The canonical output format for synthetic sets.
+  pass.  The canonical output format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
@@ -21,12 +20,13 @@ Formats
   same pass, under the same rules.  A large file is split at line
   starts into byte ranges, which forked readers read at the same time.
 * Both formats split a file the same way (see :mod:`cwsa_eval._ranges`)
-  into one byte range per CPU, and one join gives the records, line
-  numbers and faults of one reader of the whole file.
-* An input is opened once.  A pipe's first line is checked, and the pipe
-  then copied to its end into a temporary file.  Every reader, the row
-  reader included, and the digest read the one descriptor by ``os.pread``,
-  none at its offset.  NumPy parses copies: each piece of a CSV file is
+  into one byte range per CPU.  Every reader, the row reader included,
+  returns its records, and one join gives those of one reader of the
+  whole file, with their line numbers; it checks the record rules of each
+  part as it arrives and raises the first fault in file order.
+* An input is opened once.  A pipe's first row is checked, and the pipe
+  then copied to its end into a temporary file.  Every reader and the
+  digest read the one descriptor by ``os.pread``, none at its offset.  NumPy parses copies: each piece of a CSV file is
   written to a temporary file read as ``/dev/fd/N``, so POSIX only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
@@ -195,16 +195,17 @@ def _csv_rows(fd: int):
             raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
 
 
-def _read_csv(raw, parts: List[tuple], skipped: List[int]) -> None:
-    """Append the column arrays of the CSV file open as ``raw``, even when a fault stops the
-    reading, to ``parts``, and the record count at each line that starts no record to ``skipped``."""
+def _read_csv(fd: int):
+    """``(parts, skipped, fault)`` of the CSV file open at ``fd``, read by the row reader as
+    :func:`_read_csv_range` reads a range: one part, the record count at each line that starts
+    no record, and the :class:`_Fault` that stopped the reading or ``None``.  A header fault raises."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
-    rows = _csv_rows(raw.fileno())
+    rows = _csv_rows(fd)
+    end, header = next(rows, (0, None))  # end: the last line of the row read before
+    i_true, i_pred, i_conf, i_credit = _csv_columns(header)
+    width = max(i_true, i_pred, i_conf) + 1
+    skipped = [0] * end  # the header's lines
     try:
-        end, header = next(rows, (0, None))  # end: the last line of the row read before
-        i_true, i_pred, i_conf, i_credit = _csv_columns(header)
-        width = max(i_true, i_pred, i_conf) + 1
-        skipped.extend([0] * end)  # the header's lines
         for last, row in rows:
             line_no, end = end + 1, last
             skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
@@ -220,8 +221,9 @@ def _read_csv(raw, parts: List[tuple], skipped: List[int]) -> None:
             r = _credit(row[i_credit], line_no) if given else None
             for column, value in zip(columns, (t, p, c, r)):
                 column.append(value)
-    finally:
-        parts.append(_column_arrays(columns))
+    except _Fault as fault:
+        return [_column_arrays(columns)], skipped, fault
+    return [_column_arrays(columns)], skipped, None
 
 
 def _bulk_readable(piece: bytes) -> Optional[int]:
@@ -334,15 +336,6 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
                 parts.append((table["y_true"], table["y_pred"], table["confidence"], None))
             start = end
     return (parts, skipped, None) if parts else None
-
-
-def _read_csv_bulk(raw, parts: List[tuple], skipped: List[int]) -> bool:
-    """Read the CSV file open as ``raw`` as :func:`_read_csv` does, by
-    :func:`_read_csv_range` and :func:`_read_ranges`.  ``False``, with
-    nothing appended, when :func:`_read_csv` must read it: NumPy cannot
-    take its header (see :func:`_bulk_columns`) or parse one of its ranges."""
-    usecols = _bulk_columns(raw.fileno())
-    return usecols is not None and _read_ranges(raw, functools.partial(_read_csv_range, usecols), parts, skipped)
 
 
 def _reduce_probs(probs: object, confidence: object, line_no: int):
@@ -564,35 +557,45 @@ class _NotBulk(Exception):
     """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
 
 
-def _read_ranges(raw, read_range, parts: List[tuple], skipped: List[int]) -> bool:
-    """Read the regular file open as ``raw`` with ``read_range``, a large one in
-    byte ranges at the same time (see :mod:`cwsa_eval._ranges`), and join
-    each range's ``(parts, skipped, fault)`` in file order into ``parts`` and
-    ``skipped``, which start empty, adding the records and lines read
-    before to its ``skipped`` and to its fault's line, which is raised: so
-    they are those of one reader of the whole file.  ``False``, with nothing
-    appended, when a range's result is ``None``."""
+def _read_ranges(raw, read_range, class_count: Optional[int]):
+    """``(parts, skipped)`` of the regular file open as ``raw``, read with
+    ``read_range``, a large one in byte ranges at the same time (see
+    :mod:`cwsa_eval._ranges`), whose results :func:`_join` joins in file
+    order; ``None`` when a range's result is ``None``."""
+    parts, skipped = [], []
 
     def join(result) -> None:
         if result is None:
             raise _NotBulk
-        range_parts, range_skipped, fault = result
-        records = sum(len(part[0]) for part in parts)
-        lines = records + len(skipped)
-        parts.extend(range_parts)
-        skipped.extend(records + count for count in range_skipped)
-        if fault is not None:
-            raise _Fault(lines + fault.line, fault.reason)
+        _join(parts, skipped, class_count, result)
 
     from . import _ranges  # here: a run that reads no file never loads it
 
     try:
         _ranges.read_ranges(raw, read_range, join)
     except _NotBulk:
-        parts.clear()
-        skipped.clear()
-        return False
-    return True
+        return None
+    return parts, skipped
+
+
+def _join(parts: List[tuple], skipped: List[int], class_count: Optional[int], result) -> None:
+    """Join a reader's ``(parts, skipped, fault)``, of the bytes after those read before, into
+    ``parts`` and ``skipped`` as one reader of the whole file gives them, adding the records and
+    lines read before.  Each part's record rules are checked as it arrives (see
+    :func:`cwsa_eval.core._first_bad_record`), so the first fault in file order, a broken rule
+    or else the reader's, raises as a :class:`_Fault` of the file's line."""
+    new_parts, new_skipped, fault = result
+    records = sum(len(part[0]) for part in parts)
+    lines = records + len(skipped)
+    skipped.extend(records + count for count in new_skipped)
+    for part in new_parts:
+        bad = _first_bad_record(*part, class_count) if len(part[0]) else None
+        if bad is not None:
+            raise _Fault(_line_of(records + bad[0], skipped), bad[1])
+        parts.append(part)
+        records += len(part[0])
+    if fault is not None:
+        raise _Fault(lines + fault.line, fault.reason)
 
 
 def _line_of(index: int, skipped: List[int]) -> int:
@@ -600,18 +603,13 @@ def _line_of(index: int, skipped: List[int]) -> int:
     return 1 + index + bisect.bisect_right(skipped, index)
 
 
-def _checked_arrays(path: Path, parts: List[tuple], class_count: Optional[int], skipped: List[int]):
-    """The column arrays of ``parts`` joined, once every record keeps the record
-    rules; a record that breaks one raises :class:`IngestError` naming
-    ``path`` and the record's line, found from ``skipped``.  A ``None``
-    credit part, which comes alone, holds no credit."""
+def _joined_arrays(parts: List[tuple]):
+    """The column arrays of ``parts`` joined, each read-only; a ``None`` credit
+    part, which comes alone, holds no credit, nor does an all-NaN column."""
     *columns, credits = zip(*parts)
     arrays = [np.concatenate(column) for column in columns]
     credit = None if all(part is None for part in credits) else np.concatenate(credits)
-    arrays.append(None if credit is None or np.isnan(credit).all() else credit)  # all NaN: no credit
-    bad = _first_bad_record(*arrays, class_count) if len(arrays[0]) else None
-    if bad is not None:
-        raise IngestError(f"{path}:{_line_of(bad[0], skipped)}: {bad[1]}")
+    arrays.append(None if credit is None or np.isnan(credit).all() else credit)
     for column in arrays:  # fresh, so the set need not copy them
         if column is not None:
             column.setflags(write=False)
@@ -623,11 +621,11 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
     before the file is opened.  The file is opened once, and a pipe, once
-    its first line is checked, copied to its end into a temporary file.
-    One reader reads the file (for CSV, the NumPy pass or else the row
-    reader; a large file is split between forked readers that read as one)
-    up to its first fault, and one check of what it read names the first
-    malformed line in :class:`IngestError`.
+    its head is checked, copied to its end into a temporary file.  One
+    reader reads the file (for CSV, the NumPy pass or else the row reader;
+    a large file is split between forked readers that read as one) up to
+    its first fault, and the one join, which checks the record rules of
+    what was read, names the first malformed line in :class:`IngestError`.
     """
     return _ingest(path, fmt, class_count, digested=False)[0]
 
@@ -636,7 +634,8 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
     """``(dataset, digest)``: :func:`ingest` of ``path``, and the ``sha256:``
     digest of the bytes it read (``None`` unless ``digested``).  The digest
     is taken from the open file before any reader reads it, so a file
-    replaced after the open is neither read nor digested."""
+    replaced after the open is neither read nor digested.  :func:`_join`
+    checks every reader's result and raises the fault that is named."""
     path = Path(path)
     class_count = _checked_class_count(class_count)
     if fmt is None:
@@ -644,57 +643,57 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
-    parts: List[tuple] = []  # the column arrays of the records read, in file order
-    skipped: List[int] = []  # the record count at each line that starts no record
     with contextlib.ExitStack() as stack:
         raw = stack.enter_context(open(path, "rb"))
         try:
             if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe, which only one pass can read
-                raw = _spooled(raw, fmt, stack.enter_context(tempfile.TemporaryFile()), parts, skipped)
+                raw = _spooled(raw, fmt, stack.enter_context(tempfile.TemporaryFile()), class_count)
             digest = _digest(raw.fileno()) if digested else None
             if fmt == "jsonl":
-                _read_ranges(raw, _read_jsonl_range, parts, skipped)
-            elif not _read_csv_bulk(raw, parts, skipped):
-                _read_csv(raw, parts, skipped)
+                parts, _ = _read_ranges(raw, _read_jsonl_range, class_count)
+            else:
+                usecols = _bulk_columns(raw.fileno())
+                read = usecols and _read_ranges(raw, functools.partial(_read_csv_range, usecols), class_count)
+                parts, skipped = read or ([], [])
+                if not read:  # the row reader reads a file NumPy cannot take
+                    _join(parts, skipped, class_count, _read_csv(raw.fileno()))
         except _Fault as fault:
-            if parts:  # a record rule broken on an earlier line is the first fault
-                _checked_arrays(path, parts, class_count, skipped)
             where = path if fault.line is None else f"{path}:{fault.line}"
             raise IngestError(f"{where}: {fault.reason}") from None
-    arrays = _checked_arrays(path, parts, class_count, skipped)
+    arrays = _joined_arrays(parts)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
 
 
-def _spooled(pipe, fmt: str, spool, parts: List[tuple], skipped: List[int]):
+def _spooled(pipe, fmt: str, spool, class_count: Optional[int]):
     """``spool``, a temporary file, flushed once it holds all of ``pipe``.
 
-    First the pipe's first line is spooled and read from the spool as the
-    reader reads it, so that a producer of endless bad lines ends in its
-    fault and does not fill the disk: a CSV header, when the line is
-    complete and holds no quote, by :func:`_csv_rows` and
-    :func:`_csv_columns`, and for JSONL the lines up to the first that is
-    not blank, by :func:`_read_jsonl_range` and :func:`_read_ranges`, which
-    leave ``parts`` and ``skipped`` filled only when they raise.  At most
-    ``_PIPE_HEAD`` bytes are read for the check; a line that goes on past
-    them is left unchecked.
+    First the pipe's head is spooled and read from the spool as the reader
+    reads it, so that a producer of endless bad lines ends in its fault and
+    does not fill the disk.  A CSV head ends at the first LF after an even
+    count of quotes, where a row whose every quote opens or closes a cell
+    ends, and :func:`_csv_rows` and :func:`_csv_columns` check its header.
+    A JSONL head is the lines up to the first that is not blank, read by
+    :func:`_read_jsonl_range` and checked, record rules included, by
+    :func:`_join`.  At most ``_PIPE_HEAD`` bytes are read for the check; a
+    head that goes on past them is left unchecked.
     """
-    data = bytearray()
+    data, quotes = bytearray(), 0
     while True:
         line = pipe.readline(_PIPE_HEAD - len(data))
         data += line
-        if fmt == "csv" or line.strip() or not line.endswith(b"\n"):
+        quotes += line.count(b'"')
+        goes_on = quotes % 2 if fmt == "csv" else not line.strip()  # the head goes on past this line
+        if not (goes_on and line.endswith(b"\n")):
             break
     spool.write(data)
     spool.flush()  # os.pread reads the spool
-    if data.endswith(b"\n") or len(data) < _PIPE_HEAD:  # else the last line goes on past the bound
+    if len(data) < _PIPE_HEAD or (data.endswith(b"\n") and not goes_on):  # the whole pipe, or a whole head
         if fmt == "jsonl":
-            _read_ranges(spool, _read_jsonl_range, parts, skipped)
-            parts.clear()
-            skipped.clear()
-        elif b'"' not in data:
-            _csv_columns(next(_csv_rows(spool.fileno()), (0, None))[1])
+            _join([], [], class_count, _read_jsonl_range(spool.fileno(), 0, len(data)))
+        elif not ((header := next(_csv_rows(spool.fileno()), (0, None))[1]) and header[-1].endswith("\n")):
+            _csv_columns(header)  # a last cell ending in a LF may be cut by a quote the csv module read as text
     shutil.copyfileobj(pipe, spool)
     spool.flush()
     return spool

@@ -169,18 +169,25 @@ def credit_accumulate(confidence: np.ndarray, credit: np.ndarray, tau: float):
     """Signed graded-correctness sum ``weight * (2 * credit - 1)`` over retained records.
 
     ``credit`` uses NaN for "missing".  Returns ``(retained, signed_sum,
-    first_missing_index)``; the index is -1 when every retained record
-    carries a credit value, and the sum is meaningless otherwise.
+    first_missing_index)``; the index, of the whole set, is -1 when every
+    retained record carries a credit value, and the sum is meaningless
+    otherwise.  Taken ``_BLOCK_VALUES`` records at a time, as in
+    :func:`point_accumulate`, the sum starting a block from its total so far.
     """
-    keep = confidence >= tau
-    retained = int(np.count_nonzero(keep))
-    signs = np.compress(keep, credit)
-    missing = np.isnan(signs)
-    if missing.any():
-        first_missing = int(np.flatnonzero(keep)[np.argmax(missing)])
-        return retained, 0.0, first_missing
-    signs *= 2.0
-    signs -= 1.0
-    w = _weights(confidence, keep, tau)
-    w *= signs
-    return retained, sequential_sum(w), -1
+    retained = 0
+    signed = 0.0
+    for start in range(0, confidence.size, _BLOCK_VALUES):
+        block = confidence[start : start + _BLOCK_VALUES]
+        keep = block >= tau
+        signs = np.compress(keep, credit[start : start + _BLOCK_VALUES])
+        missing = np.isnan(signs)
+        if missing.any():
+            first_missing = start + int(np.flatnonzero(keep)[np.argmax(missing)])
+            return int(np.count_nonzero(confidence >= tau)), 0.0, first_missing
+        signs *= 2.0
+        signs -= 1.0
+        w = _weights(block, keep, tau)
+        w *= signs
+        retained += w.size
+        signed = sequential_sum(np.concatenate(([signed], w)))
+    return retained, signed, -1

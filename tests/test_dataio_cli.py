@@ -1,6 +1,7 @@
 import builtins
 import csv
 import errno
+import functools
 import hashlib
 import itertools
 import json
@@ -253,7 +254,7 @@ class TestBulkCsv:
         path = tmp_path / name
         path.write_bytes(content.encode())
         shipped = ingest(path)
-        monkeypatch.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+        monkeypatch.setattr(dataio, "_bulk_columns", _no_bulk_pass)
         for ds in (shipped, ingest(path)):
             assert (ds.y_true.tolist(), ds.y_pred.tolist(), ds.confidence.tolist()) == columns
 
@@ -266,7 +267,7 @@ class TestBulkCsv:
             with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
                 ingest(path)
         assert shown == []  # loadtxt's "input contained no data" stays unseen
-        monkeypatch.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+        monkeypatch.setattr(dataio, "_bulk_columns", _no_bulk_pass)
         with pytest.raises(IngestError, match=r"^\S*p\.csv: no prediction rows$"):
             ingest(path)
 
@@ -316,15 +317,13 @@ class TestBulkCsv:
         assert len(read) == (ending in ("\r", "mixed"))
         for lines, class_count in BLANK_LINE_FILES:
             _write_lines(path, lines, ending)
-            assert not _opened(dataio._read_csv_bulk, path, [], [])  # an empty line
-            parts, skipped = [], []
-            _opened(row_reader, path, parts, skipped)
-            with pytest.raises(IngestError) as direct:
-                dataio._checked_arrays(path, parts, class_count, skipped)
+            assert not _opened(_bulk_pass, path)  # an empty line
+            with pytest.raises(dataio._Fault) as direct:
+                dataio._join([], [], class_count, _opened(lambda raw: row_reader(raw.fileno()), path))
             read.clear()
             with pytest.raises(IngestError) as shipped:
                 ingest(path, class_count=class_count)
-            assert str(shipped.value) == str(direct.value)
+            assert str(shipped.value) == f"{path}:{direct.value.line}: {direct.value.reason}"
             assert read == [path]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 22])
@@ -341,11 +340,11 @@ class TestBulkCsv:
                 _write_lines(path, lines, ending)
             else:
                 path.write_bytes(content.encode())
-            bulk_parts, bulk_skipped = [], []
-            if not _opened(dataio._read_csv_bulk, path, bulk_parts, bulk_skipped):
-                assert (bulk_parts, bulk_skipped) == ([], [])
+            bulk = _opened(_bulk_pass, path)
+            if not bulk:
+                assert bulk is None
                 with monkeypatch.context() as patched:
-                    patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                    patched.setattr(dataio, "_bulk_columns", _no_bulk_pass)
                     expected = _outcome(path)
                 with monkeypatch.context() as patched:
                     read = _count_row_reads(patched)
@@ -353,8 +352,8 @@ class TestBulkCsv:
                 assert read == [path]
                 continue
             bulk_read += 1
-            row_parts, row_skipped = [], []
-            _opened(dataio._read_csv, path, row_parts, row_skipped)
+            bulk_parts, bulk_skipped = bulk
+            row_parts, row_skipped, _ = _opened(lambda raw: dataio._read_csv(raw.fileno()), path)
             assert bulk_skipped == row_skipped == [0]
             (row,) = row_parts
             *bulk, bulk_credit = zip(*bulk_parts)  # one part a piece
@@ -400,21 +399,31 @@ def _opened(reader, path, *args):
         return reader(raw, *args)
 
 
+def _bulk_pass(raw):
+    """``(parts, skipped)`` of the NumPy pass over the CSV file open as ``raw``, joined as
+    ``_ingest`` joins them but with no record rule checked, or ``None`` when it declines."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(dataio, "_first_bad_record", lambda *args: None)
+        usecols = dataio._bulk_columns(raw.fileno())
+        return usecols and dataio._read_ranges(raw, functools.partial(dataio._read_csv_range, usecols), None)
+
+
 def _count_row_reads(monkeypatch):
-    """Let ``dataio._read_csv`` note the path of each file it reads in the list returned."""
+    """Let ``dataio._read_csv`` note the path of each file it reads in the list
+    returned, found from its descriptor through ``/proc/self/fd`` (Linux)."""
     row_reader, read = dataio._read_csv, []
 
-    def counted_row_reader(raw, *args):
-        read.append(Path(raw.name))
-        return row_reader(raw, *args)
+    def counted_row_reader(fd):
+        read.append(Path(os.readlink(f"/proc/self/fd/{fd}")))
+        return row_reader(fd)
 
     monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
     return read
 
 
-def _no_bulk_pass(raw, parts, skipped):
-    """A ``_read_csv_bulk`` that declines every file, so that the row reader reads it."""
-    return False
+def _no_bulk_pass(fd):
+    """A ``_bulk_columns`` that declines every file, so that the row reader reads it."""
+    return None
 
 
 def _outcome(path, fmt=None):
@@ -800,7 +809,7 @@ class TestSplitCsv:
             content = content if isinstance(content, bytes) else content.encode()
             path.write_bytes(re.sub(rb"\r\n|\r|\n", lambda _: next(endings), content))
             with monkeypatch.context() as patched:
-                patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                patched.setattr(dataio, "_bulk_columns", _no_bulk_pass)
                 expected = _ingest_outcome(path)
             assert _outcomes_at_each_split(path) == [expected] * 3, content[:80]
 
@@ -811,7 +820,7 @@ class TestSplitCsv:
         for lines, class_count in BLANK_LINE_FILES:
             _write_lines(path, lines, ending)
             with monkeypatch.context() as patched:
-                patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+                patched.setattr(dataio, "_bulk_columns", _no_bulk_pass)
                 expected = _ingest_outcome(path, class_count)
             with monkeypatch.context() as patched:
                 read = _count_row_reads(patched)
@@ -869,7 +878,7 @@ class TestBulkCheck:
         path.write_bytes(content.encode())
         assert dataio._bulk_readable(content.encode()) is None
         with monkeypatch.context() as patched:
-            patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+            patched.setattr(dataio, "_bulk_columns", _no_bulk_pass)
             expected = _ingest_outcome(path)
         _small_blocks(monkeypatch, block)
         read = _count_row_reads(monkeypatch)
@@ -900,7 +909,7 @@ class TestBulkCheck:
         write_predictions_csv(source, path)
         path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
         with monkeypatch.context() as patched:
-            patched.setattr(dataio, "_read_csv_bulk", _no_bulk_pass)
+            patched.setattr(dataio, "_bulk_columns", _no_bulk_pass)
             expected = _ingest_outcome(path)
         _small_blocks(monkeypatch, 64)
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
@@ -1173,8 +1182,8 @@ class TestSplitCsvReaders:
     def test_the_scratch_file_holds_one_piece_at_a_time(self, tmp_path, monkeypatch, text, workers):
         path = tmp_path / "p.csv"
         path.write_text(text)
-        expected, row_lines = _ingest_outcome(path), []
-        _opened(dataio._read_csv, path, [], row_lines)
+        expected = _ingest_outcome(path)
+        _, row_lines, _ = _opened(lambda raw: dataio._read_csv(raw.fileno()), path)
         parsed, sizes = dataio._parsed, []
 
         def measured(name, *args):
@@ -1187,8 +1196,9 @@ class TestSplitCsvReaders:
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         with forced_split(workers) as forks:
             assert _ingest_outcome(path) == expected
-            lines = []
-            assert _opened(dataio._read_csv_bulk, path, [], lines)
+            bulk = _opened(_bulk_pass, path)
+            assert bulk
+            _, lines = bulk
         assert lines == row_lines == [0]  # the header's line alone starts no record
         assert bool(forks) == (workers > 1) and len(sizes) > 1
         assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
@@ -1552,6 +1562,8 @@ _PIPE_HEAD_FILES = {
     "not_utf8_header.csv": b"y_true,y_pred,confidence\xff\n0,0,0.5\n",
     "cr_header.csv": b"y_true,y_pred\rconfidence\n0,0,0.5\n",
     "nul_header.csv": b"y_true,y_pred,confidence\x00\n0,0,0.5\n",
+    # a quote inside a cell is text, so the quoted cell after it goes on past the even count's LF
+    "text_quote_header.csv": b'x"y,"y_true\n",y_pred,confidence\n0,1,0.5\n',
     "not_json.jsonl": b"y\n" * 50,
     "blank_then_bad.jsonl": b"\n  \n\r\n\t\n[1]\n",
     "cr_lines.jsonl": b'{"y_true":0,"y_pred":0,"confidence":1.5}\r{"y_true":0}\n',
@@ -1571,20 +1583,23 @@ class TestPipeHead:
     endless producer of bad lines fails at once, and a pipe fails as its
     file fails, with the same text."""
 
-    @pytest.mark.parametrize("fmt, error", [
-        ("csv", r"<input>: missing required column 'y_true'"),
-        ("jsonl", r"<input>:1: invalid JSON \(Expecting value\)"),
-        ("csv", r"<input>:1: malformed CSV \(field larger than field limit \(131072\)\)"),
-    ])
-    def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, error):
+    @pytest.mark.parametrize("fmt, head, line, error", [
+        ("csv", b"", b"y\n", r"<input>: missing required column 'y_true'"),
+        ("jsonl", b"", b"y\n", r"<input>:1: invalid JSON \(Expecting value\)"),
+        ("csv", b"x" * 200_000 + b"\n", b"0,0,0.5\n",
+         r"<input>:1: malformed CSV \(field larger than field limit \(131072\)\)"),
+        # one quote a line, so the first row, the header, ends at the second line's LF
+        ("csv", b"", b'"y\n', r"<input>: missing required column 'y_true'"),
+        ("jsonl", b"", b'{"y_true": -1, "y_pred": 0, "confidence": 0.5}\n',
+         r"<input>:1: y_true -1 outside \[0, class_count\)"),
+    ], ids=["csv_header", "jsonl_not_json", "csv_over_limit", "csv_quoted_header", "jsonl_broken_rule"])
+    def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, head, line, error):
         spools = tmp_path / "spools"
         spools.mkdir()
         monkeypatch.setattr(tempfile, "TemporaryFile",
                             lambda: tempfile.NamedTemporaryFile(dir=spools, delete=False))
         read_end, write_end = os.pipe()
-        # as `yes` writes, until EPIPE, after a header cell over the csv field limit for the
-        # malformed CSV; the bound only keeps a failing run from filling the disk
-        head, line = (b"x" * 200_000 + b"\n", b"0,0,0.5\n") if "malformed" in error else (b"", b"y\n")
+        # as `yes` writes, until EPIPE, after ``head``; the bound only keeps a failing run from filling the disk
         thread = _feed(write_end, line * (8192 // len(line)), repeat=64 * dataio._PIPE_HEAD // 8192, head=head)
         try:
             status = run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
@@ -1674,21 +1689,21 @@ class TestOneOpen:
         path.write_text(_ONE_OPEN_INPUTS["bulk.csv"])
         expected = _outcome(path)
         log = tmp_path / "files"  # "role device inode" of each file read, from any process
-        bulk, parsed = dataio._read_csv_bulk, dataio._parsed
+        bulk, parsed = dataio._bulk_columns, dataio._parsed
 
         def noted(role, st):
             with open(log, "a") as out:
                 out.write(f"{role} {st.st_dev} {st.st_ino}\n")
 
-        def noted_bulk(raw, *args):
-            noted("input", os.fstat(raw.fileno()))  # the file, or the spool of the pipe
-            return bulk(raw, *args)
+        def noted_bulk(fd):
+            noted("input", os.fstat(fd))  # the file, or the spool of the pipe
+            return bulk(fd)
 
         def noted_parsed(name, *args):
             noted("parsed", os.stat(name))
             return parsed(name, *args)
 
-        monkeypatch.setattr(dataio, "_read_csv_bulk", noted_bulk)
+        monkeypatch.setattr(dataio, "_bulk_columns", noted_bulk)
         monkeypatch.setattr(dataio, "_parsed", noted_parsed)
         monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
         read_end, write_end = os.pipe()
@@ -1928,6 +1943,13 @@ class TestCliCurves:
         dataio.write_curves({"report_type": "sweep", "curves": {"m": curve}}, tmp_path)
         tags = [child.tag.rsplit("}", 1)[-1] for child in ET.fromstring((tmp_path / "m.svg").read_text())]
         assert (tags.count("polyline"), tags.count("circle")) == (polylines, circles)
+
+    def test_a_one_threshold_curve_is_one_circle_mid_axis(self):
+        svg = ET.fromstring(dataio.curve_svg("m", [0.6], [0.5]))
+        shapes = [child for child in svg if child.tag.endswith(("circle", "polyline"))]
+        assert [shape.tag.rsplit("}", 1)[-1] for shape in shapes] == ["circle"]
+        # the x-range is widened to 0.59..0.61, so the point sits mid-plot: left + plot width / 2
+        assert float(shapes[0].get("cx")) == 64 + (640 - 64 - 20) / 2
 
     def test_undefined_values_leave_gaps(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -1,11 +1,13 @@
 import builtins
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from cwsa_eval import (
+    EvaluationSet,
     GRADIENT_ABSTAINED,
     GRADIENT_INTERIOR,
     GRADIENT_KINK,
@@ -171,7 +173,9 @@ class TestExactness:
             got = kernels.point_accumulate(ds.confidence, ds.correct_u8, tau)
             assert got == naive_impl.point_sums_naive(pairs, tau)
 
-    def test_credit_accumulate_equals_sequential_loop(self, data):
+    @pytest.mark.parametrize("block", [1, 7, kernels._BLOCK_VALUES])
+    def test_credit_accumulate_equals_sequential_loop(self, data, monkeypatch, block):
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", block)  # records per block of the credit kernel
         pairs, credits = data
         ds = make_set(pairs, credits=credits)
         for tau in self.TAUS:
@@ -180,6 +184,34 @@ class TestExactness:
             )
             assert first_missing == -1
             assert (retained, signed) == naive_impl.credit_sum_naive(pairs, credits, tau)
+
+    @pytest.mark.parametrize("block", [1, 7, kernels._BLOCK_VALUES])
+    def test_a_missing_credit_in_a_later_block_is_named_by_its_index(self, data, monkeypatch, block):
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", block)
+        pairs, credits = data
+        ds = make_set(pairs, credits=credits)
+        credit = ds.credit.copy()
+        index = 4000 + int(np.argmax(ds.confidence[4000:] >= 0.37))  # retained, past the first blocks
+        skipped = int(np.argmax(ds.confidence < 0.37))  # abstains, so its credit is not needed
+        credit[[skipped, index]] = np.nan
+        retained, _, first_missing = kernels.credit_accumulate(ds.confidence, credit, 0.37)
+        assert first_missing == index
+        assert retained == np.count_nonzero(ds.confidence >= 0.37)
+        with pytest.raises(ValueError, match=rf"^record {index}: credit required"):
+            cwsa_generalized(EvaluationSet(ds.y_true, ds.y_pred, ds.confidence, credit), 0.37)
+
+    def test_graded_scoring_holds_one_block_at_a_time(self):
+        rng = np.random.default_rng(28)
+        n = 1_000_000
+        labels = rng.integers(0, 2, (2, n))
+        ds = EvaluationSet(labels[0], labels[1], rng.random(n), rng.random(n))
+        tracemalloc.start()
+        try:
+            cwsa_generalized(ds, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # full-length temporaries took 12.9 MiB here
 
     def test_metrics_equal_naive_oracles(self, data):
         pairs, credits = data

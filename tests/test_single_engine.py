@@ -42,7 +42,15 @@ def test_the_range_engine_uses_no_dataio_and_no_line_end_rule():
 
 
 def test_one_file_line_format_per_fault_kind():
-    assert (PACKAGE / "dataio.py").read_text().count('f"{path}:{') == 2
+    assert (PACKAGE / "dataio.py").read_text().count('f"{path}:{') == 1
+
+
+def test_dataio_checks_the_record_rules_in_one_place():
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    callers = [function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "_first_bad_record"]
+    assert callers == ["_join"]
 
 
 def test_dataio_opens_an_input_by_path_in_one_place():

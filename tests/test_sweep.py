@@ -203,6 +203,13 @@ class TestSweep:
         for name in ("cwsa", "cwsa_plus", "selective_accuracy"):
             assert report.scalars[f"auc_mcc_{name}"] == getattr(point, name)
 
+    def test_a_grid_above_every_confidence_has_no_selective_accuracy_area(self):
+        ds = make_set(random_pairs(np.random.default_rng(48), 50, high=0.5))
+        report = sweep(ds, ThresholdGrid(0.6, 0.9, 0.1))
+        assert [p.retained_count for p in report.points] == [0] * 4
+        assert all(p.selective_accuracy is None for p in report.points)
+        assert report.scalars["auc_mcc_selective_accuracy"] is None
+
     def test_curves_share_the_grid(self):
         ds = make_set(random_pairs(np.random.default_rng(44), 80))
         report = sweep(ds)
