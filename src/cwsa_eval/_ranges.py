@@ -1,22 +1,17 @@
-"""Reading a file in byte ranges at the same time, one forked reader per CPU.
+"""Reading an input in byte ranges at the same time, one forked reader per CPU.
 
-:func:`read_ranges` cuts a file just past a LF into one byte range per
-CPU the process may run on, at most one per ``_SPLIT_BYTES``, and reads
-the ranges with a range reader the format passes in: the calling process
-reads the first, and a forked child reads each other and pickles its
-result back through a pipe.  A small file is one range, read in the
-calling process.  ``dataio`` joins the results in file order, in one join
-for both formats.  Each reader reads its own bytes of the one open file
-with ``os.pread``, so readers share no file offset, and reads no byte
-before its range: it numbers its own lines from 1, and the join adds the
-lines of the ranges before.  So the engine knows no line end but the LF
-it cuts after.  JSONL ranges are decoded and CSV ranges parsed by NumPy;
-both hold the interpreter lock, so threads could not share the reading.
-
-Forking is safe only in a process running one thread, so off Linux and
-beside a second thread a file is one range.  The file must be a regular
-file, whose size ``os.fstat`` gives: ``dataio`` copies a pipe to one
-first.  ``dataio`` imports this module when it first reads a file.
+Readers read through ``pread(n, at)``, sharing no file offset: a file's
+``os.pread``, or a :class:`_Pipe`, which copies a pipe into a spool only as
+far as a read reaches.  A file is one byte region, a pipe a run of regions,
+each spooled before it is read, so that no forked reader reads the pipe and
+a fault the join raises stops the copy.  :func:`read_ranges` cuts a region
+just past a LF into one range per CPU, at most one per ``_SPLIT_BYTES``:
+this process reads the first and a forked child each other, whose result
+comes back pickled through a pipe (reading holds the interpreter lock, so
+threads could not share it).  A reader numbers its own lines from 1, and
+``dataio``'s one join adds the lines before, so the engine knows no line end
+but the LF it cuts after.  Forking is safe only in a process running one
+thread, so off Linux and beside a second thread a region is one range.
 """
 
 from __future__ import annotations
@@ -28,71 +23,117 @@ import pickle
 import sys
 import threading
 from signal import SIGKILL
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from . import kernels
 
 _SPLIT_BYTES = 1 << 22  # the fewest bytes per reader
+_FIRST_REGION = 1 << 20  # the most bytes of a pipe spooled before its first region is read
 _LF_SEARCH = 1 << 16  # the most bytes read at a time in search of a LF
+_PULL_BYTES = 1 << 16  # the most bytes copied from a pipe at a time
 _DIED = object()  # the result of a child that sent less than its whole result
 
 
 class _ByteWindow(io.RawIOBase):
-    """Bytes ``start`` to ``stop`` of the file open at ``fd`` (a JSONL range, or all
-    of a CSV file), read with ``os.pread``, so that readers share no file offset."""
+    """Bytes ``start`` to ``stop``, or to the end when ``None``, read by ``pread``."""
 
-    def __init__(self, fd: int, start: int, stop: int) -> None:
-        self._fd, self._at, self._stop = fd, start, stop
+    def __init__(self, pread: Callable, start: int, stop: Optional[int]) -> None:
+        self._pread, self._at, self._stop = pread, start, stop
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        data = os.pread(self._fd, min(len(buffer), self._stop - self._at), self._at)
+        want = len(buffer) if self._stop is None else min(len(buffer), self._stop - self._at)
+        data = self._pread(want, self._at)
         buffer[: len(data)] = data
         self._at += len(data)
         return len(data)
 
 
+class _Pipe:
+    """``pread(n, at)`` of the pipe open at ``fd``, from ``spool``, a temporary file
+    that the pipe is copied into ``_PULL_BYTES`` at a time as far as a read reaches."""
+
+    def __init__(self, fd: int, spool) -> None:
+        self._fd, self._spool, self._size, self._ended = fd, spool, 0, False
+
+    def __call__(self, n: int, at: int) -> bytes:
+        self._pull(at + n)
+        return os.pread(self._spool.fileno(), n, at)
+
+    def _pull(self, stop: int) -> int:
+        """The spool's size, once it holds the pipe up to byte ``stop`` or its end."""
+        while self._size < stop and not self._ended:
+            block = os.read(self._fd, min(_PULL_BYTES, stop - self._size))
+            self._ended = not block
+            self._size += self._spool.write(block)
+        self._spool.flush()  # os.pread reads the spool
+        return self._size
+
+    def regions(self):
+        """``(lo, hi)`` of each byte region of the pipe in file order, spooled before it
+        is given; one the pipe goes on past ends past its last LF, or else the first after."""
+        lo, want = 0, _FIRST_REGION
+        while True:
+            hi = min(self._pull(lo + want), lo + want)
+            if hi == lo + want:
+                hi = _past_last_lf(self, lo, hi) or _past_lf(self, hi, None)
+            yield lo, hi
+            lo, want = hi, _SPLIT_BYTES * (kernels._usable_cpus() + 1)  # cut back to a LF, still a share per CPU
+            if self._pull(lo + 1) == lo:  # the pipe ended with the region
+                return
+
+
 def _workers(size: int) -> int:
-    """Readers for a file of ``size`` bytes: one per CPU, at most one per
-    ``_SPLIT_BYTES``, and one unless the process is a Linux process
-    running one thread, where ``os.fork`` is safe."""
+    """Readers for a region of ``size`` bytes: one per CPU, at most one per ``_SPLIT_BYTES``,
+    and one unless the process is a Linux process running one thread, where ``os.fork`` is safe."""
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return max(1, min(kernels._usable_cpus(), size // _SPLIT_BYTES))
 
 
-def _past_lf(fd: int, at: int, stop: int) -> int:
-    """The offset just past the first LF at or after ``at`` in the file
-    open at ``fd``, or ``stop`` when none comes before it."""
-    while at < stop:
-        block = os.pread(fd, min(_LF_SEARCH, stop - at), at)
+def _past_lf(pread: Callable, at: int, stop: Optional[int]) -> int:
+    """The offset just past the first LF at or after ``at``, or else ``stop`` (the end when ``None``)."""
+    while stop is None or at < stop:
+        block = pread(_LF_SEARCH if stop is None else min(_LF_SEARCH, stop - at), at)
         if not block:
             break
         found = block.find(b"\n")
         if found >= 0:
             return at + found + 1
         at += len(block)
-    return stop
+    return at if stop is None else stop
 
 
-def _line_cuts(raw, size: int, workers: int) -> List[int]:
-    """The offsets just past the first LF at or after ``k * size // workers``
-    for ``k`` from 1, without repeats, up to the first that reaches EOF."""
+def _past_last_lf(pread: Callable, lo: int, hi: int) -> Optional[int]:
+    """The offset just past the last LF in bytes ``lo`` to ``hi``, read back from ``hi``, or ``None``."""
+    while hi > lo:
+        at = max(lo, hi - _LF_SEARCH)
+        found = pread(hi - at, at).rfind(b"\n")
+        if found >= 0:
+            return at + found + 1
+        hi = at
+    return None
+
+
+def _line_cuts(pread: Callable, region, workers: int) -> List[int]:
+    """The offsets just past the first LF at or after ``lo + k * (hi - lo) // workers``
+    in the region ``(lo, hi)`` for ``k`` from 1, without repeats, up to the first that reaches ``hi``."""
+    lo, hi = region
     cuts: List[int] = []
     for k in range(1, workers):
-        cut = _past_lf(raw.fileno(), k * size // workers, size)
-        if cut >= size:
+        cut = _past_lf(pread, lo + k * (hi - lo) // workers, hi)
+        if cut >= hi:
             break
         if not cuts or cut > cuts[-1]:
             cuts.append(cut)
     return cuts
 
 
-def _fork_reader(read_range: Callable, fd: int, start: int, stop: int):
+def _fork_reader(read_range: Callable, pread: Callable, start: int, stop: int):
     """``(pid, read end of its pipe)`` of a forked child that pickles
-    ``read_range(fd, start, stop)`` into the pipe; ``None`` when no child starts."""
+    ``read_range(pread, start, stop)`` into the pipe; ``None`` when no child starts."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -109,7 +150,7 @@ def _fork_reader(read_range: Callable, fd: int, start: int, stop: int):
     status = 1
     try:
         os.close(read_end)
-        result = read_range(fd, start, stop)
+        result = read_range(pread, start, stop)
         with os.fdopen(write_end, "wb") as pipe:
             pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -123,24 +164,21 @@ def _reap(pid: int) -> None:
         os.waitpid(pid, 0)
 
 
-def read_ranges(raw, read_range: Callable, join: Callable) -> None:
-    """Read the regular file open as ``raw`` in ``_workers`` byte ranges
-    cut just past a LF, at the same time, and pass each range's
-    ``read_range(fd, start, stop)`` to ``join`` in file order.
+def read_ranges(pread: Callable, region, read_range: Callable, join: Callable) -> None:
+    """Read the byte region ``(lo, hi)``, which starts a line and is spooled if
+    piped, in ``_workers`` ranges cut just past a LF, at the same time, and pass
+    each range's ``read_range(pread, start, stop)`` to ``join`` in file order.
 
-    This process reads the first range, the whole file when it is one
-    range, while a forked child reads each other.  A range whose child
-    died, or sent less than its whole result, is read here.  ``join``
-    stops the reading by raising, which this function raises on once every
-    child is killed and reaped.
-    """
-    fd = raw.fileno()
-    size = os.fstat(fd).st_size
-    bounds = [0, *_line_cuts(raw, size, _workers(size)), size]
+    This process reads the first range while a forked child reads each other;
+    a range whose child died, or sent less than its whole result, is read here.
+    ``join`` stops the reading by raising, which this function raises on once
+    every child is killed and reaped."""
+    lo, hi = region
+    bounds = [lo, *_line_cuts(pread, region, _workers(hi - lo)), hi]
     ranges = list(zip(bounds, bounds[1:]))
-    children = [_fork_reader(read_range, fd, start, stop) for start, stop in ranges[1:]]
+    children = [_fork_reader(read_range, pread, start, stop) for start, stop in ranges[1:]]
     try:
-        join(read_range(fd, *ranges[0]))
+        join(read_range(pread, *ranges[0]))
         for k, (start, stop) in enumerate(ranges[1:]):
             result = _DIED
             if children[k] is not None:
@@ -150,7 +188,7 @@ def read_ranges(raw, read_range: Callable, join: Callable) -> None:
                         result = pickle.load(pipe)
                 _reap(pid)
                 children[k] = None
-            join(read_range(fd, start, stop) if result is _DIED else result)
+            join(read_range(pread, start, stop) if result is _DIED else result)
     except BaseException:
         for pid, _ in filter(None, children):
             os.kill(pid, SIGKILL)

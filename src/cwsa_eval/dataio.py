@@ -7,27 +7,26 @@ Formats
   LF, CRLF or CR line endings, cells optionally quoted as in the ``csv``
   module's default dialect.  An ASCII file without quotes or ``credit``
   whose every line ends in LF or CRLF and holds one record, so that it
-  has no empty line, is parsed by NumPy a piece at a time; a large one is
-  split at line starts into byte ranges, which forked readers parse at
-  the same time.  Any other file (an empty line or a lone CR included)
-  and every file NumPy cannot parse is read by the row reader in one
-  pass.  The canonical output format for synthetic sets.
+  has no empty line, is parsed by NumPy a piece at a time.  Any other
+  file (an empty line or a lone CR included) and every file NumPy cannot
+  parse is read by the row reader in one pass.  The canonical output
+  format for synthetic sets.
 * JSONL: one object per line with the same keys, plus an optional
   ``probs`` vector that is reduced to (argmax, max) when the explicit
   fields are absent.  The canonical format for real-model dumps.  Each
   line is decoded once; plainly laid-out records are checked as NumPy
   columns a chunk at a time, and any other record cell by cell in the
-  same pass, under the same rules.  A large file is split at line
-  starts into byte ranges, which forked readers read at the same time.
-* Both formats split a file the same way (see :mod:`cwsa_eval._ranges`)
-  into one byte range per CPU.  Every reader, the row reader included,
-  returns its records, and one join gives those of one reader of the
-  whole file, with their line numbers; it checks the record rules of each
-  part as it arrives and raises the first fault in file order.
-* An input is opened once.  A pipe's first row is checked, and the pipe
-  then copied to its end into a temporary file.  Every reader and the
-  digest read the one descriptor by ``os.pread``, none at its offset.  NumPy parses copies: each piece of a CSV file is
-  written to a temporary file read as ``/dev/fd/N``, so POSIX only.
+  same pass, under the same rules.
+* Both formats are read the same way (see :mod:`cwsa_eval._ranges`): an
+  input is opened once, and every reader and the digest read it through
+  ``pread(n, at)``, a pipe from a temporary file that it is copied into
+  only as far as the readers read.  A large input is split at line
+  starts into one byte range per CPU, which forked readers read at the
+  same time.  Every reader, the row reader included, returns its records,
+  and one join numbers their lines, checks the record rules of each part
+  as it arrives and raises the first fault in file order, which stops a
+  pipe's copy.  NumPy parses copies: each piece of a CSV file is written
+  to a temporary file read as ``/dev/fd/N``, so POSIX only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -44,7 +43,6 @@ import io
 import json
 import math
 import os
-import shutil
 import stat
 import tempfile
 import warnings
@@ -54,6 +52,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import _ranges
 from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec, baseline_scalars
 from .core import EvaluationSet, _checked_class_count, _first_bad_record
@@ -80,7 +79,6 @@ _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
 _PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
-_PIPE_HEAD = 1 << 20  # the most bytes of a pipe _spooled checks before it copies the rest
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -114,6 +112,11 @@ def _infer_format(path: Path) -> str:
     raise IngestError(f"{path}: cannot infer format from suffix {suffix!r}; pass format explicitly")
 
 
+def _shown(raw: object) -> str:
+    """``repr(raw)`` for a fault's text, clipped to 64 characters and a marker."""
+    return text[:64] + "...(clipped)" if len(text := repr(raw)) > 64 else text
+
+
 def _label(raw: object, name: str, line_no: int) -> int:
     """A label cell as an int that fits in int64: ``int()`` of text, or a
     JSON int or integral float.  The range is checked on the column."""
@@ -124,9 +127,9 @@ def _label(raw: object, name: str, line_no: int) -> int:
             raise ValueError
         value = int(raw)
     except ValueError:
-        raise _Fault(line_no, f"{name} must be an integer, got {raw!r}") from None
+        raise _Fault(line_no, f"{name} must be an integer, got {_shown(raw)}") from None
     if not INT64_MIN <= value <= INT64_MAX:
-        raise _Fault(line_no, f"{name} {value} does not fit in int64")
+        raise _Fault(line_no, f"{name} {_shown(value)} does not fit in int64")
     return value
 
 
@@ -138,14 +141,14 @@ def _number(raw: object, name: str, line_no: int) -> float:
             return float(raw)
         except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
             pass
-    raise _Fault(line_no, f"{name} must be a number, got {raw!r}")
+    raise _Fault(line_no, f"{name} must be a number, got {_shown(raw)}")
 
 
 def _credit(raw: object, line_no: int) -> float:
     """A credit cell as a number other than NaN.  The range is checked on the column."""
     value = _number(raw, "credit", line_no)
     if math.isnan(value):  # NaN would read as "absent" in the column
-        raise _Fault(line_no, f"credit {raw!r} outside [0, 1]")
+        raise _Fault(line_no, f"credit {_shown(raw)} outside [0, 1]")
     return value
 
 
@@ -179,12 +182,10 @@ def _csv_columns(header: Optional[List[str]]):
     return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
 
 
-def _csv_rows(fd: int):
-    """``(line, row)`` of each row of the CSV file open at ``fd``, read from byte 0 with ``os.pread``:
+def _csv_rows(pread):
+    """``(line, row)`` of each row of the CSV input read by ``pread``, from byte 0 to its end:
     ``line`` is the row's last line.  A row the ``csv`` module cannot read raises :class:`_Fault`."""
-    from . import _ranges
-
-    window = io.BufferedReader(_ranges._ByteWindow(fd, 0, os.fstat(fd).st_size))
+    window = io.BufferedReader(_ranges._ByteWindow(pread, 0, None))
     # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
     with io.TextIOWrapper(window, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
         reader = csv.reader(_utf8_lines(text))
@@ -195,12 +196,12 @@ def _csv_rows(fd: int):
             raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
 
 
-def _read_csv(fd: int):
-    """``(parts, skipped, fault)`` of the CSV file open at ``fd``, read by the row reader as
+def _read_csv(pread):
+    """``(parts, skipped, fault)`` of the CSV input read by ``pread``, read by the row reader as
     :func:`_read_csv_range` reads a range: one part, the record count at each line that starts
     no record, and the :class:`_Fault` that stopped the reading or ``None``.  A header fault raises."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
-    rows = _csv_rows(fd)
+    rows = _csv_rows(pread)
     end, header = next(rows, (0, None))  # end: the last line of the row read before
     i_true, i_pred, i_conf, i_credit = _csv_columns(header)
     width = max(i_true, i_pred, i_conf) + 1
@@ -256,15 +257,14 @@ def _bulk_readable(piece: bytes) -> Optional[int]:
     return ends.size + (last > 0)  # a last line with no line end holds a record too
 
 
-def _bulk_columns(fd: int):
+def _bulk_columns(pread):
     """The ``usecols`` of ``y_true``, ``y_pred`` and ``confidence`` for
-    ``np.loadtxt``, from the first line of the CSV file open at ``fd``, or
+    ``np.loadtxt``, from the first line of the CSV input read by ``pread``, or
     ``None`` when :func:`_read_csv` must read the file: the line is not a
     header NumPy can take, or it names a ``credit`` column, since an empty
     credit cell, which means "no credit", fails ``np.loadtxt``."""
     want = min(csv.field_size_limit() + 1, 1 << 22)  # the whole of a line NumPy may take, or 4 MiB
-    head = os.pread(fd, want, 0)
-    first = head.split(b"\n", 1)[0].split(b"\r", 1)[0]
+    first = pread(want, 0).split(b"\n", 1)[0].split(b"\r", 1)[0]
     if len(first) == want or not first.isascii():  # no line end in reach, or not ASCII
         return None
     try:
@@ -290,7 +290,7 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
         return None
 
 
-def _read_csv_range(usecols, fd: int, start: int, stop: int):
+def _read_csv_range(usecols, pread, start: int, stop: int):
     """``(parts, skipped, None)`` of bytes ``start`` to ``stop`` of a CSV file
     whose header names ``usecols`` and no ``credit``: one part a piece,
     parsed by NumPy, and in the file's first range the header's record
@@ -299,7 +299,7 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
     The range is taken a piece of about ``_SCAN_BLOCK`` bytes at a time,
     cut just past a LF.  A piece longer than ``_SCAN_BLOCK`` plus the csv
     field limit holds a line over the limit and is left unread; any other
-    is read once, by one ``os.pread``, and :func:`_bulk_readable` counts
+    is read once, by one ``pread``, and :func:`_bulk_readable` counts
     its lines.  Each line after the file's first, the header, must be a
     record: a table of any other length sends the file to :func:`_read_csv`,
     and so does a range that gives no table, such as the header alone.
@@ -308,8 +308,6 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
     copied to one temporary file, which holds one piece at a time, and
     parsed by the name ``/dev/fd/N``.
     """
-    from . import _ranges
-
     parts, skipped = [], [0] if start == 0 else []  # the header's line starts no record
     try:
         copy = tempfile.TemporaryFile()
@@ -317,10 +315,10 @@ def _read_csv_range(usecols, fd: int, start: int, stop: int):
         return None
     with copy:
         while start < stop:
-            end = _ranges._past_lf(fd, start + _SCAN_BLOCK, stop)
+            end = _ranges._past_lf(pread, start + _SCAN_BLOCK, stop)
             if end - start > _SCAN_BLOCK + csv.field_size_limit():  # its last line is over the limit
                 return None
-            piece = os.pread(fd, end - start, start)
+            piece = pread(end - start, start)
             count = _bulk_readable(piece)
             if count is None or len(piece) < end - start:  # a short read, as of a piece over 2 GiB
                 return None
@@ -356,7 +354,7 @@ def _reduce_probs(probs: object, confidence: object, line_no: int):
     if confidence is not _ABSENT:
         conf = _number(confidence, "confidence", line_no)
         if abs(conf - top) > PROBS_TOLERANCE:
-            raise _Fault(line_no, f"confidence {confidence!r} disagrees with max(probs) {top!r}")
+            raise _Fault(line_no, f"confidence {_shown(confidence)} disagrees with max(probs) {top!r}")
     return top_index, top
 
 
@@ -535,15 +533,13 @@ def _read_jsonl(text, parts: List[tuple], skipped: List[int]) -> None:
     _close_chunk(parts, cells, rows, vectors, first, skipped)
 
 
-def _read_jsonl_range(fd: int, start: int, stop: int):
-    """``(parts, skipped, fault)`` of bytes ``start`` to ``stop`` of a JSONL
-    file, which start a line, read by :func:`_read_jsonl`: ``skipped`` counts
-    records and ``fault``, the :class:`_Fault` that stopped the reading or
+def _read_jsonl_range(pread, start: int, stop: int):
+    """``(parts, skipped, fault)`` of bytes ``start`` to ``stop`` of a JSONL input
+    read by ``pread``, which start a line, read by :func:`_read_jsonl`: ``skipped``
+    counts records and ``fault``, the :class:`_Fault` that stopped the reading or
     ``None``, counts lines from the range's first."""
-    from . import _ranges
-
     parts, skipped = [], []
-    window = io.BufferedReader(_ranges._ByteWindow(fd, start, stop))
+    window = io.BufferedReader(_ranges._ByteWindow(pread, start, stop))
     try:
         # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
         with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
@@ -557,22 +553,14 @@ class _NotBulk(Exception):
     """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
 
 
-def _read_ranges(raw, read_range, class_count: Optional[int]):
-    """``(parts, skipped)`` of the regular file open as ``raw``, read with
-    ``read_range``, a large one in byte ranges at the same time (see
-    :mod:`cwsa_eval._ranges`), whose results :func:`_join` joins in file
-    order; ``None`` when a range's result is ``None``."""
+def _read_ranges(pread, regions, read_range, class_count: Optional[int]):
+    """``(parts, skipped)`` of the input read by ``pread``, read with ``read_range`` a
+    region of ``regions`` at a time (see :mod:`cwsa_eval._ranges`) and joined by
+    :func:`_join` in file order; ``None`` when a range's result is ``None``."""
     parts, skipped = [], []
-
-    def join(result) -> None:
-        if result is None:
-            raise _NotBulk
-        _join(parts, skipped, class_count, result)
-
-    from . import _ranges  # here: a run that reads no file never loads it
-
     try:
-        _ranges.read_ranges(raw, read_range, join)
+        for region in regions:
+            _ranges.read_ranges(pread, region, read_range, functools.partial(_join, parts, skipped, class_count))
     except _NotBulk:
         return None
     return parts, skipped
@@ -583,7 +571,10 @@ def _join(parts: List[tuple], skipped: List[int], class_count: Optional[int], re
     ``parts`` and ``skipped`` as one reader of the whole file gives them, adding the records and
     lines read before.  Each part's record rules are checked as it arrives (see
     :func:`cwsa_eval.core._first_bad_record`), so the first fault in file order, a broken rule
-    or else the reader's, raises as a :class:`_Fault` of the file's line."""
+    or else the reader's, raises as a :class:`_Fault` of the file's line.  ``None``, a range
+    that NumPy cannot parse, raises :class:`_NotBulk`."""
+    if result is None:
+        raise _NotBulk
     new_parts, new_skipped, fault = result
     records = sum(len(part[0]) for part in parts)
     lines = records + len(skipped)
@@ -620,22 +611,22 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     """Read and validate a prediction file into an :class:`EvaluationSet`.
 
     ``class_count`` defaults to 1 + the largest label seen, and is checked
-    before the file is opened.  The file is opened once, and a pipe, once
-    its head is checked, copied to its end into a temporary file.  One
-    reader reads the file (for CSV, the NumPy pass or else the row reader;
-    a large file is split between forked readers that read as one) up to
-    its first fault, and the one join, which checks the record rules of
-    what was read, names the first malformed line in :class:`IngestError`.
+    before the file is opened.  The file is opened once, a pipe copied into
+    a temporary file only as far as it is read.  One reader reads the file
+    (for CSV, the NumPy pass or else the row reader; a large file is split
+    between forked readers that read as one) up to its first fault, and the
+    one join, which checks the record rules of what was read, names the
+    first malformed line in :class:`IngestError`.
     """
     return _ingest(path, fmt, class_count, digested=False)[0]
 
 
 def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, digested: bool = True):
     """``(dataset, digest)``: :func:`ingest` of ``path``, and the ``sha256:``
-    digest of the bytes it read (``None`` unless ``digested``).  The digest
-    is taken from the open file before any reader reads it, so a file
-    replaced after the open is neither read nor digested.  :func:`_join`
-    checks every reader's result and raises the fault that is named."""
+    digest of the bytes it read (``None`` unless ``digested``), taken after
+    the readers from the one open file, so that a file replaced after the
+    open is neither read nor digested.  :func:`_join` checks every reader's
+    result and raises the fault that is named, which stops a pipe's copy."""
     path = Path(path)
     class_count = _checked_class_count(class_count)
     if fmt is None:
@@ -644,65 +635,36 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
         raise IngestError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
     with contextlib.ExitStack() as stack:
-        raw = stack.enter_context(open(path, "rb"))
+        fd = stack.enter_context(open(path, "rb")).fileno()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            pread, regions = functools.partial(os.pread, fd), [(0, os.fstat(fd).st_size)]
+        else:  # a pipe, which only one pass can read
+            pread = _ranges._Pipe(fd, stack.enter_context(tempfile.TemporaryFile()))
+            regions = pread.regions()
         try:
-            if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # a pipe, which only one pass can read
-                raw = _spooled(raw, fmt, stack.enter_context(tempfile.TemporaryFile()), class_count)
-            digest = _digest(raw.fileno()) if digested else None
             if fmt == "jsonl":
-                parts, _ = _read_ranges(raw, _read_jsonl_range, class_count)
+                parts, _ = _read_ranges(pread, regions, _read_jsonl_range, class_count)
             else:
-                usecols = _bulk_columns(raw.fileno())
-                read = usecols and _read_ranges(raw, functools.partial(_read_csv_range, usecols), class_count)
+                usecols = _bulk_columns(pread)
+                bulk = usecols and functools.partial(_read_csv_range, usecols)
+                read = bulk and _read_ranges(pread, regions, bulk, class_count)
                 parts, skipped = read or ([], [])
                 if not read:  # the row reader reads a file NumPy cannot take
-                    _join(parts, skipped, class_count, _read_csv(raw.fileno()))
+                    _join(parts, skipped, class_count, _read_csv(pread))
         except _Fault as fault:
             where = path if fault.line is None else f"{path}:{fault.line}"
             raise IngestError(f"{where}: {fault.reason}") from None
+        digest = _digest(pread) if digested else None
     arrays = _joined_arrays(parts)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
 
 
-def _spooled(pipe, fmt: str, spool, class_count: Optional[int]):
-    """``spool``, a temporary file, flushed once it holds all of ``pipe``.
-
-    First the pipe's head is spooled and read from the spool as the reader
-    reads it, so that a producer of endless bad lines ends in its fault and
-    does not fill the disk.  A CSV head ends at the first LF after an even
-    count of quotes, where a row whose every quote opens or closes a cell
-    ends, and :func:`_csv_rows` and :func:`_csv_columns` check its header.
-    A JSONL head is the lines up to the first that is not blank, read by
-    :func:`_read_jsonl_range` and checked, record rules included, by
-    :func:`_join`.  At most ``_PIPE_HEAD`` bytes are read for the check; a
-    head that goes on past them is left unchecked.
-    """
-    data, quotes = bytearray(), 0
-    while True:
-        line = pipe.readline(_PIPE_HEAD - len(data))
-        data += line
-        quotes += line.count(b'"')
-        goes_on = quotes % 2 if fmt == "csv" else not line.strip()  # the head goes on past this line
-        if not (goes_on and line.endswith(b"\n")):
-            break
-    spool.write(data)
-    spool.flush()  # os.pread reads the spool
-    if len(data) < _PIPE_HEAD or (data.endswith(b"\n") and not goes_on):  # the whole pipe, or a whole head
-        if fmt == "jsonl":
-            _join([], [], class_count, _read_jsonl_range(spool.fileno(), 0, len(data)))
-        elif not ((header := next(_csv_rows(spool.fileno()), (0, None))[1]) and header[-1].endswith("\n")):
-            _csv_columns(header)  # a last cell ending in a LF may be cut by a quote the csv module read as text
-    shutil.copyfileobj(pipe, spool)
-    spool.flush()
-    return spool
-
-
-def _digest(fd: int) -> str:
-    """``sha256:`` and the hex SHA-256 of the file open at ``fd``, read with ``os.pread``."""
+def _digest(pread) -> str:
+    """``sha256:`` and the hex SHA-256 of the input read by ``pread``, to its end."""
     digest, at = hashlib.sha256(), 0
-    while block := os.pread(fd, 1 << 16, at):
+    while block := pread(1 << 16, at):
         digest.update(block)
         at += len(block)
     return f"sha256:{digest.hexdigest()}"

@@ -18,6 +18,7 @@ import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ class TestBulkCsv:
             _write_lines(path, lines, ending)
             assert not _opened(_bulk_pass, path)  # an empty line
             with pytest.raises(dataio._Fault) as direct:
-                dataio._join([], [], class_count, _opened(lambda raw: row_reader(raw.fileno()), path))
+                dataio._join([], [], class_count, _opened(row_reader, path))
             read.clear()
             with pytest.raises(IngestError) as shipped:
                 ingest(path, class_count=class_count)
@@ -353,7 +354,7 @@ class TestBulkCsv:
                 continue
             bulk_read += 1
             bulk_parts, bulk_skipped = bulk
-            row_parts, row_skipped, _ = _opened(lambda raw: dataio._read_csv(raw.fileno()), path)
+            row_parts, row_skipped, _ = _opened(dataio._read_csv, path)
             assert bulk_skipped == row_skipped == [0]
             (row,) = row_parts
             *bulk, bulk_credit = zip(*bulk_parts)  # one part a piece
@@ -393,19 +394,30 @@ def _small_blocks(monkeypatch, block):
     monkeypatch.setattr(_ranges, "_LF_SEARCH", min(block, _ranges._LF_SEARCH))
 
 
+def _pread(raw):
+    """The ``pread(n, at)`` through which ``ingest`` reads the file open as ``raw``."""
+    return functools.partial(os.pread, raw.fileno())
+
+
+def _fd_of(pread):
+    """The descriptor that ``pread``, as ``ingest`` makes it, reads: a file's, or a pipe's spool's."""
+    return pread.args[0] if isinstance(pread, functools.partial) else pread._spool.fileno()
+
+
 def _opened(reader, path, *args):
-    """``reader(raw, *args)`` of the file at ``path`` open as ``raw``, as ``ingest`` passes it."""
+    """``reader(pread, *args)`` of the file at ``path``, read by ``pread`` as ``ingest`` reads it."""
     with open(path, "rb") as raw:
-        return reader(raw, *args)
+        return reader(_pread(raw), *args)
 
 
-def _bulk_pass(raw):
-    """``(parts, skipped)`` of the NumPy pass over the CSV file open as ``raw``, joined as
+def _bulk_pass(pread):
+    """``(parts, skipped)`` of the NumPy pass over the CSV file read by ``pread``, joined as
     ``_ingest`` joins them but with no record rule checked, or ``None`` when it declines."""
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(dataio, "_first_bad_record", lambda *args: None)
-        usecols = dataio._bulk_columns(raw.fileno())
-        return usecols and dataio._read_ranges(raw, functools.partial(dataio._read_csv_range, usecols), None)
+        usecols = dataio._bulk_columns(pread)
+        regions = [(0, os.fstat(_fd_of(pread)).st_size)]
+        return usecols and dataio._read_ranges(pread, regions, functools.partial(dataio._read_csv_range, usecols), None)
 
 
 def _count_row_reads(monkeypatch):
@@ -413,15 +425,15 @@ def _count_row_reads(monkeypatch):
     returned, found from its descriptor through ``/proc/self/fd`` (Linux)."""
     row_reader, read = dataio._read_csv, []
 
-    def counted_row_reader(fd):
-        read.append(Path(os.readlink(f"/proc/self/fd/{fd}")))
-        return row_reader(fd)
+    def counted_row_reader(pread):
+        read.append(Path(os.readlink(f"/proc/self/fd/{_fd_of(pread)}")))
+        return row_reader(pread)
 
     monkeypatch.setattr(dataio, "_read_csv", counted_row_reader)
     return read
 
 
-def _no_bulk_pass(fd):
+def _no_bulk_pass(pread):
     """A ``_bulk_columns`` that declines every file, so that the row reader reads it."""
     return None
 
@@ -693,7 +705,7 @@ class TestSplitJsonl:
             assert splits(content, 2) and splits(content, 3)
         if layout == "fault_middle":  # the middle of 3 ranges holds the whole content, fault and all
             with open(path, "rb") as raw:
-                first, second = _ranges._line_cuts(raw, len(content), 3)
+                first, second = _ranges._line_cuts(_pread(raw), (0, len(content)), 3)
             assert first <= middle[0] and middle[1] <= second
         outcomes = _outcomes_at_each_split(path)
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -751,7 +763,7 @@ class TestSplitJsonl:
                     cut = data.index(b"\n", k * len(data) // workers) + 1 if b"\n" in data[k * len(data) // workers:] else len(data)
                     if cut < len(data) and cut not in cuts:
                         cuts.append(cut)
-                assert _ranges._line_cuts(raw, len(data), workers) == cuts, workers
+                assert _ranges._line_cuts(_pread(raw), (0, len(data)), workers) == cuts, workers
 
 
 _MALFORMED_CSV = [name for name in MALFORMED_FILES if name.endswith(".csv")]
@@ -840,8 +852,8 @@ class TestSplitCsv:
         assert outcomes == [(([0, 0], [1, 1], [0.5, 0.5], None), 2)] * 3
         assert read == [path] * 3
         with open(path, "rb") as raw:
-            (cut,) = _ranges._line_cuts(raw, len(data), 2)
-            assert dataio._read_csv_range((0, 1, 2), raw.fileno(), cut, len(data)) is None
+            (cut,) = _ranges._line_cuts(_pread(raw), (0, len(data)), 2)
+            assert dataio._read_csv_range((0, 1, 2), _pread(raw), cut, len(data)) is None
 
 
 _FILLER = "0,1,0.5\n2,2,0.25\n" * 4
@@ -1086,7 +1098,7 @@ def test_no_forked_reader_reads_a_byte_before_its_range(tmp_path, monkeypatch, n
         pid, offset = map(int, entry.split())
         lowest[pid] = min(offset, lowest.get(pid, offset))
     with open(path, "rb") as raw:
-        starts = _ranges._line_cuts(raw, len(text), workers)  # of the ranges after the first
+        starts = _ranges._line_cuts(_pread(raw), (0, len(text)), workers)  # of the ranges after the first
     assert len(forks) == len(starts) == workers - 1
     assert sorted(lowest) == sorted(forks)  # each child read its range
     for pid, start in zip(forks, starts):
@@ -1183,7 +1195,7 @@ class TestSplitCsvReaders:
         path = tmp_path / "p.csv"
         path.write_text(text)
         expected = _ingest_outcome(path)
-        _, row_lines, _ = _opened(lambda raw: dataio._read_csv(raw.fileno()), path)
+        _, row_lines, _ = _opened(dataio._read_csv, path)
         parsed, sizes = dataio._parsed, []
 
         def measured(name, *args):
@@ -1378,6 +1390,18 @@ class TestReportSerialization:
         text = dumps_report(doc)
         assert '"selective_accuracy": null' in text
         assert json.loads(text)["selective_accuracy"] is None
+
+    def test_booleans_and_empty_objects(self):
+        doc = {"flags": {"on": True, "off": False}, "empty": {}, "list": [True, {}, None]}
+        text = dumps_report(doc)
+        assert text == ('{\n  "flags": {\n    "on": true,\n    "off": false\n  },\n'
+                        '  "empty": {},\n  "list": [true, {}, null]\n}\n')
+        assert json.loads(text) == doc
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object()], ids=["set", "bytes", "object"])
+    def test_an_unsupported_value_raises_type_error(self, value):
+        with pytest.raises(TypeError, match=rf"^cannot serialize {type(value).__name__}$"):
+            dumps_report({"scalars": {"x": value}})
 
 
 def run_cli(argv):
@@ -1579,9 +1603,9 @@ _PIPED_FILES = {
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 class TestPipeHead:
-    """A pipe's first line is checked before the rest is copied, so that an
-    endless producer of bad lines fails at once, and a pipe fails as its
-    file fails, with the same text."""
+    """A pipe is copied into its spool only as far as the readers read it,
+    one region at a time, so that an endless producer of bad lines fails at
+    its first fault, and a pipe fails as its file fails, with the same text."""
 
     @pytest.mark.parametrize("fmt, head, line, error", [
         ("csv", b"", b"y\n", r"<input>: missing required column 'y_true'"),
@@ -1592,7 +1616,15 @@ class TestPipeHead:
         ("csv", b"", b'"y\n', r"<input>: missing required column 'y_true'"),
         ("jsonl", b"", b'{"y_true": -1, "y_pred": 0, "confidence": 0.5}\n',
          r"<input>:1: y_true -1 outside \[0, class_count\)"),
-    ], ids=["csv_header", "jsonl_not_json", "csv_over_limit", "csv_quoted_header", "jsonl_broken_rule"])
+        # a valid head, then a bad body
+        ("csv", _CSV_HEADER.encode(), b"y\n", r"<input>:2: expected 3 columns, got 1"),
+        ("csv", _CSV_HEADER.encode(), b"0,0,1.5\n", r"<input>:2: confidence 1\.5 outside \[0, 1\]"),
+        ("csv", b'"y_true",y_pred,confidence\n', b"y\n", r"<input>:2: expected 3 columns, got 1"),
+        ("jsonl", _VALID.encode(), b"y\n", r"<input>:2: invalid JSON \(Expecting value\)"),
+        ("jsonl", _VALID.encode(), b'{"y_true": 0, "y_pred": 0, "confidence": 1.5}\n',
+         r"<input>:2: confidence 1\.5 outside \[0, 1\]"),
+    ], ids=["csv_header", "jsonl_not_json", "csv_over_limit", "csv_quoted_header", "jsonl_broken_rule",
+            "csv_body", "csv_body_broken_rule", "csv_quoted_header_body", "jsonl_body", "jsonl_body_broken_rule"])
     def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, head, line, error):
         spools = tmp_path / "spools"
         spools.mkdir()
@@ -1600,7 +1632,7 @@ class TestPipeHead:
                             lambda: tempfile.NamedTemporaryFile(dir=spools, delete=False))
         read_end, write_end = os.pipe()
         # as `yes` writes, until EPIPE, after ``head``; the bound only keeps a failing run from filling the disk
-        thread = _feed(write_end, line * (8192 // len(line)), repeat=64 * dataio._PIPE_HEAD // 8192, head=head)
+        thread = _feed(write_end, line * (8192 // len(line)), repeat=64 * _ranges._FIRST_REGION // 8192, head=head)
         try:
             status = run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
                               "--tau", "0.7", "--output", str(tmp_path / "r.json")])
@@ -1611,7 +1643,73 @@ class TestPipeHead:
         assert status == 1
         assert re.search(error, capsys.readouterr().err.replace(f"/dev/fd/{read_end}", "<input>"))
         sizes = [spool.stat().st_size for spool in spools.iterdir()]
-        assert sizes and max(sizes) <= dataio._PIPE_HEAD
+        assert sizes and max(sizes) <= _ranges._FIRST_REGION
+
+    @pytest.mark.parametrize("fmt, row, bad, error", [
+        ("csv", b"0,1,0.5\n", b"y\n", "expected 3 columns, got 1"),
+        ("csv", b"0,1,0.5\n", b"0,0,1.5\n", r"confidence 1\.5 outside \[0, 1\]"),
+        ("jsonl", _VALID.encode(), b"y\n", r"invalid JSON \(Expecting value\)"),
+        ("jsonl", _VALID.encode(), b'{"y_true": 0, "y_pred": 0, "confidence": 1.5}\n',
+         r"confidence 1\.5 outside \[0, 1\]"),
+    ], ids=["csv", "csv_broken_rule", "jsonl", "jsonl_broken_rule"])
+    def test_a_fault_after_the_first_region_spools_one_more_region(self, tmp_path, monkeypatch, capsys,
+                                                                    fmt, row, bad, error):
+        monkeypatch.setattr(_ranges, "_SPLIT_BYTES", 1 << 16)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        region = 3 << 16  # a later region: _SPLIT_BYTES for each of the 2 CPUs and one more
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda: tempfile.NamedTemporaryFile(dir=spools, delete=False))
+        header = _CSV_HEADER.encode() if fmt == "csv" else b""
+        head = header + row * ((_ranges._FIRST_REGION + 5 * region // 2) // len(row))  # a fault mid-region
+        line = head.count(b"\n") + 1
+        read_end, write_end = os.pipe()
+        thread = _feed(write_end, bad * (8192 // len(bad)), repeat=64 * _ranges._FIRST_REGION // 8192, head=head)
+        try:
+            status = run_cli(["evaluate", "--input", f"/dev/fd/{read_end}", "--format", fmt,
+                              "--tau", "0.7", "--output", str(tmp_path / "r.json")])
+        finally:
+            os.close(read_end)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert status == 1
+        assert re.search(f"<input>:{line}: {error}", capsys.readouterr().err.replace(f"/dev/fd/{read_end}", "<input>"))
+        sizes = [spool.stat().st_size for spool in spools.iterdir()]
+        assert sizes and max(sizes) <= len(head) + region
+
+    @pytest.mark.parametrize("name, text", [("p.jsonl", _VALID * 1000), ("p.csv", _CSV_HEADER + "0,1,0.5\n" * 6000)],
+                             ids=["jsonl", "csv"])
+    def test_no_forked_reader_reads_the_pipe(self, tmp_path, monkeypatch, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        expected = _outcome(path)
+        log = tmp_path / "pulls"  # the pid of each read of the pipe, from any process
+        read, parent = os.read, os.getpid()
+
+        def logged_read(fd, length):
+            if os.fstat(fd).st_ino == os.fstat(read_end).st_ino:  # the pipe, by any descriptor
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+            return read(fd, length)
+
+        monkeypatch.setattr(os, "read", logged_read)
+        monkeypatch.setattr(_ranges, "_FIRST_REGION", 1 << 12)
+        monkeypatch.setattr(dataio, "_read_csv", _no_row_reader)
+        read_end, write_end = os.pipe()
+        thread = _feed(write_end, text.encode())
+        try:
+            with forced_split(2) as forks, mock.patch.object(_ranges, "_SPLIT_BYTES", 1 << 12):
+                # the feeding thread keeps ingest from forking: let _workers see one thread
+                with mock.patch.object(threading, "active_count", lambda: 1):
+                    outcome = _outcome(f"/dev/fd/{read_end}", path.suffix[1:])
+        finally:
+            os.close(read_end)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert outcome == expected
+        assert len(forks) > 1  # a fork in more than one region
+        assert set(log.read_text().split()) == {str(parent)}
 
     @pytest.mark.parametrize("head", [1 << 20, 16, 1], ids=["default", "16", "1"])
     @pytest.mark.parametrize("name", list(_PIPED_FILES))
@@ -1621,9 +1719,41 @@ class TestPipeHead:
         path = tmp_path / name
         path.write_bytes(data)
         expected = _outcome(path)
-        monkeypatch.setattr(dataio, "_PIPE_HEAD", head)
+        monkeypatch.setattr(_ranges, "_FIRST_REGION", head)
         outcome = _piped_outcome(data, path.suffix[1:])
         assert outcome == (expected.replace(str(path), "<input>") if isinstance(expected, str) else expected)
+
+
+class TestClippedCells:
+    """A fault's text echoes a cell clipped to 64 characters and a marker,
+    so that a huge bad cell does not flood stderr; a short cell is echoed whole."""
+
+    @pytest.mark.parametrize("name, content, error", [
+        ("p.jsonl", json.dumps({"y_true": "x" * (8 << 20), "y_pred": 0, "confidence": 0.5}) + "\n",
+         ":1: y_true must be an integer, got '" + "x" * 63 + "...(clipped)\n"),
+        ("p.csv", _CSV_HEADER + "x" * 131_000 + ",0,0.5\n",
+         ":2: y_true must be an integer, got '" + "x" * 63 + "...(clipped)\n"),
+        ("p.csv", _CSV_HEADER + "9" * 400 + ",0,0.5\n", ":2: y_true " + "9" * 64 + "...(clipped) does not fit in int64\n"),
+        ("p.jsonl", json.dumps({"y_true": 0, "probs": [0.5, 0.5], "confidence": "y" * 200}) + "\n",
+         ":1: confidence must be a number, got '" + "y" * 63 + "...(clipped)\n"),
+        ("p.csv", "y_true,y_pred,confidence,credit\n0,0,0.5,nan" + " " * 200 + "\n",
+         ":2: credit 'nan" + " " * 60 + "...(clipped) outside [0, 1]\n"),
+    ], ids=["jsonl_label_8mib", "csv_label_131k", "csv_label_int64", "jsonl_number", "csv_credit"])
+    def test_a_huge_cell_is_clipped(self, tmp_path, capsys, name, content, error):
+        path = tmp_path / name
+        path.write_text(content)
+        assert run_cli(["evaluate", "--input", str(path), "--tau", "0.7", "--output", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}{error}" in err, err[:300]
+        assert len(err) < len(str(path)) + 200
+
+    def test_a_disagreeing_confidence_is_clipped(self):
+        with pytest.raises(dataio._Fault) as clipped:
+            dataio._reduce_probs([0.5, 0.5], "0." + "5" * 100, 1)
+        assert clipped.value.reason == f"confidence '0.{'5' * 61}...(clipped) disagrees with max(probs) 0.5"
+        with pytest.raises(dataio._Fault) as whole:
+            dataio._reduce_probs([0.5, 0.5], 0.501, 1)
+        assert whole.value.reason == "confidence 0.501 disagrees with max(probs) 0.5"
 
 
 # file name -> contents, for the NumPy CSV pass, the row reader and JSONL
@@ -1695,9 +1825,9 @@ class TestOneOpen:
             with open(log, "a") as out:
                 out.write(f"{role} {st.st_dev} {st.st_ino}\n")
 
-        def noted_bulk(fd):
-            noted("input", os.fstat(fd))  # the file, or the spool of the pipe
-            return bulk(fd)
+        def noted_bulk(pread):
+            noted("input", os.fstat(_fd_of(pread)))  # the file, or the spool of the pipe
+            return bulk(pread)
 
         def noted_parsed(name, *args):
             noted("parsed", os.stat(name))
@@ -1730,8 +1860,8 @@ class TestOneOpen:
         path.write_text(_ONE_OPEN_INPUTS["quoted.csv"])
         expected, digest = dataio._ingest(path)
 
-        def moved_offset(fd):
-            os.lseek(fd, 7, os.SEEK_SET)
+        def moved_offset(pread):
+            os.lseek(_fd_of(pread), 7, os.SEEK_SET)
             return None  # so the row reader reads the file
 
         monkeypatch.setattr(dataio, "_bulk_columns", moved_offset)

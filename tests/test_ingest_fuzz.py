@@ -50,7 +50,7 @@ PROBS = [  # the first five sum to 1
 CLASS_COUNTS = st.sampled_from([None, 2, 3])
 _NO_REDUCTION = {"_top_of_probs": lambda vectors: None}
 OTHER_WAYS = {
-    "csv": [{"_bulk_columns": lambda fd: None}],
+    "csv": [{"_bulk_columns": lambda pread: None}],
     "jsonl": [{"_PROBS_CHUNK": 1 << 16, **_NO_REDUCTION}] + [
         {"_PROBS_CHUNK": chunk, **reduction} for chunk in (1, 3) for reduction in ({}, _NO_REDUCTION)
     ],
