@@ -1,22 +1,28 @@
-"""Reading an input in byte ranges at the same time, one forked reader per CPU.
+"""Working ranges of an input or an output at the same time, one forked worker per CPU.
+
+:func:`run_ranges` works the first range in this process and each other in a
+forked child, whose result comes back pickled through a pipe (the work holds
+the interpreter lock, so threads could not share it), and joins the results
+in order; a range whose child died is worked here.  Forking is safe only in a
+process running one thread, so off Linux and beside a second thread
+:func:`_workers` gives one range.
 
 Readers read through ``pread(n, at)``, sharing no file offset: a file's
 ``os.pread``, or a :class:`_Pipe`, which copies a pipe into a spool only as
 far as a read reaches.  A file is one byte region, a pipe a run of regions,
 each spooled before it is read, so that no forked reader reads the pipe and
 a fault the join raises stops the copy.  :func:`read_ranges` cuts a region
-just past a LF into one range per CPU, at most one per ``_SPLIT_BYTES``:
-this process reads the first and a forked child each other, whose result
-comes back pickled through a pipe (reading holds the interpreter lock, so
-threads could not share it).  A reader numbers its own lines from 1, and
-``dataio``'s one join adds the lines before, so the engine knows no line end
-but the LF it cuts after.  Forking is safe only in a process running one
-thread, so off Linux and beside a second thread a region is one range.
+just past a LF into one range per CPU, at most one per ``_SPLIT_BYTES``.  A
+reader numbers its own lines from 1, and ``dataio``'s one join adds the lines
+before, so the engine knows no line end but the LF it cuts after.
+``dataio``'s canonical CSV writer splits its records evenly into as many
+ranges as ``_workers`` gives for the bytes of its columns.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 import pickle
@@ -27,7 +33,7 @@ from typing import Callable, List, Optional
 
 from . import kernels
 
-_SPLIT_BYTES = 1 << 22  # the fewest bytes per reader
+_SPLIT_BYTES = 1 << 22  # the fewest bytes per worker
 _FIRST_REGION = 1 << 20  # the most bytes of a pipe spooled before its first region is read
 _LF_SEARCH = 1 << 16  # the most bytes read at a time in search of a LF
 _PULL_BYTES = 1 << 16  # the most bytes copied from a pipe at a time
@@ -86,8 +92,8 @@ class _Pipe:
 
 
 def _workers(size: int) -> int:
-    """Readers for a region of ``size`` bytes: one per CPU, at most one per ``_SPLIT_BYTES``,
-    and one unless the process is a Linux process running one thread, where ``os.fork`` is safe."""
+    """Workers for ``size`` bytes: one per CPU, at most one per ``_SPLIT_BYTES``, and
+    one unless the process is a Linux process running one thread, where ``os.fork`` is safe."""
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return max(1, min(kernels._usable_cpus(), size // _SPLIT_BYTES))
@@ -131,9 +137,9 @@ def _line_cuts(pread: Callable, region, workers: int) -> List[int]:
     return cuts
 
 
-def _fork_reader(read_range: Callable, pread: Callable, start: int, stop: int):
+def _fork(work: Callable, start: int, stop: int):
     """``(pid, read end of its pipe)`` of a forked child that pickles
-    ``read_range(pread, start, stop)`` into the pipe; ``None`` when no child starts."""
+    ``work(start, stop)`` into the pipe; ``None`` when no child starts."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -150,7 +156,7 @@ def _fork_reader(read_range: Callable, pread: Callable, start: int, stop: int):
     status = 1
     try:
         os.close(read_end)
-        result = read_range(pread, start, stop)
+        result = work(start, stop)
         with os.fdopen(write_end, "wb") as pipe:
             pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -166,19 +172,24 @@ def _reap(pid: int) -> None:
 
 def read_ranges(pread: Callable, region, read_range: Callable, join: Callable) -> None:
     """Read the byte region ``(lo, hi)``, which starts a line and is spooled if
-    piped, in ``_workers`` ranges cut just past a LF, at the same time, and pass
-    each range's ``read_range(pread, start, stop)`` to ``join`` in file order.
-
-    This process reads the first range while a forked child reads each other;
-    a range whose child died, or sent less than its whole result, is read here.
-    ``join`` stops the reading by raising, which this function raises on once
-    every child is killed and reaped."""
+    piped, in ``_workers`` ranges cut just past a LF, and pass each range's
+    ``read_range(pread, start, stop)`` to ``join`` in file order, by :func:`run_ranges`."""
     lo, hi = region
     bounds = [lo, *_line_cuts(pread, region, _workers(hi - lo)), hi]
-    ranges = list(zip(bounds, bounds[1:]))
-    children = [_fork_reader(read_range, pread, start, stop) for start, stop in ranges[1:]]
+    run_ranges(list(zip(bounds, bounds[1:])), functools.partial(read_range, pread), join)
+
+
+def run_ranges(ranges, work: Callable, join: Callable) -> None:
+    """Pass ``work(start, stop)`` of each ``(start, stop)`` of ``ranges`` to
+    ``join`` in order, the ranges worked at the same time.
+
+    This process works the first range while a forked child works each other;
+    a range whose child died, or sent less than its whole result, is worked
+    here.  ``join`` stops the work by raising, which this function raises on
+    once every child is killed and reaped."""
+    children = [_fork(work, start, stop) for start, stop in ranges[1:]]
     try:
-        join(read_range(pread, *ranges[0]))
+        join(work(*ranges[0]))
         for k, (start, stop) in enumerate(ranges[1:]):
             result = _DIED
             if children[k] is not None:
@@ -188,7 +199,7 @@ def read_ranges(pread: Callable, region, read_range: Callable, join: Callable) -
                         result = pickle.load(pipe)
                 _reap(pid)
                 children[k] = None
-            join(read_range(pread, start, stop) if result is _DIED else result)
+            join(work(start, stop) if result is _DIED else result)
     except BaseException:
         for pid, _ in filter(None, children):
             os.kill(pid, SIGKILL)

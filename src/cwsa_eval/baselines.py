@@ -8,12 +8,11 @@ baselines the weighted selective scores are judged against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .core import EvaluationSet
+from .core import EvaluationSet, _entries
 from .kernels import sequential_sum
 
 __all__ = [
@@ -183,10 +182,10 @@ def risk_coverage_points(dataset: EvaluationSet) -> List[RiskCoveragePoint]:
 
     Both columns are computed as arrays (k/n is correctly rounded either
     way, so it equals ``(i + 1) / n``); the points are then built without
-    a Python call per record.
+    a Python call per record, with the cyclic garbage collector held off
+    meanwhile.
     """
     n = len(dataset)
     coverages = (np.arange(1, n + 1, dtype=np.float64) / n).tolist()
     risks = _prefix_risks(dataset).tolist()
-    # tuple.__new__ is what RiskCoveragePoint._make calls, minus its Python frame
-    return list(map(partial(tuple.__new__, RiskCoveragePoint), zip(coverages, risks)))
+    return _entries(RiskCoveragePoint, zip(coverages, risks))

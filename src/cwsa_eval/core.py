@@ -8,7 +8,9 @@ record rules live in one place, :func:`_first_bad_record`, which both
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import gc
+from functools import partial
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,6 +128,25 @@ def _own_column(values, dtype) -> np.ndarray:
     if not column.flags.owndata or (column is values and column.flags.writeable):
         column = column.copy()
     return column
+
+
+def _entries(cls, rows: Iterable[tuple]) -> List[tuple]:
+    """``[cls._make(row) for row in rows]`` for a tuple subclass ``cls``, built
+    without a Python call per row and with the cyclic collector held off.
+
+    Each entry is a new tracked container, so a collector left on would walk
+    every entry built so far at each full collection while the list grows.
+    The collector is turned back on only if it was on before, so a caller
+    that holds it off keeps it off; it is off for the whole process meanwhile.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # tuple.__new__ is what cls._make calls, minus its Python frame
+        return list(map(partial(tuple.__new__, cls), rows))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _first_bad_record(y_true, y_pred, confidence, credit, class_count) -> Optional[Tuple[int, str]]:

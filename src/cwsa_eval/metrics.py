@@ -18,13 +18,12 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .core import EvaluationSet, validate_threshold
+from .core import EvaluationSet, _entries, validate_threshold
 
 __all__ = [
     "PointMetrics",
@@ -175,7 +174,8 @@ def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
     marker instead of an arbitrary one-sided slope.
 
     The values and status codes are computed as arrays; the entries are
-    then built without a Python call per record.
+    then built without a Python call per record, with the cyclic garbage
+    collector held off meanwhile.
     """
     tau = validate_threshold(tau)
     conf = dataset.confidence
@@ -190,6 +190,4 @@ def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
         values[i] = None
     codes = (retained.view(np.int8) + above.view(np.int8)).tolist()
     statuses = map(_GRADIENT_STATUSES.__getitem__, codes)
-    # tuple.__new__ is what GradientEntry._make calls, minus its Python frame
-    rows = zip(range(len(conf)), values, statuses)
-    return list(map(partial(tuple.__new__, GradientEntry), rows))
+    return _entries(GradientEntry, zip(range(len(conf)), values, statuses))

@@ -1,7 +1,20 @@
+import contextlib
+import gc
+
 import numpy as np
 import pytest
 
-from cwsa_eval import EvaluationSet, point_metrics, validate_threshold
+from cwsa_eval import (
+    ArchetypeSpec,
+    EvaluationSet,
+    GradientEntry,
+    cwsa_gradient,
+    generate,
+    point_metrics,
+    risk_coverage_points,
+    validate_threshold,
+)
+from cwsa_eval.core import _entries
 from conftest import make_set, weight_of
 
 
@@ -177,3 +190,57 @@ class TestCoverage:
         ds = make_set(list(zip(rng.uniform(0, 1, 300).tolist(), [True] * 300)))
         values = [point_metrics(ds, t).coverage for t in np.linspace(0.0, 0.99, 34)]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic garbage collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestEntries:
+    """The per-record lists are built with the cyclic collector held off, and
+    the caller's collector setting is left as it was."""
+
+    def test_the_per_record_builds_start_no_full_collection(self):
+        ds = generate(ArchetypeSpec.for_kind("calibrated", n=200_000, seed=11))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        with collector(True):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                built = [cwsa_gradient(ds, 0.7), risk_coverage_points(ds)]
+            finally:
+                gc.callbacks.remove(record)
+        assert [len(entries) for entries in built] == [200_000, 200_000]
+        assert starts.count(2) == 0  # with the collector on while building: 4 at 2e5 records
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_setting_is_kept(self, enabled):
+        rows = [(0, 0.5, "interior"), (1, None, "kink")]
+        with collector(enabled):
+            assert _entries(GradientEntry, iter(rows)) == rows
+            assert gc.isenabled() is enabled
+            assert cwsa_gradient(make_set([(0.5, True), (0.7, False)]), 0.5)[0].status == "kink"
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_setting_is_kept_when_a_build_raises(self, enabled):
+        def rows():
+            yield (0, 0.5, "interior")
+            raise RuntimeError("row 1")
+
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="row 1"):
+                _entries(GradientEntry, rows())
+            assert gc.isenabled() is enabled

@@ -2231,3 +2231,103 @@ def _write_golden_jsonl(path):
         ][i % 6]
         lines.append(json.dumps(record) + ("\n\n" if i % 250 == 249 else "\n"))
     path.write_text("".join(lines))
+
+
+def _credited_set(n, seed):
+    """A calibrated set of ``n`` records with a credit column, every third credit absent (NaN)."""
+    source = generate(ArchetypeSpec.for_kind("calibrated", n=n, seed=seed))
+    credit = np.random.default_rng(seed).random(n)
+    credit[::3] = np.nan
+    return EvaluationSet(source.y_true, source.y_pred, source.confidence, credit, class_count=source.class_count)
+
+
+class TestSplitWriters:
+    """``write_predictions_csv`` writes the same bytes formatted by 1, 2 or 3
+    writers, a dead writer's records are formatted again, every forked
+    writer is reaped, and none is forked where ``os.fork`` is unsafe."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_synth_file_matches_its_pinned_digest(self, tmp_path, workers):
+        cal = tmp_path / "cal.csv"
+        with forced_split(workers) as forks:
+            run_cli(["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)])
+        assert len(forks) == workers - 1
+        assert hashlib.sha256(cal.read_bytes()).hexdigest() == TestGoldenBytes.EXPECTED["cal.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
+    def test_absent_credit_cells_at_two_writers(self, tmp_path, monkeypatch, chunk):
+        ds = _credited_set(100, seed=3)
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        write_predictions_csv(ds, one)  # 3.2 kB of columns: one writer
+        monkeypatch.setattr(dataio, "_WRITE_CHUNK", chunk)
+        with forced_split(2) as forks:
+            write_predictions_csv(ds, two)
+        assert len(forks) == 1
+        assert two.read_bytes() == one.read_bytes()
+        back = ingest(two)
+        assert np.array_equal(back.credit, ds.credit, equal_nan=True) and np.isnan(back.credit).sum() == 34
+
+    @pytest.mark.parametrize("n, forked", [(1, 0), (2, 1), (3, 2), (4, 2)])
+    def test_as_many_writers_as_records_at_most(self, tmp_path, n, forked):
+        ds = _credited_set(n, seed=4)
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        write_predictions_csv(ds, one)
+        with forced_split(3) as forks:
+            write_predictions_csv(ds, three)
+        assert len(forks) == forked
+        assert three.read_bytes() == one.read_bytes() and len(one.read_text().splitlines()) == n + 1
+
+    @pytest.mark.parametrize("death", ["before_formatting", "mid_payload"])
+    def test_a_dead_writer_s_records_are_formatted_again(self, tmp_path, monkeypatch, death):
+        ds = _credited_set(300, seed=5)
+        expected = tmp_path / "one.csv"
+        write_predictions_csv(ds, expected)
+        parent = os.getpid()
+        if death == "before_formatting":
+            chunks = dataio._csv_chunks
+
+            def dying_chunks(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return chunks(*args)
+
+            monkeypatch.setattr(dataio, "_csv_chunks", dying_chunks)
+        else:  # the child sends half its result, then exits as if all went well
+            dump = pickle.dump
+
+            def short_dump(obj, file, protocol):
+                if os.getpid() != parent:
+                    payload = pickle.dumps(obj, protocol)
+                    file.write(payload[: len(payload) // 2])
+                    file.flush()
+                    os._exit(0)
+                return dump(obj, file, protocol)
+
+            monkeypatch.setattr(pickle, "dump", short_dump)
+        path = tmp_path / "three.csv"
+        with forced_split(3) as forks:
+            write_predictions_csv(ds, path)
+        assert len(forks) == 2
+        assert path.read_bytes() == expected.read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_beside_another_thread(self, tmp_path):
+        ds = _credited_set(200, seed=6)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with forced_split(2) as forks:
+                write_predictions_csv(ds, tmp_path / "threaded.csv")
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        with forced_split(2) as forks:
+            write_predictions_csv(ds, tmp_path / "forked.csv")
+        assert len(forks) == 1  # the same write forks once the thread is gone
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()

@@ -1,13 +1,14 @@
-"""The fork, kill and reap code of ingest lives in one module, the range
-engine that both file formats share, and the temporary file that NumPy
-parses each CSV piece from in one other, ``dataio``, which names no
-Linux-only file.  The engine uses nothing of ``dataio`` and keeps no
-line-end rule, and ``dataio`` writes the ``file:line`` of an error in one
-place for a reader's fault and one for a record rule's.  ``dataio`` opens
-an input by path in one place and no descriptor with ``open``, calls the
-engine in one place, whose join alone adds the lines before a range to a
-fault's line, and the engine reads every file, one range or many, so it
-never declines one."""
+"""The fork, kill and reap code of ingest and of the canonical CSV writer
+lives in one module, the range engine that both file formats and the writer
+share; the writer reaches it through the engine's range runner alone.  The
+temporary file that NumPy parses each CSV piece from lives in one other,
+``dataio``, which names no Linux-only file.  The engine uses nothing of
+``dataio`` and keeps no line-end rule, and ``dataio`` writes the
+``file:line`` of an error in one place for a reader's fault and one for a
+record rule's.  ``dataio`` opens an input by path in one place and no
+descriptor with ``open``, calls the engine's reader in one place, whose join
+alone adds the lines before a range to a fault's line, and the engine reads
+every file, one range or many, so it never declines one."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,15 @@ def test_dataio_joins_the_ranges_in_one_place():
 
 def test_the_range_engine_reads_every_file():
     assert "return False" not in (PACKAGE / "_ranges.py").read_text()
+
+
+def test_the_writer_forks_only_through_the_range_engine():
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    writer = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "write_predictions_csv")
+    calls = {ast.unparse(node.func) for node in ast.walk(writer) if isinstance(node, ast.Call)}
+    assert {call for call in calls if call.startswith("_ranges.")} == {"_ranges._workers", "_ranges.run_ranges"}
+    assert not {call for call in calls if call.startswith(("os.", "pickle."))}
+    source = (PACKAGE / "dataio.py").read_text()
+    assert not [name for name in ("os.fork", "os.kill", "os.waitpid", "os._exit", "os.pipe", "pickle")
+                if name in source]
