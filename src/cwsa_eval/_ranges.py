@@ -1,11 +1,12 @@
 """Working ranges of an input or an output at the same time, one forked worker per CPU.
 
-:func:`run_ranges` works the first range in this process and each other in a
-forked child, whose result comes back pickled through a pipe (the work holds
-the interpreter lock, so threads could not share it), and joins the results
-in order; a range whose child died is worked here.  Forking is safe only in a
-process running one thread, so off Linux and beside a second thread
-:func:`_workers` gives one range.
+The work of a range yields one bounded chunk at a time.  :func:`run_ranges`
+works the first range in this process, joining each chunk as it is made,
+and each other in a forked child, whose chunks come back as one pickled list
+through a pipe (the work holds the interpreter lock, so threads could not
+share it), and joins the ranges in order; a range whose child died is worked
+here, chunk by chunk.  Forking is safe only in a process running one thread,
+so off Linux and beside a second thread :func:`_workers` gives one range.
 
 Readers read through ``pread(n, at)``, sharing no file offset: a file's
 ``os.pread``, or a :class:`_Pipe`, which copies a pipe into a spool only as
@@ -13,10 +14,11 @@ far as a read reaches.  A file is one byte region, a pipe a run of regions,
 each spooled before it is read, so that no forked reader reads the pipe and
 a fault the join raises stops the copy.  :func:`read_ranges` cuts a region
 just past a LF into one range per CPU, at most one per ``_SPLIT_BYTES``.  A
-reader numbers its own lines from 1, and ``dataio``'s one join adds the lines
-before, so the engine knows no line end but the LF it cuts after.
+reader numbers the lines of each chunk from 1, and ``dataio``'s one join adds
+the lines before, so the engine knows no line end but the LF it cuts after.
 ``dataio``'s canonical CSV writer splits its records evenly into as many
-ranges as ``_workers`` gives for the bytes of its columns.
+ranges as ``_workers`` gives for the bytes of its columns, and writes each
+chunk's bytes as it comes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ _SPLIT_BYTES = 1 << 22  # the fewest bytes per worker
 _FIRST_REGION = 1 << 20  # the most bytes of a pipe spooled before its first region is read
 _LF_SEARCH = 1 << 16  # the most bytes read at a time in search of a LF
 _PULL_BYTES = 1 << 16  # the most bytes copied from a pipe at a time
-_DIED = object()  # the result of a child that sent less than its whole result
 
 
 class _ByteWindow(io.RawIOBase):
@@ -138,8 +139,8 @@ def _line_cuts(pread: Callable, region, workers: int) -> List[int]:
 
 
 def _fork(work: Callable, start: int, stop: int):
-    """``(pid, read end of its pipe)`` of a forked child that pickles
-    ``work(start, stop)`` into the pipe; ``None`` when no child starts."""
+    """``(pid, read end of its pipe)`` of a forked child that pickles the list
+    of the chunks of ``work(start, stop)`` into the pipe; ``None`` when no child starts."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -156,9 +157,9 @@ def _fork(work: Callable, start: int, stop: int):
     status = 1
     try:
         os.close(read_end)
-        result = work(start, stop)
+        chunks = list(work(start, stop))
         with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(chunks, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)  # run none of the parent's cleanup, whatever was raised
@@ -172,34 +173,35 @@ def _reap(pid: int) -> None:
 
 def read_ranges(pread: Callable, region, read_range: Callable, join: Callable) -> None:
     """Read the byte region ``(lo, hi)``, which starts a line and is spooled if
-    piped, in ``_workers`` ranges cut just past a LF, and pass each range's
-    ``read_range(pread, start, stop)`` to ``join`` in file order, by :func:`run_ranges`."""
+    piped, in ``_workers`` ranges cut just past a LF, and pass each chunk of each
+    range's ``read_range(pread, start, stop)`` to ``join`` in file order, by :func:`run_ranges`."""
     lo, hi = region
     bounds = [lo, *_line_cuts(pread, region, _workers(hi - lo)), hi]
     run_ranges(list(zip(bounds, bounds[1:])), functools.partial(read_range, pread), join)
 
 
 def run_ranges(ranges, work: Callable, join: Callable) -> None:
-    """Pass ``work(start, stop)`` of each ``(start, stop)`` of ``ranges`` to
-    ``join`` in order, the ranges worked at the same time.
+    """Pass each chunk of ``work(start, stop)``, an iterable, of each ``(start, stop)``
+    of ``ranges`` to ``join`` in order, the ranges worked at the same time.
 
-    This process works the first range while a forked child works each other;
-    a range whose child died, or sent less than its whole result, is worked
-    here.  ``join`` stops the work by raising, which this function raises on
-    once every child is killed and reaped."""
-    children = [_fork(work, start, stop) for start, stop in ranges[1:]]
+    This process works the first range, each chunk joined as soon as it is
+    made, while a forked child works each other; a range whose child died, or
+    sent less than its whole list of chunks, is worked here.  ``join`` stops
+    the work by raising, which this function raises on once every child is
+    killed and reaped."""
+    children = [None] + [_fork(work, start, stop) for start, stop in ranges[1:]]
     try:
-        join(work(*ranges[0]))
-        for k, (start, stop) in enumerate(ranges[1:]):
-            result = _DIED
+        for k, (start, stop) in enumerate(ranges):
+            chunks = None  # until a child sends its whole list
             if children[k] is not None:
                 pid, pipe = children[k]
                 with pipe:
                     with contextlib.suppress(EOFError, pickle.UnpicklingError):  # cut short: the child died
-                        result = pickle.load(pipe)
+                        chunks = pickle.load(pipe)
                 _reap(pid)
                 children[k] = None
-            join(work(start, stop) if result is _DIED else result)
+            for chunk in work(start, stop) if chunks is None else chunks:
+                join(chunk)
     except BaseException:
         for pid, _ in filter(None, children):
             os.kill(pid, SIGKILL)

@@ -22,11 +22,13 @@ Formats
   ``pread(n, at)``, a pipe from a temporary file that it is copied into
   only as far as the readers read.  A large input is split at line
   starts into one byte range per CPU, which forked readers read at the
-  same time.  Every reader, the row reader included, returns its records,
-  and one join numbers their lines, checks the record rules of each part
-  as it arrives and raises the first fault in file order, which stops a
-  pipe's copy.  NumPy parses copies: each piece of a CSV file is written
-  to a temporary file read as ``/dev/fd/N``, so POSIX only.
+  same time.  Every reader, the row reader included, yields its records
+  a bounded chunk at a time, and one join takes each chunk as it comes:
+  it numbers the chunk's lines, checks its record rules and raises the
+  first fault in file order, which stops a pipe's copy.  So a reader holds
+  one chunk of records at a time, and the canonical CSV writer writes each
+  chunk as it formats it.  NumPy parses copies: each piece of a CSV file
+  is written to a temporary file read as ``/dev/fd/N``, so POSIX only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -78,7 +80,7 @@ _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # the bytes of a CSV range that _read_csv_range reads, checks and parses at a time, up to the next LF
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
-_PROBS_CHUNK = 1 << 16  # probs values _read_jsonl holds before it checks and reduces its chunk
+_CHUNK = 1 << 16  # records, and JSONL probs values, that a reader holds before it yields them
 _WRITE_CHUNK = 1 << 14  # records write_predictions_csv formats at a time
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
@@ -183,49 +185,49 @@ def _csv_columns(header: Optional[List[str]]):
     return index["y_true"], index["y_pred"], index["confidence"], index.get("credit", -1)
 
 
-def _csv_rows(pread):
-    """``(line, row)`` of each row of the CSV input read by ``pread``, from byte 0 to its end:
-    ``line`` is the row's last line.  A row the ``csv`` module cannot read raises :class:`_Fault`."""
+def _read_csv(pread):
+    """``(part, skipped, fault)`` of each chunk of ``_CHUNK`` records of the CSV input read by
+    ``pread``, read by the row reader as :func:`_read_csv_range` reads a range: the chunk's
+    records, the record count at each of its lines that starts no record, and, in the last
+    chunk, the :class:`_Fault` that stopped the reading or ``None``, both counting lines from
+    the chunk's first.  A header fault raises."""
+    columns = y_true, y_pred, confidence, credit = [], [], [], []
+    fault, width, done = None, 0, 0  # done: the lines of the chunks yielded
     window = io.BufferedReader(_ranges._ByteWindow(pread, 0, None))
     # utf-8-sig drops the byte-order mark a spreadsheet may write before the header
     with io.TextIOWrapper(window, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
         reader = csv.reader(_utf8_lines(text))
         try:
+            i_true, i_pred, i_conf, i_credit = _csv_columns(next(reader, None))
+            width, end = max(i_true, i_pred, i_conf) + 1, reader.line_num  # end: the last line read
+            skipped = [0] * end  # the header's lines
             for row in reader:
-                yield reader.line_num, row
+                line_no, end = end + 1, reader.line_num
+                skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
+                if not row:
+                    skipped.append(len(y_true))
+                    continue
+                if len(row) < width:
+                    raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
+                t = _label(row[i_true], "y_true", line_no)
+                p = _label(row[i_pred], "y_pred", line_no)
+                c = _number(row[i_conf], "confidence", line_no)
+                given = 0 <= i_credit < len(row) and row[i_credit].strip()
+                r = _credit(row[i_credit], line_no) if given else None
+                for column, value in zip(columns, (t, p, c, r)):
+                    column.append(value)
+                if len(y_true) == _CHUNK:
+                    yield _column_arrays(columns), skipped, None
+                    for column in columns:
+                        column.clear()
+                    skipped, done = [], end
         except csv.Error as exc:
-            raise _Fault(reader.line_num, f"malformed CSV ({exc})") from None
-
-
-def _read_csv(pread):
-    """``(parts, skipped, fault)`` of the CSV input read by ``pread``, read by the row reader as
-    :func:`_read_csv_range` reads a range: one part, the record count at each line that starts
-    no record, and the :class:`_Fault` that stopped the reading or ``None``.  A header fault raises."""
-    columns = y_true, y_pred, confidence, credit = [], [], [], []
-    rows = _csv_rows(pread)
-    end, header = next(rows, (0, None))  # end: the last line of the row read before
-    i_true, i_pred, i_conf, i_credit = _csv_columns(header)
-    width = max(i_true, i_pred, i_conf) + 1
-    skipped = [0] * end  # the header's lines
-    try:
-        for last, row in rows:
-            line_no, end = end + 1, last
-            skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
-            if not row:
-                skipped.append(len(y_true))
-                continue
-            if len(row) < width:
-                raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
-            t = _label(row[i_true], "y_true", line_no)
-            p = _label(row[i_pred], "y_pred", line_no)
-            c = _number(row[i_conf], "confidence", line_no)
-            given = 0 <= i_credit < len(row) and row[i_credit].strip()
-            r = _credit(row[i_credit], line_no) if given else None
-            for column, value in zip(columns, (t, p, c, r)):
-                column.append(value)
-    except _Fault as fault:
-        return [_column_arrays(columns)], skipped, fault
-    return [_column_arrays(columns)], skipped, None
+            fault = _Fault(reader.line_num, f"malformed CSV ({exc})")
+        except _Fault as exc:
+            fault = exc
+    if not width:  # the header's fault
+        raise fault
+    yield _column_arrays(columns), skipped, fault and _Fault(fault.line - done, fault.reason)
 
 
 def _bulk_readable(piece: bytes) -> Optional[int]:
@@ -292,10 +294,11 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
 
 
 def _read_csv_range(usecols, pread, start: int, stop: int):
-    """``(parts, skipped, None)`` of bytes ``start`` to ``stop`` of a CSV file
-    whose header names ``usecols`` and no ``credit``: one part a piece,
-    parsed by NumPy, and in the file's first range the header's record
-    count 0.  ``None`` when :func:`_read_csv` must read the file.
+    """``(part, skipped, None)`` of each piece of bytes ``start`` to ``stop`` of a
+    CSV file whose header names ``usecols`` and no ``credit``, parsed by NumPy;
+    the file's first part counts the header's line, at record 0, in ``skipped``.
+    ``None`` last, once a piece or the range declines, when :func:`_read_csv`
+    must read the file.
 
     The range is taken a piece of about ``_SCAN_BLOCK`` bytes at a time,
     cut just past a LF.  A piece longer than ``_SCAN_BLOCK`` plus the csv
@@ -309,20 +312,20 @@ def _read_csv_range(usecols, pread, start: int, stop: int):
     copied to one temporary file, which holds one piece at a time, and
     parsed by the name ``/dev/fd/N``.
     """
-    parts, skipped = [], [0] if start == 0 else []  # the header's line starts no record
+    skipped = [0] if start == 0 else []  # the header's line starts no record, until a part holds it
     try:
         copy = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    with copy:
-        while start < stop:
+    except OSError:  # no scratch file, so NumPy parses no piece
+        copy = None
+    with copy or contextlib.nullcontext():
+        while copy and start < stop:
             end = _ranges._past_lf(pread, start + _SCAN_BLOCK, stop)
             if end - start > _SCAN_BLOCK + csv.field_size_limit():  # its last line is over the limit
-                return None
+                break
             piece = pread(end - start, start)
             count = _bulk_readable(piece)
             if count is None or len(piece) < end - start:  # a short read, as of a piece over 2 GiB
-                return None
+                break
             header = int(start == 0)
             if count > header:
                 copy.seek(0)
@@ -331,10 +334,12 @@ def _read_csv_range(usecols, pread, start: int, stop: int):
                 copy.seek(0)  # flushes the piece; on macOS, /dev/fd/N shares this offset
                 table = _parsed(f"/dev/fd/{copy.fileno()}", usecols, header)
                 if table is None or len(table) != count - header:
-                    return None
-                parts.append((table["y_true"], table["y_pred"], table["confidence"], None))
+                    break
+                yield (table["y_true"], table["y_pred"], table["confidence"], None), skipped, None
+                skipped = []
             start = end
-    return (parts, skipped, None) if parts else None
+    if start < stop or skipped:  # a piece NumPy cannot take, no scratch file, or no part
+        yield None
 
 
 def _reduce_probs(probs: object, confidence: object, line_no: int):
@@ -455,99 +460,84 @@ def _plain_arrays(cells, rows: List[int], vectors: List[list]):
     return arrays
 
 
-def _close_chunk(parts: List[tuple], cells, rows, vectors, first: int, skipped: List[int]) -> int:
-    """Append the column arrays of a chunk of JSONL records from record
-    ``first`` on to ``parts``, empty it and return the next record's index.
-    A chunk :func:`_plain_arrays` rejects is converted record by record; a
-    record that breaks a row rule raises, once those ahead are appended."""
-    arrays, fault = _plain_arrays(cells, rows, vectors), None
-    if arrays is None:
-        probs_at = dict(zip(rows, vectors))
-        records = ([], [], [], [])
-        for i, raw in enumerate(zip(*cells)):
-            try:
-                values = _jsonl_record(raw, probs_at.get(i, _ABSENT), _line_of(first + i, skipped))
-            except _Fault as exc:
-                fault = exc
-                break
-            for column, value in zip(records, values):
-                column.append(value)
-        arrays = _column_arrays(records)
-    parts.append(arrays)
-    first += len(cells[0])
-    for column in (*cells, rows, vectors):
-        column.clear()
-    if fault is not None:
-        raise fault
-    return first
-
-
-def _read_jsonl(text, parts: List[tuple], skipped: List[int]) -> None:
-    """Append the column arrays of the JSONL records in the text stream
-    ``text`` to ``parts``, and the record count at each line that starts no
-    record to ``skipped``, which starts empty, as :func:`_read_csv` does; a
-    :class:`_Fault` counts lines from the stream's first.  Each line is
-    decoded once, by ``raw_decode`` or, where that fails or leaves more
-    than the newline, by ``json.loads``.  A record whose ``probs`` is not a
-    non-empty list is checked at once; the others are held, a chunk of
-    ``_PROBS_CHUNK`` probs values at a time, for :func:`_close_chunk`,
-    which also runs before a line's fault is raised."""
-    decode = json.JSONDecoder().raw_decode
-    cells = y_true, y_pred, confidence, credit = [], [], [], []
-    rows, vectors = [], []  # the chunk's records with a probs vector, and the vectors
-    held = first = 0  # the values in ``vectors``; the index of the chunk's first record
-    try:
-        for line_no, line in enumerate(_utf8_lines(text), start=1):
-            try:
-                obj, end = decode(line)
-                if line[end:] not in ("\n", ""):
-                    raise ValueError
-            except (ValueError, RecursionError):
-                if not line.strip():
-                    skipped.append(first + len(y_true))
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                    raise _Fault(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
-            if type(obj) is not dict:
-                raise _Fault(line_no, "expected a JSON object")
-            get = obj.get
-            probs = get("probs", _ABSENT)
-            if probs is not _ABSENT:
-                if type(probs) is not list or not probs:  # the row rules raise, naming the record's first fault
-                    raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT), get("confidence", _ABSENT), get("credit"))
-                    _jsonl_record(raw, probs, line_no)
-                rows.append(len(y_true))
-                vectors.append(probs)
-                held += len(probs)
-            y_true.append(get("y_true", _ABSENT))
-            y_pred.append(get("y_pred", _ABSENT))
-            confidence.append(get("confidence", _ABSENT))
-            credit.append(get("credit"))
-            if held >= _PROBS_CHUNK:
-                first = _close_chunk(parts, cells, rows, vectors, first, skipped)
-                held = 0
-    except _Fault:
-        _close_chunk(parts, cells, rows, vectors, first, skipped)  # an earlier fault may lie in it
-        raise
-    _close_chunk(parts, cells, rows, vectors, first, skipped)
+def _chunk_arrays(cells, rows, vectors, skipped: List[int]):
+    """``(arrays, fault)`` of a chunk of JSONL records: their column arrays and
+    ``None``, or, where :func:`_plain_arrays` rejects the chunk and it is
+    converted record by record, the arrays of the records ahead of the first
+    that breaks a row rule and its :class:`_Fault`, of the line that the
+    chunk's ``skipped`` counts from the chunk's first."""
+    arrays = _plain_arrays(cells, rows, vectors)
+    if arrays is not None:
+        return arrays, None
+    probs_at, records = dict(zip(rows, vectors)), ([], [], [], [])
+    for i, raw in enumerate(zip(*cells)):
+        try:
+            values = _jsonl_record(raw, probs_at.get(i, _ABSENT), _line_of(i, skipped))
+        except _Fault as fault:
+            return _column_arrays(records), fault
+        for column, value in zip(records, values):
+            column.append(value)
+    return _column_arrays(records), None
 
 
 def _read_jsonl_range(pread, start: int, stop: int):
-    """``(parts, skipped, fault)`` of bytes ``start`` to ``stop`` of a JSONL input
-    read by ``pread``, which start a line, read by :func:`_read_jsonl`: ``skipped``
-    counts records and ``fault``, the :class:`_Fault` that stopped the reading or
-    ``None``, counts lines from the range's first."""
-    parts, skipped = [], []
+    """``(part, skipped, fault)`` of each chunk of the JSONL records in bytes
+    ``start`` to ``stop`` of an input read by ``pread``, which start a line, as
+    :func:`_read_csv` gives them.  Each line is decoded once, by ``raw_decode``
+    or, where that fails or leaves more than the newline, by ``json.loads``.
+    A record whose ``probs`` is not a non-empty list is checked at once; the
+    others are held, ``_CHUNK`` records plus probs values at a time, for
+    :func:`_chunk_arrays`, whose fault comes before a later line's."""
+    decode = json.JSONDecoder().raw_decode
+    cells = y_true, y_pred, confidence, credit = [], [], [], []
+    rows, vectors = [], []  # the chunk's records with a probs vector, and the vectors
+    skipped, fault, held, done = [], None, 0, 0  # held: its records and probs values; done: the lines yielded
     window = io.BufferedReader(_ranges._ByteWindow(pread, start, stop))
-    try:
-        # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
-        with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
-            _read_jsonl(text, parts, skipped)
-    except _Fault as fault:
-        return parts, skipped, fault
-    return parts, skipped, None
+    # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
+    with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
+        try:
+            for line_no, line in enumerate(_utf8_lines(text), start=1):
+                try:
+                    obj, end = decode(line)
+                    if line[end:] not in ("\n", ""):
+                        raise ValueError
+                except (ValueError, RecursionError):
+                    if not line.strip():
+                        skipped.append(len(y_true))
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                        raise _Fault(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+                if type(obj) is not dict:
+                    raise _Fault(line_no, "expected a JSON object")
+                get = obj.get
+                probs = get("probs", _ABSENT)
+                if probs is not _ABSENT:
+                    if type(probs) is not list or not probs:  # the row rules raise, naming the record's first fault
+                        raw = (get("y_true", _ABSENT), get("y_pred", _ABSENT),
+                               get("confidence", _ABSENT), get("credit"))
+                        _jsonl_record(raw, probs, line_no)
+                    rows.append(len(y_true))
+                    vectors.append(probs)
+                    held += len(probs)
+                y_true.append(get("y_true", _ABSENT))
+                y_pred.append(get("y_pred", _ABSENT))
+                confidence.append(get("confidence", _ABSENT))
+                credit.append(get("credit"))
+                held += 1
+                if held >= _CHUNK:
+                    arrays, fault = _chunk_arrays(cells, rows, vectors, skipped)
+                    yield arrays, skipped, fault
+                    if fault is not None:
+                        return
+                    for column in (*cells, rows, vectors):
+                        column.clear()
+                    skipped, held, done = [], 0, line_no
+        except _Fault as exc:
+            fault = _Fault(exc.line - done, exc.reason)
+    arrays, held_fault = _chunk_arrays(cells, rows, vectors, skipped)
+    yield arrays, skipped, held_fault or fault
 
 
 class _NotBulk(Exception):
@@ -555,39 +545,45 @@ class _NotBulk(Exception):
 
 
 def _read_ranges(pread, regions, read_range, class_count: Optional[int]):
-    """``(parts, skipped)`` of the input read by ``pread``, read with ``read_range`` a
-    region of ``regions`` at a time (see :mod:`cwsa_eval._ranges`) and joined by
-    :func:`_join` in file order; ``None`` when a range's result is ``None``."""
-    parts, skipped = [], []
+    """The :class:`_Joined` chunks of the input read by ``pread``, read with
+    ``read_range`` a region of ``regions`` at a time (see :mod:`cwsa_eval._ranges`);
+    ``None`` when a range's chunk is ``None``."""
+    joined = _Joined(class_count)
     try:
         for region in regions:
-            _ranges.read_ranges(pread, region, read_range, functools.partial(_join, parts, skipped, class_count))
+            _ranges.read_ranges(pread, region, read_range, joined._join)
     except _NotBulk:
         return None
-    return parts, skipped
+    return joined
 
 
-def _join(parts: List[tuple], skipped: List[int], class_count: Optional[int], result) -> None:
-    """Join a reader's ``(parts, skipped, fault)``, of the bytes after those read before, into
-    ``parts`` and ``skipped`` as one reader of the whole file gives them, adding the records and
-    lines read before.  Each part's record rules are checked as it arrives (see
-    :func:`cwsa_eval.core._first_bad_record`), so the first fault in file order, a broken rule
-    or else the reader's, raises as a :class:`_Fault` of the file's line.  ``None``, a range
-    that NumPy cannot parse, raises :class:`_NotBulk`."""
-    if result is None:
-        raise _NotBulk
-    new_parts, new_skipped, fault = result
-    records = sum(len(part[0]) for part in parts)
-    lines = records + len(skipped)
-    skipped.extend(records + count for count in new_skipped)
-    for part in new_parts:
-        bad = _first_bad_record(*part, class_count) if len(part[0]) else None
+class _Joined:
+    """The chunks of an input's readers, joined in file order as one reader of
+    the whole input gives them: ``parts``, and ``skipped``, the record count
+    at each line that starts no record."""
+
+    def __init__(self, class_count: Optional[int]) -> None:
+        self.class_count, self.parts, self.skipped, self.records = class_count, [], [], 0
+
+    def _join(self, chunk) -> None:
+        """Join a reader's ``(part, skipped, fault)``, of the lines after those joined
+        before, adding the records and lines before.  The part's record rules are
+        checked as it arrives (see :func:`cwsa_eval.core._first_bad_record`), so the
+        first fault in file order, a broken rule or else the reader's, raises as a
+        :class:`_Fault` of the file's line.  ``None``, a range that NumPy cannot
+        parse, raises :class:`_NotBulk`."""
+        if chunk is None:
+            raise _NotBulk
+        part, skipped, fault = chunk
+        lines = self.records + len(self.skipped)
+        self.skipped.extend(self.records + count for count in skipped)
+        bad = _first_bad_record(*part, self.class_count) if len(part[0]) else None
         if bad is not None:
-            raise _Fault(_line_of(records + bad[0], skipped), bad[1])
-        parts.append(part)
-        records += len(part[0])
-    if fault is not None:
-        raise _Fault(lines + fault.line, fault.reason)
+            raise _Fault(_line_of(self.records + bad[0], self.skipped), bad[1])
+        self.parts.append(part)
+        self.records += len(part[0])
+        if fault is not None:
+            raise _Fault(lines + fault.line, fault.reason)
 
 
 def _line_of(index: int, skipped: List[int]) -> int:
@@ -616,8 +612,8 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     a temporary file only as far as it is read.  One reader reads the file
     (for CSV, the NumPy pass or else the row reader; a large file is split
     between forked readers that read as one) up to its first fault, and the
-    one join, which checks the record rules of what was read, names the
-    first malformed line in :class:`IngestError`.
+    one join, which checks the record rules of each chunk read as it comes,
+    names the first malformed line in :class:`IngestError`.
     """
     return _ingest(path, fmt, class_count, digested=False)[0]
 
@@ -626,8 +622,9 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
     """``(dataset, digest)``: :func:`ingest` of ``path``, and the ``sha256:``
     digest of the bytes it read (``None`` unless ``digested``), taken after
     the readers from the one open file, so that a file replaced after the
-    open is neither read nor digested.  :func:`_join` checks every reader's
-    result and raises the fault that is named, which stops a pipe's copy."""
+    open is neither read nor digested.  :meth:`_Joined._join` checks each
+    chunk the readers yield and raises the fault that is named, which stops
+    a pipe's copy."""
     path = Path(path)
     class_count = _checked_class_count(class_count)
     if fmt is None:
@@ -644,19 +641,20 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
             regions = pread.regions()
         try:
             if fmt == "jsonl":
-                parts, _ = _read_ranges(pread, regions, _read_jsonl_range, class_count)
+                joined = _read_ranges(pread, regions, _read_jsonl_range, class_count)
             else:
                 usecols = _bulk_columns(pread)
                 bulk = usecols and functools.partial(_read_csv_range, usecols)
-                read = bulk and _read_ranges(pread, regions, bulk, class_count)
-                parts, skipped = read or ([], [])
-                if not read:  # the row reader reads a file NumPy cannot take
-                    _join(parts, skipped, class_count, _read_csv(pread))
+                joined = bulk and _read_ranges(pread, regions, bulk, class_count)
+                if not joined:  # the row reader reads a file NumPy cannot take
+                    joined = _Joined(class_count)
+                    for chunk in _read_csv(pread):
+                        joined._join(chunk)
         except _Fault as fault:
             where = path if fault.line is None else f"{path}:{fault.line}"
             raise IngestError(f"{where}: {fault.reason}") from None
         digest = _digest(pread) if digested else None
-    arrays = _joined_arrays(parts)
+    arrays = _joined_arrays(joined.parts)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
@@ -678,9 +676,10 @@ def write_predictions_csv(dataset: EvaluationSet, path) -> None:
     The records are split evenly into as many ranges as ingest would read
     the bytes of their columns in (``_ranges._workers``: one per CPU, at
     most one per 4 MiB, and one off Linux or beside a second thread).  This
-    process formats the first range while a forked writer formats each
-    other, ``_WRITE_CHUNK`` records at a time; the ranges are written in
-    order, and a range whose writer died is formatted here."""
+    process formats the first range, writing each chunk of ``_WRITE_CHUNK``
+    records as it formats it, while a forked writer formats each other; the
+    ranges are written in order, and a range whose writer died is formatted
+    here."""
     columns, header = [dataset.y_true, dataset.y_pred, dataset.confidence], b"y_true,y_pred,confidence"
     if dataset.credit is not None:
         columns.append(dataset.credit)
@@ -691,21 +690,19 @@ def write_predictions_csv(dataset: EvaluationSet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header + b"\n")
         fh.flush()  # so that no forked writer inherits the header unwritten in its buffer
-        _ranges.run_ranges(list(zip(bounds, bounds[1:])), functools.partial(_csv_chunks, columns), fh.writelines)
+        _ranges.run_ranges(list(zip(bounds, bounds[1:])), functools.partial(_csv_chunks, columns), fh.write)
 
 
-def _csv_chunks(columns, start: int, stop: int) -> List[bytes]:
-    """The canonical CSV lines of records ``start`` to ``stop`` of ``columns``,
-    as the bytes of ``_WRITE_CHUNK`` records at a time."""
-    chunks = []
+def _csv_chunks(columns, start: int, stop: int):
+    """The bytes of the canonical CSV lines of records ``start`` to ``stop`` of
+    ``columns``, ``_WRITE_CHUNK`` records at a time."""
     for lo in range(start, stop, _WRITE_CHUNK):
         cells = [column[lo : min(stop, lo + _WRITE_CHUNK)].tolist() for column in columns]
         if len(cells) == 3:
             text = "".join([f"{t},{p},{c!r}\n" for t, p, c in zip(*cells)])
         else:
             text = "".join([f"{t},{p},{c!r},{'' if math.isnan(r) else repr(r)}\n" for t, p, c, r in zip(*cells)])
-        chunks.append(text.encode())
-    return chunks
+        yield text.encode()
 
 
 # --------------------------------------------------------------------------

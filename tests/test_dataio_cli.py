@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -320,7 +321,9 @@ class TestBulkCsv:
             _write_lines(path, lines, ending)
             assert not _opened(_bulk_pass, path)  # an empty line
             with pytest.raises(dataio._Fault) as direct:
-                dataio._join([], [], class_count, _opened(row_reader, path))
+                joined = dataio._Joined(class_count)
+                for chunk in _opened(row_reader, path):
+                    joined._join(chunk)
             read.clear()
             with pytest.raises(IngestError) as shipped:
                 ingest(path, class_count=class_count)
@@ -354,9 +357,8 @@ class TestBulkCsv:
                 continue
             bulk_read += 1
             bulk_parts, bulk_skipped = bulk
-            row_parts, row_skipped, _ = _opened(dataio._read_csv, path)
+            ((row, row_skipped, _),) = _opened(dataio._read_csv, path)  # one chunk
             assert bulk_skipped == row_skipped == [0]
-            (row,) = row_parts
             *bulk, bulk_credit = zip(*bulk_parts)  # one part a piece
             for bulk_column, row_column in zip(bulk, row[:3]):
                 assert np.concatenate(bulk_column).tolist() == row_column.tolist()
@@ -405,9 +407,11 @@ def _fd_of(pread):
 
 
 def _opened(reader, path, *args):
-    """``reader(pread, *args)`` of the file at ``path``, read by ``pread`` as ``ingest`` reads it."""
+    """``reader(pread, *args)`` of the file at ``path``, read by ``pread`` as ``ingest`` reads it;
+    of a reader that yields its chunks, the list of the chunks."""
     with open(path, "rb") as raw:
-        return reader(_pread(raw), *args)
+        result = reader(_pread(raw), *args)
+        return list(result) if isinstance(result, types.GeneratorType) else result
 
 
 def _bulk_pass(pread):
@@ -417,7 +421,8 @@ def _bulk_pass(pread):
         patched.setattr(dataio, "_first_bad_record", lambda *args: None)
         usecols = dataio._bulk_columns(pread)
         regions = [(0, os.fstat(_fd_of(pread)).st_size)]
-        return usecols and dataio._read_ranges(pread, regions, functools.partial(dataio._read_csv_range, usecols), None)
+        joined = usecols and dataio._read_ranges(pread, regions, functools.partial(dataio._read_csv_range, usecols), None)
+        return joined and (joined.parts, joined.skipped)
 
 
 def _count_row_reads(monkeypatch):
@@ -495,7 +500,7 @@ class TestBulkJsonl:
     def test_both_paths_read_the_same_columns(self, tmp_path, monkeypatch, chunk):
         """probs of several lengths, with ties, reduced a few values at a
         time or all at once, between records with and without credit."""
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         rng = np.random.default_rng(8)
         patterns = [[1.0], [0.5, 0.5], [0.25, 0.5, 0.25], [0.4, 0.2, 0.4], [0.1] * 10, [0, 1], [-0.0, 1.0]]
         records = []
@@ -513,7 +518,7 @@ class TestBulkJsonl:
         monkeypatch.setattr(dataio, "_jsonl_record", _no_row_reader)  # a plain file
         shipped = _outcome(path)
         monkeypatch.undo()
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         _cell_by_cell(monkeypatch)
         assert shipped == _outcome(path)
         assert shipped[3][4] == 0.75 and shipped[3][0] is None
@@ -557,7 +562,7 @@ class TestOneJsonlPass:
         ('{"y_true": 0, "y_pred": 0, "confidence": 0.5, "id": "\udcff"}\n', r":4: not valid UTF-8"),
     ], ids=["plain", "odd_last_line", "range_fault", "bad_byte"])
     def test_each_file_is_opened_once(self, tmp_path, monkeypatch, chunk, last, error):
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         path = tmp_path / "p.jsonl"
         text = _VALID + '{"y_true": 1, "probs": [0.5, 0.5]}\n\n' + last
         path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
@@ -578,7 +583,7 @@ class TestOneJsonlPass:
             assert re.search(error, outcome)
 
     def test_reductions_ahead_of_a_cell_fault_are_checked(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         path = tmp_path / "p.jsonl"
         path.write_text('{"y_true": 0, "probs": [1.5, -0.5]}\n{"y_true": 0, "probs": [0.5, "0.5"]}\n')
         with pytest.raises(IngestError, match=r"p\.jsonl:1: confidence 1\.5 outside \[0, 1\]$"):
@@ -589,14 +594,14 @@ class TestOneJsonlPass:
         b'{"y_true": 0, "probs": [1.0], "confidence": "x"}\n', b'{"y_true": "\xff"}\n',
     ], ids=["invalid_json", "not_an_object", "bad_cell", "bad_cell_checked_at_once", "bad_byte"])
     def test_bad_vector_before_a_later_fault_is_named(self, tmp_path, monkeypatch, chunk, later):
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         path = tmp_path / "p.jsonl"
         path.write_bytes((_VALID + _BAD_VECTOR + "\n").encode() + later)
         with pytest.raises(IngestError, match=r"p\.jsonl:2: probs sum to "):
             ingest(path)
 
     def test_label_beyond_int64_before_a_bad_vector_is_named(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         path = tmp_path / "p.jsonl"
         path.write_text(_VALID + '{"y_true": 9223372036854775808, "y_pred": 0, "confidence": 0.5}\n' + _BAD_VECTOR)
         with pytest.raises(IngestError, match=r"p\.jsonl:2: y_true 9223372036854775808 does not fit in int64"):
@@ -853,7 +858,7 @@ class TestSplitCsv:
         assert read == [path] * 3
         with open(path, "rb") as raw:
             (cut,) = _ranges._line_cuts(_pread(raw), (0, len(data)), 2)
-            assert dataio._read_csv_range((0, 1, 2), _pread(raw), cut, len(data)) is None
+            assert list(dataio._read_csv_range((0, 1, 2), _pread(raw), cut, len(data))) == [None]
 
 
 _FILLER = "0,1,0.5\n2,2,0.25\n" * 4
@@ -972,14 +977,14 @@ class TestSplitReaders:
         expected = _ingest_outcome(path)  # one reader
         parent = os.getpid()
         if death == "before_reading":
-            read = dataio._read_jsonl
+            read = dataio._read_jsonl_range
 
             def dying_read(*args):
                 if os.getpid() != parent:
                     os._exit(3)
                 return read(*args)
 
-            monkeypatch.setattr(dataio, "_read_jsonl", dying_read)
+            monkeypatch.setattr(dataio, "_read_jsonl_range", dying_read)
         else:  # the child sends half its result, then exits as if all went well
             dump = pickle.dump
 
@@ -1002,7 +1007,7 @@ class TestSplitReaders:
         path = tmp_path / "p.jsonl"
         path.write_text("not json\n" + _VALID * 30)  # a fault in the parent's own range
         parent = os.getpid()
-        read = dataio._read_jsonl
+        read = dataio._read_jsonl_range
 
         def slow_read(*args):
             if os.getpid() != parent:
@@ -1017,7 +1022,7 @@ class TestSplitReaders:
             statuses.append(reaped[1])
             return reaped
 
-        monkeypatch.setattr(dataio, "_read_jsonl", slow_read)
+        monkeypatch.setattr(dataio, "_read_jsonl_range", slow_read)
         monkeypatch.setattr(os, "waitpid", recorded_waitpid)
         start = time.monotonic()
         with forced_split(3) as forks:
@@ -1195,7 +1200,7 @@ class TestSplitCsvReaders:
         path = tmp_path / "p.csv"
         path.write_text(text)
         expected = _ingest_outcome(path)
-        _, row_lines, _ = _opened(dataio._read_csv, path)
+        ((_, row_lines, _),) = _opened(dataio._read_csv, path)
         parsed, sizes = dataio._parsed, []
 
         def measured(name, *args):
@@ -1310,7 +1315,7 @@ class TestStatedFieldsBesideProbs:
         {"y_true": 0, "confidence": 0.5},
     ], ids=lambda odd: "valid" if odd is None else json.dumps(odd)[:60])
     def test_columns_match_the_cell_path(self, tmp_path, monkeypatch, chunk, odd):
-        monkeypatch.setattr(dataio, "_PROBS_CHUNK", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK", chunk)
         records = _STATED * 4 + [{"y_true": 1, "probs": [0.5, 0.5]}, {"y_true": 0, "y_pred": 0, "confidence": 0.5}] * 4
         if odd is not None:
             records.insert(13, odd)
@@ -1623,8 +1628,14 @@ class TestPipeHead:
         ("jsonl", _VALID.encode(), b"y\n", r"<input>:2: invalid JSON \(Expecting value\)"),
         ("jsonl", _VALID.encode(), b'{"y_true": 0, "y_pred": 0, "confidence": 1.5}\n',
          r"<input>:2: confidence 1\.5 outside \[0, 1\]"),
+        # a head the row reader reads, with a broken rule on line 2, then valid rows
+        ("csv", b'"y_true",y_pred,confidence\n0,0,1.5\n', b"0,0,0.5\n", r"<input>:2: confidence 1\.5 outside \[0, 1\]"),
+        ("csv", b"y_true,y_pred,confidence,credit\n0,0,0.5,2\n", b"0,0,0.5,1\n", r"<input>:2: credit 2\.0 outside \[0, 1\]"),
+        ("csv", b"\xef\xbb\xbf" + _CSV_HEADER.encode() + b"-1,0,0.5\n", b"0,0,0.5\n",
+         r"<input>:2: y_true -1 outside \[0, class_count\)"),
     ], ids=["csv_header", "jsonl_not_json", "csv_over_limit", "csv_quoted_header", "jsonl_broken_rule",
-            "csv_body", "csv_body_broken_rule", "csv_quoted_header_body", "jsonl_body", "jsonl_body_broken_rule"])
+            "csv_body", "csv_body_broken_rule", "csv_quoted_header_body", "jsonl_body", "jsonl_body_broken_rule",
+            "csv_quoted_header_broken_rule", "csv_credit_broken_rule", "csv_bom_broken_rule"])
     def test_an_endless_bad_producer_ends_in_its_fault(self, tmp_path, monkeypatch, capsys, fmt, head, line, error):
         spools = tmp_path / "spools"
         spools.mkdir()
@@ -2141,17 +2152,48 @@ class TestGoldenBytes:
         "compare.json": "54fa89037b4511a03501846aa469fc000b7c80cdee8cd8de44044bc9494fc70e",
     }
 
+    @staticmethod
+    def _runs(out):
+        """The command lines that write the outputs of ``EXPECTED`` into the directory ``out``."""
+        cal, over = out / "cal.csv", out / "over.csv"
+        return [
+            ["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)],
+            ["synth", "--kind", "overconfident", "--n", "200", "--seed", "6", "--output", str(over)],
+            ["evaluate", "--input", str(cal), "--output", str(out / "sweep.json")],
+            ["evaluate", "--input", str(cal), "--tau", "0.7", "--output", str(out / "point.json")],
+            ["compare", "--inputs", f"{cal},{over}", "--by", "cwsa", "--output", str(out / "compare.json")],
+        ]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch, workers):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-        cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
-        run_cli(["synth", "--kind", "calibrated", "--n", "200", "--seed", "5", "--output", str(cal)])
-        run_cli(["synth", "--kind", "overconfident", "--n", "200", "--seed", "6", "--output", str(over)])
-        assert run_cli(["evaluate", "--input", str(cal), "--output", str(tmp_path / "sweep.json")]) == 0
-        assert run_cli(["evaluate", "--input", str(cal), "--tau", "0.7",
-                        "--output", str(tmp_path / "point.json")]) == 0
-        assert run_cli(["compare", "--inputs", f"{cal},{over}", "--by", "cwsa",
-                        "--output", str(tmp_path / "compare.json")]) == 0
+        for argv in self._runs(tmp_path):
+            assert run_cli(argv) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.EXPECTED}
+        assert digests == self.EXPECTED
+
+    def test_outputs_match_pinned_digests_with_every_dispatch_target_off(self, tmp_path):
+        """The same bytes from NumPy's baseline code alone: every SIMD dispatch
+        target this machine enables is switched off in the processes that write them."""
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+        if not enabled:
+            pytest.skip("NumPy enables no dispatch target on this machine")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*args):
+            done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        probe = ("from numpy._core._multiarray_umath import __cpu_dispatch__ as targets, __cpu_features__ as on; "
+                 "print([target for target in targets if on.get(target)])")
+        assert run("-c", probe).strip() == b"[]"
+        for argv in self._runs(tmp_path):
+            run("-m", "cwsa_eval.cli", *argv)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.EXPECTED}
         assert digests == self.EXPECTED

@@ -8,10 +8,11 @@ either return the columns that ``naive_impl.read_predictions`` reads, or
 raise ``IngestError`` naming the first line that validator rejects; any
 other exception fails.  Each file is ingested as shipped and in each of
 ``OTHER_WAYS``: a CSV file also with the NumPy pass off, so that the row
-reader reads it; a JSONL file also at chunk sizes that close chunks
-mid-file, each with the NumPy ``probs`` reduction on and off (off, every
-chunk is checked cell by cell).  Each hypothesis test also splits each
-file between 2 and 3 forked readers, however small it is.
+reader reads it, at its chunk size and at chunk sizes that close chunks
+mid-file; a JSONL file also at such chunk sizes, each with the NumPy
+``probs`` reduction on and off (off, every chunk is checked cell by
+cell).  Each hypothesis test also splits each file between 2 and 3
+forked readers, however small it is.
 """
 
 import json
@@ -50,9 +51,9 @@ PROBS = [  # the first five sum to 1
 CLASS_COUNTS = st.sampled_from([None, 2, 3])
 _NO_REDUCTION = {"_top_of_probs": lambda vectors: None}
 OTHER_WAYS = {
-    "csv": [{"_bulk_columns": lambda pread: None}],
-    "jsonl": [{"_PROBS_CHUNK": 1 << 16, **_NO_REDUCTION}] + [
-        {"_PROBS_CHUNK": chunk, **reduction} for chunk in (1, 3) for reduction in ({}, _NO_REDUCTION)
+    "csv": [{"_bulk_columns": lambda pread: None, "_CHUNK": chunk} for chunk in (1 << 16, 1, 3)],
+    "jsonl": [{"_CHUNK": 1 << 16, **_NO_REDUCTION}] + [
+        {"_CHUNK": chunk, **reduction} for chunk in (1, 3) for reduction in ({}, _NO_REDUCTION)
     ],
 }
 

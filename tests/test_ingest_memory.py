@@ -47,24 +47,25 @@ def _jsonl(source, path):
             out.write(json.dumps({"y_true": t, "y_pred": p, "confidence": c}) + "\n")
 
 
-# reader -> (the writer of its file, the most traced bytes per byte of the columns; measured 2.22, 3.69, 4.63)
+# reader -> (the writer of its file, the most traced bytes per byte of the columns; measured 2.22,
+# 2.71 and 2.94, where a reader that held the whole range's records took 3.69 and 4.63)
 BUDGETS = {
     "numpy_csv": (write_predictions_csv, 2.5),
-    "row_reader_csv": (_quoted_header_csv, 4.0),
-    "jsonl": (_jsonl, 5.0),
+    "row_reader_csv": (_quoted_header_csv, 3.0),
+    "jsonl": (_jsonl, 3.25),
 }
 
 
 # format -> (the writer of its file, the most traced bytes per byte of the columns when piped;
-# measured 2.21 and 4.25, where holding a later region's bytes would add 0.7 and 2.6)
+# measured 2.21 and 2.71, where holding a later region's bytes would add 0.7 and 2.6)
 PIPED_BUDGETS = {
     "csv": (write_predictions_csv, 2.5),
-    "jsonl": (_jsonl, 5.0),
+    "jsonl": (_jsonl, 3.0),
 }
 
 
 # reader -> the most traced bytes of this process per byte of the columns when two readers read
-# the file, and the pipe; measured 2.22 and 2.21, 2.91 and 2.71.  The row reader reads in one process.
+# the file, and the pipe; measured 2.22 and 2.21, 2.71 and 2.71.  The row reader reads in one process.
 SPLIT_BUDGETS = {
     "numpy_csv": (2.5, 2.5),
     "jsonl": (3.25, 3.0),
@@ -162,11 +163,11 @@ def credited(source):
 
 
 # entry point -> (its call on the set, or on the credited set, and a directory to write to;
-# the most traced bytes per byte of the columns; measured 1.37, 2.40 (the one writer holds the
-# file's bytes, where whole-column lists took 3.34), 6.75 and 5.67)
+# the most traced bytes per byte of the columns; measured 1.37, 1.02 (the one writer writes each
+# chunk as it formats it, where holding the file's bytes took 2.40), 6.75 and 5.67)
 CALL_BUDGETS = {
     "sweep": (lambda ds, credited, out: sweep(ds), 1.5),
-    "write_predictions_csv": (lambda ds, credited, out: write_predictions_csv(credited, out / "p.csv"), 2.75),
+    "write_predictions_csv": (lambda ds, credited, out: write_predictions_csv(credited, out / "p.csv"), 1.25),
     "cwsa_gradient": (lambda ds, credited, out: cwsa_gradient(ds, 0.7), 7.5),
     "risk_coverage_points": (lambda ds, credited, out: risk_coverage_points(ds), 6.25),
 }

@@ -8,14 +8,18 @@ temporary file that NumPy parses each CSV piece from lives in one other,
 record rule's.  ``dataio`` opens an input by path in one place and no
 descriptor with ``open``, calls the engine's reader in one place, whose join
 alone adds the lines before a range to a fault's line, and the engine reads
-every file, one range or many, so it never declines one."""
+every file, one range or many, so it never declines one.  Every reader and
+the writer's formatter yield one chunk at a time, which the join takes as it
+comes."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import cwsa_eval
+from cwsa_eval import dataio
 
 PACKAGE = Path(cwsa_eval.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -89,3 +93,13 @@ def test_the_writer_forks_only_through_the_range_engine():
     source = (PACKAGE / "dataio.py").read_text()
     assert not [name for name in ("os.fork", "os.kill", "os.waitpid", "os._exit", "os.pipe", "pickle")
                 if name in source]
+
+
+@pytest.mark.parametrize("name", ["_read_csv", "_read_csv_range", "_read_jsonl_range", "_csv_chunks"])
+def test_every_reader_and_the_writer_yield_their_chunks(name):
+    assert inspect.isgeneratorfunction(getattr(dataio, name))
+
+
+@pytest.mark.parametrize("name", ["_read_jsonl", "_csv_rows", "_close_chunk", "_PROBS_CHUNK"])
+def test_the_list_filling_reader_internals_are_gone(name):
+    assert not hasattr(dataio, name)
