@@ -1,24 +1,25 @@
 """Working ranges of an input or an output at the same time, one forked worker per CPU.
 
-The work of a range yields one bounded chunk at a time.  :func:`run_ranges`
-works the first range in this process, joining each chunk as it is made,
-and each other in a forked child, whose chunks come back as one pickled list
-through a pipe (the work holds the interpreter lock, so threads could not
-share it), and joins the ranges in order; a range whose child died is worked
-here, chunk by chunk.  Forking is safe only in a process running one thread,
+The work of a range yields one bounded chunk at a time, and :func:`run_ranges`
+yields every range's chunks in order.  It works the first range in this
+process, each chunk given as it is made, and each other in a forked child,
+whose chunks come back as one pickled list through a pipe (the work holds the
+interpreter lock, so threads could not share it); a range whose child died is
+worked here.  Children fork at the first ``next()``, and closing the generator
+kills and reaps them.  Forking is safe only in a process running one thread,
 so off Linux and beside a second thread :func:`_workers` gives one range.
 
 Readers read through ``pread(n, at)``, sharing no file offset: a file's
 ``os.pread``, or a :class:`_Pipe`, which copies a pipe into a spool only as
 far as a read reaches.  A file is one byte region, a pipe a run of regions,
-each spooled before it is read, so that no forked reader reads the pipe and
-a fault the join raises stops the copy.  :func:`read_ranges` cuts a region
-just past a LF into one range per CPU, at most one per ``_SPLIT_BYTES``.  A
-reader numbers the lines of each chunk from 1, and ``dataio``'s one join adds
-the lines before, so the engine knows no line end but the LF it cuts after.
-``dataio``'s canonical CSV writer splits its records evenly into as many
-ranges as ``_workers`` gives for the bytes of its columns, and writes each
-chunk's bytes as it comes.
+each spooled when :func:`read_ranges` comes to it, so that no forked reader
+reads the pipe and a consumer that stops at a fault stops the copy.  It cuts
+a region just past a LF into one range per CPU, at most one per
+``_SPLIT_BYTES``.  A reader numbers the lines of each chunk from 1, and
+``dataio``'s one join adds the lines before, so the engine knows no line end
+but the LF it cuts after.  ``dataio``'s canonical CSV writer splits its
+records evenly into as many ranges as ``_workers`` gives for the bytes of its
+columns, and writes each chunk's bytes as it comes.
 """
 
 from __future__ import annotations
@@ -171,24 +172,25 @@ def _reap(pid: int) -> None:
         os.waitpid(pid, 0)
 
 
-def read_ranges(pread: Callable, region, read_range: Callable, join: Callable) -> None:
-    """Read the byte region ``(lo, hi)``, which starts a line and is spooled if
-    piped, in ``_workers`` ranges cut just past a LF, and pass each chunk of each
-    range's ``read_range(pread, start, stop)`` to ``join`` in file order, by :func:`run_ranges`."""
-    lo, hi = region
-    bounds = [lo, *_line_cuts(pread, region, _workers(hi - lo)), hi]
-    run_ranges(list(zip(bounds, bounds[1:])), functools.partial(read_range, pread), join)
+def read_ranges(pread: Callable, regions, read_range: Callable):
+    """Yield each chunk of ``read_range(pread, start, stop)`` of every range in file
+    order: each byte region ``(lo, hi)`` of ``regions``, which starts a line and is
+    spooled if piped, is taken once the region before is read, and read in
+    ``_workers`` ranges cut just past a LF, by :func:`run_ranges`."""
+    for lo, hi in regions:
+        bounds = [lo, *_line_cuts(pread, (lo, hi), _workers(hi - lo)), hi]
+        yield from run_ranges(list(zip(bounds, bounds[1:])), functools.partial(read_range, pread))
 
 
-def run_ranges(ranges, work: Callable, join: Callable) -> None:
-    """Pass each chunk of ``work(start, stop)``, an iterable, of each ``(start, stop)``
-    of ``ranges`` to ``join`` in order, the ranges worked at the same time.
+def run_ranges(ranges, work: Callable):
+    """Yield each chunk of ``work(start, stop)``, an iterable, of each ``(start, stop)``
+    of ``ranges`` in order, the ranges worked at the same time.
 
-    This process works the first range, each chunk joined as soon as it is
+    This process works the first range, each chunk given as soon as it is
     made, while a forked child works each other; a range whose child died, or
-    sent less than its whole list of chunks, is worked here.  ``join`` stops
-    the work by raising, which this function raises on once every child is
-    killed and reaped."""
+    sent less than its whole list of chunks, is worked here.  Closing the
+    generator, or an exception raised in the work, kills and reaps every child
+    before it ends."""
     children = [None] + [_fork(work, start, stop) for start, stop in ranges[1:]]
     try:
         for k, (start, stop) in enumerate(ranges):
@@ -200,9 +202,8 @@ def run_ranges(ranges, work: Callable, join: Callable) -> None:
                         chunks = pickle.load(pipe)
                 _reap(pid)
                 children[k] = None
-            for chunk in work(start, stop) if chunks is None else chunks:
-                join(chunk)
-    except BaseException:
+            yield from work(start, stop) if chunks is None else chunks
+    except BaseException:  # GeneratorExit too: the consumer closed the generator
         for pid, _ in filter(None, children):
             os.kill(pid, SIGKILL)
         raise

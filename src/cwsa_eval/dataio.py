@@ -23,12 +23,15 @@ Formats
   only as far as the readers read.  A large input is split at line
   starts into one byte range per CPU, which forked readers read at the
   same time.  Every reader, the row reader included, yields its records
-  a bounded chunk at a time, and one join takes each chunk as it comes:
-  it numbers the chunk's lines, checks its record rules and raises the
-  first fault in file order, which stops a pipe's copy.  So a reader holds
-  one chunk of records at a time, and the canonical CSV writer writes each
-  chunk as it formats it.  NumPy parses copies: each piece of a CSV file
-  is written to a temporary file read as ``/dev/fd/N``, so POSIX only.
+  a bounded chunk at a time, and one join, :func:`_join`, takes each
+  chunk as it comes: it adds a running count of the lines before to the
+  chunk's, checks its record rules and raises the first fault in file
+  order, which closes the readers and stops a pipe's copy.  A chunk
+  counts its lines that start no record by record count, so a run of
+  blank lines costs one count.  So a reader holds one chunk of records
+  at a time, and the canonical CSV writer writes each chunk as it
+  formats it.  NumPy parses copies: each piece of a CSV file is written
+  to a temporary file read as ``/dev/fd/N``, so POSIX only.
 * Report JSON: fixed key order and fixed float formatting (17 significant
   digits, round-trip exact), so identical inputs produce byte-identical
   reports.
@@ -36,7 +39,6 @@ Formats
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import functools
@@ -48,6 +50,7 @@ import os
 import stat
 import tempfile
 import warnings
+from collections import Counter
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -85,7 +88,7 @@ _WRITE_CHUNK = 1 << 14  # records write_predictions_csv formats at a time
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
-_COLUMN_DTYPES = (np.int64, np.int64, np.float64, np.float64)  # y_true, y_pred, confidence, credit
+_COLUMN_DTYPES = (np.int64, np.int64, np.float64)  # y_true, y_pred, confidence
 _ABSENT = object()  # a missing JSONL key: its type fails every column's check
 
 AUMCC_POLICY = (
@@ -168,8 +171,11 @@ def _utf8_lines(lines):
 
 
 def _column_arrays(columns):
-    """Lists of plain column values as arrays; ``None`` reads as NaN ("absent") in credit."""
-    return tuple(np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMN_DTYPES))
+    """Lists of plain column values as arrays; in credit, ``None`` reads as NaN
+    ("absent"), and a list of ``None`` alone as ``None``, no credit."""
+    *required, credit = columns
+    arrays = tuple(np.array(column, dtype=dtype) for column, dtype in zip(required, _COLUMN_DTYPES))
+    return (*arrays, None if credit.count(None) == len(credit) else np.array(credit, dtype=np.float64))
 
 
 def _csv_columns(header: Optional[List[str]]):
@@ -188,9 +194,9 @@ def _csv_columns(header: Optional[List[str]]):
 def _read_csv(pread):
     """``(part, skipped, fault)`` of each chunk of ``_CHUNK`` records of the CSV input read by
     ``pread``, read by the row reader as :func:`_read_csv_range` reads a range: the chunk's
-    records, the record count at each of its lines that starts no record, and, in the last
-    chunk, the :class:`_Fault` that stopped the reading or ``None``, both counting lines from
-    the chunk's first.  A header fault raises."""
+    records, a :class:`~collections.Counter` of its lines that start no record by the record
+    count before each, and, in the last chunk, the :class:`_Fault` that stopped the reading
+    or ``None``, both counting lines from the chunk's first.  A header fault raises."""
     columns = y_true, y_pred, confidence, credit = [], [], [], []
     fault, width, done = None, 0, 0  # done: the lines of the chunks yielded
     window = io.BufferedReader(_ranges._ByteWindow(pread, 0, None))
@@ -200,12 +206,13 @@ def _read_csv(pread):
         try:
             i_true, i_pred, i_conf, i_credit = _csv_columns(next(reader, None))
             width, end = max(i_true, i_pred, i_conf) + 1, reader.line_num  # end: the last line read
-            skipped = [0] * end  # the header's lines
+            skipped = Counter({0: end})  # the header's lines
             for row in reader:
                 line_no, end = end + 1, reader.line_num
-                skipped.extend([len(y_true) + 1] * (end - line_no))  # a quoted cell's further lines
+                if end > line_no:  # a quoted cell's further lines
+                    skipped[len(y_true) + 1] += end - line_no
                 if not row:
-                    skipped.append(len(y_true))
+                    skipped[len(y_true)] += 1
                     continue
                 if len(row) < width:
                     raise _Fault(line_no, f"expected {width} columns, got {len(row)}")
@@ -220,7 +227,7 @@ def _read_csv(pread):
                     yield _column_arrays(columns), skipped, None
                     for column in columns:
                         column.clear()
-                    skipped, done = [], end
+                    skipped, done = Counter(), end
         except csv.Error as exc:
             fault = _Fault(reader.line_num, f"malformed CSV ({exc})")
         except _Fault as exc:
@@ -268,7 +275,7 @@ def _bulk_columns(pread):
     credit cell, which means "no credit", fails ``np.loadtxt``."""
     want = min(csv.field_size_limit() + 1, 1 << 22)  # the whole of a line NumPy may take, or 4 MiB
     first = pread(want, 0).split(b"\n", 1)[0].split(b"\r", 1)[0]
-    if len(first) == want or not first.isascii():  # no line end in reach, or not ASCII
+    if len(first) == want or _bulk_readable(first) is None:  # no line end in reach, or not one NumPy reads
         return None
     try:
         i_true, i_pred, i_conf, i_credit = _csv_columns(next(csv.reader([first.decode()]), None))
@@ -296,7 +303,8 @@ def _parsed(name: str, usecols, skiprows: int) -> Optional[np.ndarray]:
 def _read_csv_range(usecols, pread, start: int, stop: int):
     """``(part, skipped, None)`` of each piece of bytes ``start`` to ``stop`` of a
     CSV file whose header names ``usecols`` and no ``credit``, parsed by NumPy;
-    the file's first part counts the header's line, at record 0, in ``skipped``.
+    the file's first part counts the header's line, at record 0, in ``skipped``,
+    ``Counter({0: 1})``, and every other an empty :class:`~collections.Counter`.
     ``None`` last, once a piece or the range declines, when :func:`_read_csv`
     must read the file.
 
@@ -312,7 +320,7 @@ def _read_csv_range(usecols, pread, start: int, stop: int):
     copied to one temporary file, which holds one piece at a time, and
     parsed by the name ``/dev/fd/N``.
     """
-    skipped = [0] if start == 0 else []  # the header's line starts no record, until a part holds it
+    skipped = Counter({0: 1} if start == 0 else {})  # the header's line starts no record, until a part holds it
     try:
         copy = tempfile.TemporaryFile()
     except OSError:  # no scratch file, so NumPy parses no piece
@@ -336,7 +344,7 @@ def _read_csv_range(usecols, pread, start: int, stop: int):
                 if table is None or len(table) != count - header:
                     break
                 yield (table["y_true"], table["y_pred"], table["confidence"], None), skipped, None
-                skipped = []
+                skipped = Counter()
             start = end
     if start < stop or skipped:  # a piece NumPy cannot take, no scratch file, or no part
         yield None
@@ -452,7 +460,7 @@ def _plain_arrays(cells, rows: List[int], vectors: List[list]):
     except OverflowError:  # a label beyond int64, a number beyond the float range
         return None
     # A NaN given in the file does not mean "absent", as None does.
-    if np.count_nonzero(np.isnan(arrays[3])) != credit.count(None):
+    if arrays[3] is not None and np.count_nonzero(np.isnan(arrays[3])) != credit.count(None):
         return None
     stated = ~absent  # of the confidence column: the records with probs that give one
     if not (np.abs(arrays[2][rows[stated]] - tops[1][stated]) <= PROBS_TOLERANCE).all():  # NaN and inf fail too
@@ -460,7 +468,7 @@ def _plain_arrays(cells, rows: List[int], vectors: List[list]):
     return arrays
 
 
-def _chunk_arrays(cells, rows, vectors, skipped: List[int]):
+def _chunk_arrays(cells, rows, vectors, skipped: Counter):
     """``(arrays, fault)`` of a chunk of JSONL records: their column arrays and
     ``None``, or, where :func:`_plain_arrays` rejects the chunk and it is
     converted record by record, the arrays of the records ahead of the first
@@ -472,9 +480,9 @@ def _chunk_arrays(cells, rows, vectors, skipped: List[int]):
     probs_at, records = dict(zip(rows, vectors)), ([], [], [], [])
     for i, raw in enumerate(zip(*cells)):
         try:
-            values = _jsonl_record(raw, probs_at.get(i, _ABSENT), _line_of(i, skipped))
+            values = _jsonl_record(raw, probs_at.get(i, _ABSENT), None)  # the line is found once, on a fault
         except _Fault as fault:
-            return _column_arrays(records), fault
+            return _column_arrays(records), _Fault(_line_of(i, skipped), fault.reason)
         for column, value in zip(records, values):
             column.append(value)
     return _column_arrays(records), None
@@ -483,15 +491,16 @@ def _chunk_arrays(cells, rows, vectors, skipped: List[int]):
 def _read_jsonl_range(pread, start: int, stop: int):
     """``(part, skipped, fault)`` of each chunk of the JSONL records in bytes
     ``start`` to ``stop`` of an input read by ``pread``, which start a line, as
-    :func:`_read_csv` gives them.  Each line is decoded once, by ``raw_decode``
-    or, where that fails or leaves more than the newline, by ``json.loads``.
+    :func:`_read_csv` gives them, ``skipped`` counting the blank lines.  Each
+    line is decoded once, by ``raw_decode`` or, where that fails or leaves
+    more than the newline, by ``json.loads``.
     A record whose ``probs`` is not a non-empty list is checked at once; the
     others are held, ``_CHUNK`` records plus probs values at a time, for
     :func:`_chunk_arrays`, whose fault comes before a later line's."""
     decode = json.JSONDecoder().raw_decode
     cells = y_true, y_pred, confidence, credit = [], [], [], []
     rows, vectors = [], []  # the chunk's records with a probs vector, and the vectors
-    skipped, fault, held, done = [], None, 0, 0  # held: its records and probs values; done: the lines yielded
+    skipped, fault, held, done = Counter(), None, 0, 0  # held: its records and probs values; done: the lines yielded
     window = io.BufferedReader(_ranges._ByteWindow(pread, start, stop))
     # as open(path, "r", encoding="utf-8", errors="surrogateescape") decodes: LF, CRLF and CR end lines
     with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
@@ -503,7 +512,7 @@ def _read_jsonl_range(pread, start: int, stop: int):
                         raise ValueError
                 except (ValueError, RecursionError):
                     if not line.strip():
-                        skipped.append(len(y_true))
+                        skipped[len(y_true)] += 1
                         continue
                     try:
                         obj = json.loads(line)
@@ -533,71 +542,50 @@ def _read_jsonl_range(pread, start: int, stop: int):
                         return
                     for column in (*cells, rows, vectors):
                         column.clear()
-                    skipped, held, done = [], 0, line_no
+                    skipped, held, done = Counter(), 0, line_no
         except _Fault as exc:
             fault = _Fault(exc.line - done, exc.reason)
     arrays, held_fault = _chunk_arrays(cells, rows, vectors, skipped)
     yield arrays, skipped, held_fault or fault
 
 
-class _NotBulk(Exception):
-    """A range of a CSV file that NumPy cannot parse: :func:`_read_csv` reads the file."""
+def _join(chunks, class_count: Optional[int]):
+    """The parts of ``chunks``, the ``(part, skipped, fault)`` of any reader in file
+    order, each of the lines after those of the chunks before, or ``None`` at a
+    ``None`` chunk, a range that NumPy cannot parse.  Each part's record rules are
+    checked as it arrives (see :func:`cwsa_eval.core._first_bad_record`), so the first
+    fault in file order, a broken rule or else the reader's, raises as a :class:`_Fault`
+    of the file's line.  ``chunks`` is closed on return, which stops its readers."""
+    parts, lines = [], 0  # lines: those of the chunks joined
+    with contextlib.closing(chunks):
+        for chunk in chunks:
+            if chunk is None:
+                return None
+            part, skipped, fault = chunk
+            bad = _first_bad_record(*part, class_count) if len(part[0]) else None
+            if bad is not None:
+                raise _Fault(lines + _line_of(bad[0], skipped), bad[1])
+            parts.append(part)
+            if fault is not None:
+                raise _Fault(lines + fault.line, fault.reason)
+            lines += len(part[0]) + sum(skipped.values())
+    return parts
 
 
-def _read_ranges(pread, regions, read_range, class_count: Optional[int]):
-    """The :class:`_Joined` chunks of the input read by ``pread``, read with
-    ``read_range`` a region of ``regions`` at a time (see :mod:`cwsa_eval._ranges`);
-    ``None`` when a range's chunk is ``None``."""
-    joined = _Joined(class_count)
-    try:
-        for region in regions:
-            _ranges.read_ranges(pread, region, read_range, joined._join)
-    except _NotBulk:
-        return None
-    return joined
-
-
-class _Joined:
-    """The chunks of an input's readers, joined in file order as one reader of
-    the whole input gives them: ``parts``, and ``skipped``, the record count
-    at each line that starts no record."""
-
-    def __init__(self, class_count: Optional[int]) -> None:
-        self.class_count, self.parts, self.skipped, self.records = class_count, [], [], 0
-
-    def _join(self, chunk) -> None:
-        """Join a reader's ``(part, skipped, fault)``, of the lines after those joined
-        before, adding the records and lines before.  The part's record rules are
-        checked as it arrives (see :func:`cwsa_eval.core._first_bad_record`), so the
-        first fault in file order, a broken rule or else the reader's, raises as a
-        :class:`_Fault` of the file's line.  ``None``, a range that NumPy cannot
-        parse, raises :class:`_NotBulk`."""
-        if chunk is None:
-            raise _NotBulk
-        part, skipped, fault = chunk
-        lines = self.records + len(self.skipped)
-        self.skipped.extend(self.records + count for count in skipped)
-        bad = _first_bad_record(*part, self.class_count) if len(part[0]) else None
-        if bad is not None:
-            raise _Fault(_line_of(self.records + bad[0], self.skipped), bad[1])
-        self.parts.append(part)
-        self.records += len(part[0])
-        if fault is not None:
-            raise _Fault(lines + fault.line, fault.reason)
-
-
-def _line_of(index: int, skipped: List[int]) -> int:
-    """The line of record ``index``, given the record count at each line that starts no record."""
-    return 1 + index + bisect.bisect_right(skipped, index)
+def _line_of(index: int, skipped: Counter) -> int:
+    """The line of record ``index`` of a chunk, counted from the chunk's first, given the
+    count of the lines that start no record at each record count before them."""
+    return 1 + index + sum(lines for count, lines in skipped.items() if count <= index)
 
 
 def _joined_arrays(parts: List[tuple]):
     """The column arrays of ``parts`` joined, each read-only; a ``None`` credit
-    part, which comes alone, holds no credit, nor does an all-NaN column."""
+    part holds no credit, and is read as NaN ("absent") beside a part that does."""
     *columns, credits = zip(*parts)
     arrays = [np.concatenate(column) for column in columns]
-    credit = None if all(part is None for part in credits) else np.concatenate(credits)
-    arrays.append(None if credit is None or np.isnan(credit).all() else credit)
+    given = any(part is not None for part in credits)
+    arrays.append(np.concatenate([np.full(len(y_true), np.nan) if part is None else part
+                                  for y_true, part in zip(columns[0], credits)]) if given else None)
     for column in arrays:  # fresh, so the set need not copy them
         if column is not None:
             column.setflags(write=False)
@@ -613,7 +601,8 @@ def ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None) -
     (for CSV, the NumPy pass or else the row reader; a large file is split
     between forked readers that read as one) up to its first fault, and the
     one join, which checks the record rules of each chunk read as it comes,
-    names the first malformed line in :class:`IngestError`.
+    names the first malformed line in :class:`IngestError`.  Lines that start
+    no record, such as blank ones, are counted, so they cost no memory per line.
     """
     return _ingest(path, fmt, class_count, digested=False)[0]
 
@@ -622,9 +611,9 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
     """``(dataset, digest)``: :func:`ingest` of ``path``, and the ``sha256:``
     digest of the bytes it read (``None`` unless ``digested``), taken after
     the readers from the one open file, so that a file replaced after the
-    open is neither read nor digested.  :meth:`_Joined._join` checks each
-    chunk the readers yield and raises the fault that is named, which stops
-    a pipe's copy."""
+    open is neither read nor digested.  :func:`_join` takes the chunks of the
+    ranges' readers or else the row reader's, and raises the fault that is
+    named, which closes them: forked readers are killed, a pipe's copy stops."""
     path = Path(path)
     class_count = _checked_class_count(class_count)
     if fmt is None:
@@ -641,20 +630,18 @@ def _ingest(path, fmt: Optional[str] = None, class_count: Optional[int] = None, 
             regions = pread.regions()
         try:
             if fmt == "jsonl":
-                joined = _read_ranges(pread, regions, _read_jsonl_range, class_count)
+                read_range = _read_jsonl_range
             else:
                 usecols = _bulk_columns(pread)
-                bulk = usecols and functools.partial(_read_csv_range, usecols)
-                joined = bulk and _read_ranges(pread, regions, bulk, class_count)
-                if not joined:  # the row reader reads a file NumPy cannot take
-                    joined = _Joined(class_count)
-                    for chunk in _read_csv(pread):
-                        joined._join(chunk)
+                read_range = usecols and functools.partial(_read_csv_range, usecols)
+            parts = read_range and _join(_ranges.read_ranges(pread, regions, read_range), class_count)
+            if parts is None:  # the row reader reads a file NumPy cannot take
+                parts = _join(_read_csv(pread), class_count)
         except _Fault as fault:
             where = path if fault.line is None else f"{path}:{fault.line}"
             raise IngestError(f"{where}: {fault.reason}") from None
         digest = _digest(pread) if digested else None
-    arrays = _joined_arrays(joined.parts)
+    arrays = _joined_arrays(parts)
     if not len(arrays[0]):
         raise IngestError(f"{path}: no prediction rows")
     return EvaluationSet(*arrays, class_count=class_count, source_id=path.name), digest
@@ -690,7 +677,9 @@ def write_predictions_csv(dataset: EvaluationSet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header + b"\n")
         fh.flush()  # so that no forked writer inherits the header unwritten in its buffer
-        _ranges.run_ranges(list(zip(bounds, bounds[1:])), functools.partial(_csv_chunks, columns), fh.write)
+        ranges = list(zip(bounds, bounds[1:]))
+        with contextlib.closing(_ranges.run_ranges(ranges, functools.partial(_csv_chunks, columns))) as chunks:
+            fh.writelines(chunks)
 
 
 def _csv_chunks(columns, start: int, stop: int):

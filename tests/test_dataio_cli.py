@@ -1,8 +1,10 @@
 import builtins
+import contextlib
 import csv
 import errno
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -18,6 +20,7 @@ import time
 import types
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -321,9 +324,7 @@ class TestBulkCsv:
             _write_lines(path, lines, ending)
             assert not _opened(_bulk_pass, path)  # an empty line
             with pytest.raises(dataio._Fault) as direct:
-                joined = dataio._Joined(class_count)
-                for chunk in _opened(row_reader, path):
-                    joined._join(chunk)
+                _opened(lambda pread: dataio._join(row_reader(pread), class_count), path)
             read.clear()
             with pytest.raises(IngestError) as shipped:
                 ingest(path, class_count=class_count)
@@ -358,11 +359,11 @@ class TestBulkCsv:
             bulk_read += 1
             bulk_parts, bulk_skipped = bulk
             ((row, row_skipped, _),) = _opened(dataio._read_csv, path)  # one chunk
-            assert bulk_skipped == row_skipped == [0]
+            assert bulk_skipped == row_skipped == Counter({0: 1})
             *bulk, bulk_credit = zip(*bulk_parts)  # one part a piece
             for bulk_column, row_column in zip(bulk, row[:3]):
                 assert np.concatenate(bulk_column).tolist() == row_column.tolist()
-            assert set(bulk_credit) == {None} and np.isnan(row[3]).all()
+            assert set(bulk_credit) == {None} and row[3] is None
         # crlf.csv, and the files without empty lines at LF and CRLF endings
         assert bulk_read == 1 + len(BLANK_LINE_FILES) * (ending in ("\n", "\r\n"))
 
@@ -416,13 +417,24 @@ def _opened(reader, path, *args):
 
 def _bulk_pass(pread):
     """``(parts, skipped)`` of the NumPy pass over the CSV file read by ``pread``, joined as
-    ``_ingest`` joins them but with no record rule checked, or ``None`` when it declines."""
+    ``_ingest`` joins them but with no record rule checked, ``skipped`` the sum of the chunks'
+    counts of lines that start no record, or ``None`` when it declines."""
+    skipped = Counter()
+
+    def counted(chunks):
+        with contextlib.closing(chunks):
+            for chunk in chunks:
+                if chunk is not None:
+                    skipped.update(chunk[1])
+                yield chunk
+
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(dataio, "_first_bad_record", lambda *args: None)
         usecols = dataio._bulk_columns(pread)
         regions = [(0, os.fstat(_fd_of(pread)).st_size)]
-        joined = usecols and dataio._read_ranges(pread, regions, functools.partial(dataio._read_csv_range, usecols), None)
-        return joined and (joined.parts, joined.skipped)
+        read_range = usecols and functools.partial(dataio._read_csv_range, usecols)
+        parts = read_range and dataio._join(counted(_ranges.read_ranges(pread, regions, read_range)), None)
+        return parts and (parts, skipped)
 
 
 def _count_row_reads(monkeypatch):
@@ -1216,7 +1228,7 @@ class TestSplitCsvReaders:
             bulk = _opened(_bulk_pass, path)
             assert bulk
             _, lines = bulk
-        assert lines == row_lines == [0]  # the header's line alone starts no record
+        assert lines == row_lines == Counter({0: 1})  # the header's line alone starts no record
         assert bool(forks) == (workers > 1) and len(sizes) > 1
         assert max(sizes) <= 64 + len("2,2,0.25\n")  # a piece ends at the first LF past 64 bytes
 
@@ -1655,6 +1667,8 @@ class TestPipeHead:
         assert re.search(error, capsys.readouterr().err.replace(f"/dev/fd/{read_end}", "<input>"))
         sizes = [spool.stat().st_size for spool in spools.iterdir()]
         assert sizes and max(sizes) <= _ranges._FIRST_REGION
+        if fmt == "csv" and not (head + line).startswith(_CSV_HEADER.encode()):  # the row reader reads it from the start
+            assert max(sizes) < _ranges._FIRST_REGION
 
     @pytest.mark.parametrize("fmt, row, bad, error", [
         ("csv", b"0,1,0.5\n", b"y\n", "expected 3 columns, got 1"),
@@ -2355,6 +2369,42 @@ class TestSplitWriters:
         assert path.read_bytes() == expected.read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_writers_are_killed_when_a_write_fails(self, tmp_path, monkeypatch):
+        ds = _credited_set(300, seed=7)
+        parent, chunks = os.getpid(), dataio._csv_chunks
+
+        def slow_chunks(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return chunks(*args)
+
+        class FullDisk(io.FileIO):  # a disk that fills up once the header is written
+            def write(self, data):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(dataio, "_csv_chunks", slow_chunks)
+        monkeypatch.setattr(dataio, "open", FullDisk, raising=False)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        with forced_split(3) as forks:
+            with pytest.raises(OSError) as raised:
+                write_predictions_csv(ds, tmp_path / "p.csv")
+        assert time.monotonic() - start < 30
+        assert raised.value.errno == errno.ENOSPC
+        assert (tmp_path / "p.csv").read_bytes() == b"y_true,y_pred,confidence,credit\n"
+        assert len(forks) == len(statuses) == 2
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL for status in statuses)
 
     def test_no_fork_beside_another_thread(self, tmp_path):
         ds = _credited_set(200, seed=6)

@@ -2,7 +2,9 @@
 a file or a pipe, in one reader and in two (where only this process is
 traced), and of each public entry point that works on the whole set, in
 one process, stays within a small multiple of the set's columns, so that a
-change that adds a copy of the records shows here."""
+change that adds a copy of the records shows here.  Reading a million blank
+lines between two records stays within a few MiB, so that a change that
+holds an entry per line shows here too."""
 
 import json
 import os
@@ -48,27 +50,28 @@ def _jsonl(source, path):
 
 
 # reader -> (the writer of its file, the most traced bytes per byte of the columns; measured 2.22,
-# 2.71 and 2.94, where a reader that held the whole range's records took 3.69 and 4.63)
+# 2.21 and 2.44, where a reader that held the whole range's records took 3.69 and 4.63, and a
+# credit column of NaN for a file with none took 2.71 and 2.94)
 BUDGETS = {
     "numpy_csv": (write_predictions_csv, 2.5),
-    "row_reader_csv": (_quoted_header_csv, 3.0),
-    "jsonl": (_jsonl, 3.25),
+    "row_reader_csv": (_quoted_header_csv, 2.5),
+    "jsonl": (_jsonl, 2.75),
 }
 
 
 # format -> (the writer of its file, the most traced bytes per byte of the columns when piped;
-# measured 2.21 and 2.71, where holding a later region's bytes would add 0.7 and 2.6)
+# measured 2.21 and 2.21, where holding a later region's bytes would add 0.7 and 2.6)
 PIPED_BUDGETS = {
     "csv": (write_predictions_csv, 2.5),
-    "jsonl": (_jsonl, 3.0),
+    "jsonl": (_jsonl, 2.5),
 }
 
 
 # reader -> the most traced bytes of this process per byte of the columns when two readers read
-# the file, and the pipe; measured 2.22 and 2.21, 2.71 and 2.71.  The row reader reads in one process.
+# the file, and the pipe; measured 2.22 and 2.21, 2.21 and 2.21.  The row reader reads in one process.
 SPLIT_BUDGETS = {
     "numpy_csv": (2.5, 2.5),
-    "jsonl": (3.25, 3.0),
+    "jsonl": (2.5, 2.5),
 }
 
 
@@ -151,6 +154,30 @@ def _piped_ingest(tmp_path, monkeypatch, source, fmt, readers):
     assert feed.returncode == 0
     assert ds.y_true.tolist() == source.y_true.tolist() and ds.confidence.tolist() == source.confidence.tolist()
     return ds, peak
+
+
+# reader -> (the file's name, its header and one record); the header's quote sends
+# the first CSV file to the row reader, and the blank lines send the plain one there too
+BLANK_LINE_FILES = {
+    "row_reader_csv": ("p.csv", b'"y_true",y_pred,confidence\n', b"0,0,0.5\n"),
+    "numpy_csv": ("p.csv", b"y_true,y_pred,confidence\n", b"0,0,0.5\n"),
+    "jsonl": ("p.jsonl", b"", b'{"y_true": 0, "y_pred": 0, "confidence": 0.5}\n'),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="readers fork only on Linux")
+@pytest.mark.parametrize("readers", [1, 2])
+@pytest.mark.parametrize("reader", list(BLANK_LINE_FILES))
+def test_blank_lines_cost_no_memory_per_line(tmp_path, monkeypatch, reader, readers):
+    # measured at most 1.6 MiB; a join that held an entry per line took 12-17 MiB
+    name, header, record = BLANK_LINE_FILES[reader]
+    path = tmp_path / name
+    path.write_bytes(header + record + b"\n" * 1_000_000 + record)
+    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 1 << 16)  # so that the NumPy pass's piece stays small
+    monkeypatch.setattr(_ranges, "_workers", lambda size: readers)
+    ds, peak = _traced_peak(lambda: ingest(path))
+    assert len(ds) == 2
+    assert peak < 4 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 @pytest.fixture(scope="module")

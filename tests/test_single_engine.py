@@ -6,11 +6,12 @@ temporary file that NumPy parses each CSV piece from lives in one other,
 ``dataio`` and keeps no line-end rule, and ``dataio`` writes the
 ``file:line`` of an error in one place for a reader's fault and one for a
 record rule's.  ``dataio`` opens an input by path in one place and no
-descriptor with ``open``, calls the engine's reader in one place, whose join
-alone adds the lines before a range to a fault's line, and the engine reads
-every file, one range or many, so it never declines one.  Every reader and
-the writer's formatter yield one chunk at a time, which the join takes as it
-comes."""
+descriptor with ``open``, and calls the engine's reader in one place.  The
+engine's reader and range runner yield their chunks, and one join, a function
+that takes the chunks of the ranges or of the row reader alike, alone adds
+the lines before a chunk to a fault's line; the engine reads every file, one
+range or many, so it never declines one.  Every reader and the writer's
+formatter yield one chunk at a time, which the join takes as it comes."""
 
 import ast
 import inspect
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import cwsa_eval
-from cwsa_eval import dataio
+from cwsa_eval import _ranges, dataio
 
 PACKAGE = Path(cwsa_eval.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -103,3 +104,15 @@ def test_every_reader_and_the_writer_yield_their_chunks(name):
 @pytest.mark.parametrize("name", ["_read_jsonl", "_csv_rows", "_close_chunk", "_PROBS_CHUNK"])
 def test_the_list_filling_reader_internals_are_gone(name):
     assert not hasattr(dataio, name)
+
+
+@pytest.mark.parametrize("name", ["_Joined", "_read_ranges", "_NotBulk"])
+def test_the_join_object_and_its_decline_exception_are_gone(name):
+    assert not hasattr(dataio, name)
+
+
+@pytest.mark.parametrize("name", ["run_ranges", "read_ranges"])
+def test_the_range_engine_yields_its_chunks_to_no_join_callback(name):
+    function = getattr(_ranges, name)
+    assert inspect.isgeneratorfunction(function)
+    assert "join" not in inspect.signature(function).parameters
