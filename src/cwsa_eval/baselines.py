@@ -66,13 +66,12 @@ def _calibration_errors(dataset: EvaluationSet, bins: BinningSpec) -> Tuple[floa
     """(ECE, MCE) from one binning, over the non-empty bins."""
     b = bins.bin_count
     conf = dataset.confidence
-    correct = dataset.correct_u8.astype(np.float64)
-    idx = np.minimum((conf * b).astype(np.int64), b - 1)
-    # conf * b rounds: move the index by one where it breaks k/b <= conf < (k+1)/b
-    idx[conf < idx / b] -= 1
-    idx[(conf >= (idx + 1) / b) & (idx < b - 1)] += 1
+    idx = np.minimum((conf * b).astype(np.int64), b - 1)  # conf * b rounds: corrected below
+    bounds = np.append(np.arange(b) / b, np.inf)  # the rounded k/b; the top bin holds 1.0
+    idx[conf < bounds[idx]] -= 1  # by one, so that k/b <= conf < (k+1)/b
+    idx[conf >= bounds[1:][idx]] += 1
     counts = np.bincount(idx, minlength=b).astype(np.float64)
-    sum_correct = np.bincount(idx, weights=correct, minlength=b)
+    sum_correct = np.bincount(idx, weights=dataset.correct_u8, minlength=b)
     sum_conf = np.bincount(idx, weights=conf, minlength=b)
     occupied = counts > 0
     acc = sum_correct[occupied] / counts[occupied]
@@ -99,23 +98,23 @@ def brier(dataset: EvaluationSet) -> float:
     record model keeps only the top-1 confidence, not the full
     probability vector.
     """
-    correct = dataset.correct_u8.astype(np.float64)
-    return float(np.mean((dataset.confidence - correct) ** 2))
+    gaps = dataset.confidence - dataset.correct_u8
+    return float(np.mean(np.multiply(gaps, gaps, out=gaps)))
 
 
 def _descending_order(confidence: np.ndarray) -> np.ndarray:
     """The permutation that orders ``confidence`` descending, input order breaking ties.
 
     ``(-confidence, index)`` is a total order, so this is the stable
-    sort's permutation.  It comes from one unstable sort, which is
-    faster; only when that leaves equal confidences side by side does a
-    second sort, of the int64 keys ``run * n + index``, put each run of
+    sort's permutation.  It comes from one unstable ascending sort, read
+    backwards; only when that leaves equal confidences side by side does
+    a second sort, of the int64 keys ``run * n + index``, put each run of
     equal values back in input order.
     """
-    ranked = -confidence
-    order = np.argsort(ranked)
-    np.take(confidence, order, out=ranked)
+    order = np.argsort(confidence)[::-1]
+    ranked = confidence[order]
     tied = ranked[1:] == ranked[:-1]  # 0.0 equals -0.0: one run, as in a stable sort
+    del ranked
     if tied.any():
         n = len(order)
         run = np.zeros(n, dtype=np.int64)
@@ -128,9 +127,9 @@ def _descending_order(confidence: np.ndarray) -> np.ndarray:
 
 def _prefix_risks(dataset: EvaluationSet) -> np.ndarray:
     """Error rate of every confidence-descending prefix, input order breaking ties."""
-    wrong = 1 - dataset.correct_u8[_descending_order(dataset.confidence)].astype(np.int64)
+    wrong = np.cumsum(dataset.correct_u8[_descending_order(dataset.confidence)] == 0)
     k = np.arange(1, len(dataset) + 1, dtype=np.float64)
-    return np.cumsum(wrong) / k
+    return np.divide(wrong, k, out=k)
 
 
 def aurc(dataset: EvaluationSet) -> float:
@@ -148,14 +147,14 @@ def aurc(dataset: EvaluationSet) -> float:
 def _oracle_area(dataset: EvaluationSet) -> float:
     """AURC of the best ordering, which puts every correct record first.
 
-    Its prefix risks are ``max(0, k - n_correct) / k``.  Those are
-    elementwise below the actual prefix risks, which keeps E-AURC
-    non-negative even in floating point.
+    Its prefix risks are ``max(0, k - n_correct) / k``, elementwise below
+    the actual ones, which keeps E-AURC non-negative even in floating point.
+    Only those past ``n_correct`` are summed: the rest are ``+0.0``.
     """
     n = len(dataset)
     n_correct = int(dataset.correct_u8.sum())
-    k = np.arange(1, n + 1, dtype=np.float64)
-    return sequential_sum(np.maximum(0.0, k - n_correct) / k) / n
+    k = np.arange(n_correct + 1, n + 1, dtype=np.float64)
+    return sequential_sum(np.divide(k - n_correct, k, out=k)) / n
 
 
 def eaurc(dataset: EvaluationSet) -> float:

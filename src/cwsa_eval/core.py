@@ -88,7 +88,7 @@ class EvaluationSet:
         if class_count is None:
             class_count = int(max(y_true.max(), y_pred.max())) + 1
 
-        correct_u8 = np.ascontiguousarray(y_true == y_pred, dtype=np.uint8)
+        correct_u8 = (y_true == y_pred).view(np.uint8)
         for arr in (y_true, y_pred, confidence, credit, correct_u8):
             if arr is not None:
                 arr.setflags(write=False)

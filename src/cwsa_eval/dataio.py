@@ -492,7 +492,7 @@ def _read_jsonl_range(pread, start: int, stop: int):
     """``(part, skipped, fault)`` of each chunk of the JSONL records in bytes
     ``start`` to ``stop`` of an input read by ``pread``, which start a line, as
     :func:`_read_csv` gives them, ``skipped`` counting the blank lines.  Each
-    line is decoded once, by ``raw_decode`` or, where that fails or leaves
+    other line is decoded once, by ``raw_decode`` or, where that fails or leaves
     more than the newline, by ``json.loads``.
     A record whose ``probs`` is not a non-empty list is checked at once; the
     others are held, ``_CHUNK`` records plus probs values at a time, for
@@ -506,14 +506,14 @@ def _read_jsonl_range(pread, start: int, stop: int):
     with io.TextIOWrapper(window, encoding="utf-8", errors="surrogateescape") as text:
         try:
             for line_no, line in enumerate(_utf8_lines(text), start=1):
+                if line.isspace():  # a blank line, counted before it is decoded
+                    skipped[len(y_true)] += 1
+                    continue
                 try:
                     obj, end = decode(line)
                     if line[end:] not in ("\n", ""):
                         raise ValueError
                 except (ValueError, RecursionError):
-                    if not line.strip():
-                        skipped[len(y_true)] += 1
-                        continue
                     try:
                         obj = json.loads(line)
                     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting

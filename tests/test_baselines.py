@@ -46,11 +46,20 @@ class TestEce:
     # each edge value shares its bin with a neighbour of the other correctness
     EDGE_PAIRS = [(0.285, True), (0.29, False), (0.57, True), (0.575, False), (0.58, True), (0.585, False)]
 
-    @pytest.mark.parametrize("bins", [15, 50, 100])
+    @pytest.mark.parametrize("bins", [1, 7, 15, 50, 100])
     def test_bin_edges_match_naive_oracle(self, bins):
         ds = make_set(self.EDGE_PAIRS)
         assert ece(ds, BinningSpec(bins)) == naive_impl.ece_naive(self.EDGE_PAIRS, bins)
         assert mce(ds, BinningSpec(bins)) == naive_impl.mce_naive(self.EDGE_PAIRS, bins)
+        # every bound k/bins in [0, 1] correct and the float either side of it wrong: correctness
+        # alternates across each bound (alternating record by record is blind to a bound put in
+        # the bin below at 7 bins, the layout being symmetric)
+        bounds = np.arange(bins + 1) / bins
+        values = np.stack([np.nextafter(bounds, -1.0), bounds, np.nextafter(bounds, 2.0)], axis=1).ravel()
+        pairs = [(c, c in bounds) for c in values[(values >= 0.0) & (values <= 1.0)].tolist()]
+        ds = make_set(pairs)
+        assert ece(ds, BinningSpec(bins)) == pytest.approx(naive_impl.ece_naive(pairs, bins), abs=1e-12)
+        assert mce(ds, BinningSpec(bins)) == naive_impl.mce_naive(pairs, bins)
 
 
 class TestMce:
