@@ -179,12 +179,12 @@ def baseline_scalars(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) 
 def risk_coverage_points(dataset: EvaluationSet) -> List[RiskCoveragePoint]:
     """The full risk-coverage curve as prefix points, coverage ascending.
 
-    Both columns are computed as arrays (k/n is correctly rounded either
-    way, so it equals ``(i + 1) / n``); the points are then built without
-    a Python call per record, with the cyclic garbage collector held off
-    meanwhile.
+    The risks are computed as one array, and the coverages a chunk at a
+    time (k/n is correctly rounded either way, so it equals ``(i + 1) / n``);
+    the points are then built a chunk at a time without a Python call per
+    record, with the cyclic garbage collector held off meanwhile.
     """
     n = len(dataset)
-    coverages = (np.arange(1, n + 1, dtype=np.float64) / n).tolist()
-    risks = _prefix_risks(dataset).tolist()
-    return _entries(RiskCoveragePoint, zip(coverages, risks))
+    risks = _prefix_risks(dataset)
+    return _entries(RiskCoveragePoint, n, lambda lo, hi: zip(
+        (np.arange(lo + 1, hi + 1, dtype=np.float64) / n).tolist(), risks[lo:hi].tolist()))

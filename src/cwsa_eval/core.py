@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from functools import partial
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,8 @@ __all__ = [
     "EvaluationSet",
     "validate_threshold",
 ]
+
+_CHUNK = 1 << 16  # records (and JSONL probs values) a reader holds before it yields them; entries _entries builds
 
 
 def validate_threshold(tau: float) -> float:
@@ -130,20 +132,23 @@ def _own_column(values, dtype) -> np.ndarray:
     return column
 
 
-def _entries(cls, rows: Iterable[tuple]) -> List[tuple]:
-    """``[cls._make(row) for row in rows]`` for a tuple subclass ``cls``, built
-    without a Python call per row and with the cyclic collector held off.
+def _entries(cls, n: int, rows: Callable[[int, int], Iterable[tuple]]) -> List[tuple]:
+    """``[cls._make(row) for row in rows(0, n)]`` for a tuple subclass ``cls``, in ``n``
+    preallocated slots filled ``_CHUNK`` at a time, with no Python call per row.
 
     Each entry is a new tracked container, so a collector left on would walk
-    every entry built so far at each full collection while the list grows.
+    every entry built so far at each full collection while the list fills.
     The collector is turned back on only if it was on before, so a caller
     that holds it off keeps it off; it is off for the whole process meanwhile.
     """
+    make = partial(tuple.__new__, cls)  # what cls._make calls, minus its Python frame
+    out = [None] * n
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # tuple.__new__ is what cls._make calls, minus its Python frame
-        return list(map(partial(tuple.__new__, cls), rows))
+        for lo in range(0, n, _CHUNK):
+            out[lo:lo + _CHUNK] = map(make, rows(lo, min(lo + _CHUNK, n)))
+        return out
     finally:
         if enabled:
             gc.enable()

@@ -60,7 +60,7 @@ import numpy as np
 from . import _ranges
 from ._version import TOOL_NAME, __version__
 from .baselines import BinningSpec, baseline_scalars
-from .core import EvaluationSet, _checked_class_count, _first_bad_record
+from .core import _CHUNK, EvaluationSet, _checked_class_count, _first_bad_record
 from .metrics import point_metrics
 from .sweep import CURVE_METRICS, SweepReport, ThresholdGrid, rank, sweep
 
@@ -83,7 +83,6 @@ _NOT_BULK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # the bytes of a CSV range that _read_csv_range reads, checks and parses at a time, up to the next LF
 _SCAN_BLOCK = 1 << 22
 _BULK_DTYPE = np.dtype([("y_true", np.int64), ("y_pred", np.int64), ("confidence", np.float64)])
-_CHUNK = 1 << 16  # records, and JSONL probs values, that a reader holds before it yields them
 _WRITE_CHUNK = 1 << 14  # records write_predictions_csv formats at a time
 # Labels are stored as int64.
 INT64_MIN = int(np.iinfo(np.int64).min)
@@ -247,23 +246,25 @@ def _bulk_readable(piece: bytes) -> Optional[int]:
     line, as NumPy's ``skiprows=1`` takes it, and a LF always ends a line),
     and none of the bytes 0x1c-0x1f, which NumPy strips as whitespace and
     ``int()`` does not.  Each line must end in LF or CRLF, or else end the
-    file; none may be empty, since ``np.loadtxt`` skips it, nor longer than
-    the csv field limit, which NumPy does not keep.  A lone CR, which ends
-    a line for the row reader, fails the check.
+    file; none may be empty, nor longer than the csv field limit, which
+    NumPy does not keep.  A lone CR, which ends a line for the row reader,
+    fails the check.
     """
     if not piece.isascii() or any(byte in piece for byte in _NOT_BULK_BYTES):
         return None
+    if b"\n\n" in piece or b"\n\r\n" in piece or piece.startswith((b"\n", b"\r\n")):
+        return None  # an empty line, which np.loadtxt skips; seen before any array is made
     codes = np.frombuffer(piece, dtype=np.uint8)
     ends = np.flatnonzero(codes == ord("\n"))
     lengths = np.diff(ends, prepend=-1)  # each ended line's bytes, its LF included
     if b"\r" in piece:
-        crlf = codes[ends - 1] == ord("\r")  # at ends[0] == 0, a wrong byte, but of an empty line
+        crlf = codes[ends - 1] == ord("\r")
         if np.count_nonzero(crlf) != np.count_nonzero(codes == ord("\r")):  # a lone CR
             return None
         lengths -= crlf  # a CRLF counts as one byte, as a LF does
     last = len(piece) - 1 - int(ends[-1]) if ends.size else len(piece)  # the bytes after the last LF
-    if lengths.min(initial=2) < 2 or max(int(lengths.max(initial=0)), last) > csv.field_size_limit():
-        return None  # an empty line, or one over the field limit
+    if max(int(lengths.max(initial=0)), last) > csv.field_size_limit():
+        return None  # a line over the field limit
     return ends.size + (last > 0)  # a last line with no line end holds a record too
 
 

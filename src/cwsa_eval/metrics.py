@@ -160,8 +160,8 @@ class GradientEntry(NamedTuple):
     status: str
 
 
-# Indexed by the status code: retained (conf >= tau) plus above (conf > tau).
-_GRADIENT_STATUSES = (GRADIENT_ABSTAINED, GRADIENT_KINK, GRADIENT_INTERIOR)
+# Indexed by the status code: 0 abstained, 1 kink, 2 interior and correct, 3 interior and wrong.
+_GRADIENT_STATUSES = (GRADIENT_ABSTAINED, GRADIENT_KINK, GRADIENT_INTERIOR, GRADIENT_INTERIOR)
 
 
 def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
@@ -173,21 +173,17 @@ def cwsa_gradient(dataset: EvaluationSet, tau: float) -> List[GradientEntry]:
     retention boundaries.  Records at exactly the threshold get a kink
     marker instead of an arbitrary one-sided slope.
 
-    The values and status codes are computed as arrays; the entries are
-    then built without a Python call per record, with the cyclic garbage
-    collector held off meanwhile.
+    One status code per record is computed as an array; the entries share
+    the values and statuses the codes name, and are built with no Python
+    call per record and the cyclic garbage collector held off meanwhile.
     """
     tau = validate_threshold(tau)
     conf = dataset.confidence
-    retained = conf >= tau
-    above = conf > tau
-    retained_count = int(np.count_nonzero(retained))
-    scale = retained_count * (1.0 - tau)
-    signs = np.where(dataset.correct_u8 != 0, 1.0, -1.0)
-    # divides only where above, so an empty retained set never divides by 0
-    values = np.divide(signs, scale, out=np.zeros(len(conf)), where=above).tolist()
-    for i in np.flatnonzero(conf == tau).tolist():
-        values[i] = None
-    codes = (retained.view(np.int8) + above.view(np.int8)).tolist()
-    statuses = map(_GRADIENT_STATUSES.__getitem__, codes)
-    return _entries(GradientEntry, zip(range(len(conf)), values, statuses))
+    codes = (conf >= tau).view(np.int8)  # retained (conf >= tau) plus above (conf > tau)
+    scale = int(np.count_nonzero(codes)) * (1.0 - tau)
+    codes += conf > tau
+    codes = np.where((codes == 2) & (dataset.correct_u8 == 0), 3, codes).tobytes()  # 3: above and wrong
+    # an empty retained set has no interior record, so it never divides by 0
+    values = (0.0, None) if scale == 0 else (0.0, None, 1.0 / scale, -1.0 / scale)
+    return _entries(GradientEntry, len(codes), lambda lo, hi: zip(
+        range(lo, hi), map(values.__getitem__, codes[lo:hi]), map(_GRADIENT_STATUSES.__getitem__, codes[lo:hi])))

@@ -163,16 +163,16 @@ def generate(spec: ArchetypeSpec) -> EvaluationSet:
             offsets = _stream(spec.seed, _STREAM_PREDICTIONS).integers(0, k - 1, n)
         else:
             offsets = np.zeros(n, dtype=np.int64)
-        # offset in [0, k-2] shifts the true label to a uniformly chosen
-        # *different* label.
-        y_pred = np.where(correct, y_true, (y_true + 1 + offsets) % k)
+        # offset in [0, k-2] shifts the true label to a uniformly chosen *different* label:
+        offsets += 1  # (y_true + 1 + offsets) % k, summed in place (exact in any order)
+        offsets += y_true
+        offsets %= k
+        y_pred = np.where(correct, y_true, offsets)
 
-    u = _stream(spec.seed, _STREAM_CONFIDENCE).random(n)
-    ca, cb = spec.conf_correct
-    wa, wb = spec.conf_wrong
-    low = np.where(correct, ca, wa)
-    width = np.where(correct, cb - ca, wb - wa)
-    confidence = low + u * width
+    (ca, cb), (wa, wb) = spec.conf_correct, spec.conf_wrong
+    confidence = _stream(spec.seed, _STREAM_CONFIDENCE).random(n)  # u, scaled in place below
+    confidence *= np.where(correct, cb - ca, wb - wa)
+    confidence += np.where(correct, ca, wa)  # u * width + low: the same sum as low + u * width
 
     for column in (y_true, y_pred, confidence):  # fresh, so the set need not copy them
         column.setflags(write=False)

@@ -8,14 +8,16 @@ from cwsa_eval import (
     ArchetypeSpec,
     EvaluationSet,
     GradientEntry,
+    RiskCoveragePoint,
     cwsa_gradient,
     generate,
     point_metrics,
     risk_coverage_points,
     validate_threshold,
 )
-from cwsa_eval.core import _entries
-from conftest import make_set, weight_of
+from cwsa_eval.core import _CHUNK, _entries
+from conftest import make_set, random_pairs, weight_of
+import naive_impl
 
 
 def one_record(y_true=0, y_pred=0, confidence=0.5, credit=None):
@@ -229,18 +231,51 @@ class TestEntries:
     def test_the_collector_setting_is_kept(self, enabled):
         rows = [(0, 0.5, "interior"), (1, None, "kink")]
         with collector(enabled):
-            assert _entries(GradientEntry, iter(rows)) == rows
+            assert _entries(GradientEntry, len(rows), lambda lo, hi: iter(rows[lo:hi])) == rows
             assert gc.isenabled() is enabled
             assert cwsa_gradient(make_set([(0.5, True), (0.7, False)]), 0.5)[0].status == "kink"
             assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_the_collector_setting_is_kept_when_a_build_raises(self, enabled):
-        def rows():
+        def rows(lo, hi):
             yield (0, 0.5, "interior")
             raise RuntimeError("row 1")
 
         with collector(enabled):
             with pytest.raises(RuntimeError, match="row 1"):
-                _entries(GradientEntry, rows())
+                _entries(GradientEntry, 2, rows)
             assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+    def test_every_slot_is_filled_in_order(self, n):
+        chunks = []
+
+        def rows(lo, hi):
+            chunks.append((lo, hi))
+            return ((i, float(i)) for i in range(lo, hi))
+
+        built = _entries(RiskCoveragePoint, n, rows)
+        assert type(built) is list and len(built) == n
+        assert built == [(i, float(i)) for i in range(n)]
+        assert all(type(entry) is RiskCoveragePoint for entry in built)
+        assert chunks == [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+    def test_a_gradient_shares_its_value_objects(self):
+        ds = generate(ArchetypeSpec.for_kind("calibrated", n=200_000, seed=11))
+        # 0.0, None and the two signed quotients, not one float per record
+        assert len({id(entry.value) for entry in cwsa_gradient(ds, 0.7)}) <= 4
+
+    def test_entries_across_chunks_equal_the_oracles(self):
+        rng = np.random.default_rng(41)
+        n = 2 * _CHUNK + 5
+        # two-decimal confidences: ties, and records exactly at the threshold
+        pairs = [(round(c, 2), correct) for c, correct in random_pairs(rng, n)]
+        ds = make_set(pairs)
+
+        def typed(rows):
+            return [tuple((type(value), value) for value in row) for row in rows]
+
+        assert typed(cwsa_gradient(ds, 0.7)) == typed(naive_impl.gradient_naive(pairs, 0.7))
+        curve = zip([(i + 1) / n for i in range(n)], naive_impl.prefix_risks_naive(pairs))
+        assert typed(risk_coverage_points(ds)) == typed(curve)

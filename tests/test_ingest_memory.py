@@ -157,12 +157,14 @@ def _piped_ingest(tmp_path, monkeypatch, source, fmt, readers):
     return ds, peak
 
 
-# reader -> (the file's name, its header and one record); the header's quote sends
-# the first CSV file to the row reader, and the blank lines send the plain one there too
+# reader -> (the file's name, its header, one record, and the bytes of the NumPy pass's piece, None
+# for the default _SCAN_BLOCK, which holds the whole file); the header's quote sends the first
+# CSV file to the row reader, and the blank lines send the plain ones there too
 BLANK_LINE_FILES = {
-    "row_reader_csv": ("p.csv", b'"y_true",y_pred,confidence\n', b"0,0,0.5\n"),
-    "numpy_csv": ("p.csv", b"y_true,y_pred,confidence\n", b"0,0,0.5\n"),
-    "jsonl": ("p.jsonl", b"", b'{"y_true": 0, "y_pred": 0, "confidence": 0.5}\n'),
+    "row_reader_csv": ("p.csv", b'"y_true",y_pred,confidence\n', b"0,0,0.5\n", 1 << 16),
+    "numpy_csv": ("p.csv", b"y_true,y_pred,confidence\n", b"0,0,0.5\n", 1 << 16),
+    "numpy_csv_whole_piece": ("p.csv", b"y_true,y_pred,confidence\n", b"0,0,0.5\n", None),
+    "jsonl": ("p.jsonl", b"", b'{"y_true": 0, "y_pred": 0, "confidence": 0.5}\n', 1 << 16),
 }
 
 
@@ -170,11 +172,13 @@ BLANK_LINE_FILES = {
 @pytest.mark.parametrize("readers", [1, 2])
 @pytest.mark.parametrize("reader", list(BLANK_LINE_FILES))
 def test_blank_lines_cost_no_memory_per_line(tmp_path, monkeypatch, reader, readers):
-    # measured at most 1.6 MiB; a join that held an entry per line took 12-17 MiB
-    name, header, record = BLANK_LINE_FILES[reader]
+    # measured at most 1.6 MiB; a join that held an entry per line took 12-17 MiB, and a NumPy
+    # pass that made an array of a whole piece's line ends before it saw an empty line 11.9-23.9 MiB
+    name, header, record, piece = BLANK_LINE_FILES[reader]
     path = tmp_path / name
     path.write_bytes(header + record + b"\n" * 1_000_000 + record)
-    monkeypatch.setattr(dataio, "_SCAN_BLOCK", 1 << 16)  # so that the NumPy pass's piece stays small
+    if piece is not None:
+        monkeypatch.setattr(dataio, "_SCAN_BLOCK", piece)
     monkeypatch.setattr(_ranges, "_workers", lambda size: readers)
     ds, peak = _traced_peak(lambda: ingest(path))
     assert len(ds) == 2
@@ -200,14 +204,16 @@ def tied(source):
 # entry point -> (its call on the set, the credited set or the tied set, and a directory to write
 # to; the most traced bytes per byte of the columns; measured 0.73 (1.37 while the baselines cast
 # and negated their columns), 0.71 (1.35), 1.38 (1.71), 0.88 (the one writer writes each chunk as
-# it formats it, where holding the file's bytes took 2.40), 6.75 and 5.67)
+# it formats it, where holding the file's bytes took 2.40), 4.89 (6.75 with a float per record and
+# whole-length value lists), 5.59 (5.67) and 1.71 (2.58 with its temporaries not drawn in place))
 CALL_BUDGETS = {
     "sweep": (lambda ds, credited, tied, out: sweep(ds), 1.0),
     "baseline_scalars": (lambda ds, credited, tied, out: baseline_scalars(ds), 0.85),
     "baseline_scalars_tied": (lambda ds, credited, tied, out: baseline_scalars(tied), 1.5),
     "write_predictions_csv": (lambda ds, credited, tied, out: write_predictions_csv(credited, out / "p.csv"), 1.25),
-    "cwsa_gradient": (lambda ds, credited, tied, out: cwsa_gradient(ds, 0.7), 7.5),
+    "cwsa_gradient": (lambda ds, credited, tied, out: cwsa_gradient(ds, 0.7), 5.5),
     "risk_coverage_points": (lambda ds, credited, tied, out: risk_coverage_points(ds), 6.25),
+    "generate": (lambda ds, credited, tied, out: generate(ArchetypeSpec.for_kind("calibrated", n=RECORDS, seed=11)), 2.0),
 }
 
 
