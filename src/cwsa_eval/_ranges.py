@@ -1,13 +1,13 @@
-"""Working ranges of an input or an output at the same time, one forked worker per CPU.
+"""Working ranges of an input, an output or a sweep's grid at the same time, one forked worker per CPU.
 
 The work of a range yields one bounded chunk at a time, and :func:`run_ranges`
 yields every range's chunks in order.  It works the first range in this
 process, each chunk given as it is made, and each other in a forked child,
-whose chunks come back as one pickled list through a pipe (the work holds the
-interpreter lock, so threads could not share it); a range whose child died is
-worked here.  Children fork at the first ``next()``, and closing the generator
-kills and reaps them.  Forking is safe only in a process running one thread,
-so off Linux and beside a second thread :func:`_workers` gives one range.
+whose chunks come back as one pickled list through a pipe (a child shares no
+interpreter lock, and one engine serves all parallel work); a range whose child
+died is worked here.  Children fork at the first ``next()``, and closing the
+generator kills and reaps them.  Forking is safe only in a process running one
+thread, so off Linux and beside a second thread :func:`_workers` gives one range.
 
 Readers read through ``pread(n, at)``, sharing no file offset: a file's
 ``os.pread``, or a :class:`_Pipe`, which copies a pipe into a spool only as
@@ -19,7 +19,8 @@ a region just past a LF into one range per CPU, at most one per
 ``dataio``'s one join adds the lines before, so the engine knows no line end
 but the LF it cuts after.  ``dataio``'s canonical CSV writer splits its
 records evenly into as many ranges as ``_workers`` gives for the bytes of its
-columns, and writes each chunk's bytes as it comes.
+columns, and writes each chunk's bytes as it comes.  ``kernels``' sweep works a
+slice of its grid per range.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import sys
 import threading
 from signal import SIGKILL
 from typing import Callable, List, Optional
-
-from . import kernels
 
 _SPLIT_BYTES = 1 << 22  # the fewest bytes per worker
 _FIRST_REGION = 1 << 20  # the most bytes of a pipe spooled before its first region is read
@@ -88,17 +87,25 @@ class _Pipe:
             if hi == lo + want:
                 hi = _past_last_lf(self, lo, hi) or _past_lf(self, hi, None)
             yield lo, hi
-            lo, want = hi, _SPLIT_BYTES * (kernels._usable_cpus() + 1)  # cut back to a LF, still a share per CPU
+            lo, want = hi, _SPLIT_BYTES * (_usable_cpus() + 1)  # cut back to a LF, still a share per CPU
             if self._pull(lo + 1) == lo:  # the pipe ended with the region
                 return
 
 
-def _workers(size: int) -> int:
-    """Workers for ``size`` bytes: one per CPU, at most one per ``_SPLIT_BYTES``, and
-    one unless the process is a Linux process running one thread, where ``os.fork`` is safe."""
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(most: int) -> int:
+    """Workers: one per CPU, at most ``most``, and one unless the process is
+    a Linux process running one thread, where ``os.fork`` is safe."""
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
-    return max(1, min(kernels._usable_cpus(), size // _SPLIT_BYTES))
+    return max(1, min(_usable_cpus(), most))
 
 
 def _past_lf(pread: Callable, at: int, stop: Optional[int]) -> int:
@@ -178,7 +185,7 @@ def read_ranges(pread: Callable, regions, read_range: Callable):
     spooled if piped, is taken once the region before is read, and read in
     ``_workers`` ranges cut just past a LF, by :func:`run_ranges`."""
     for lo, hi in regions:
-        bounds = [lo, *_line_cuts(pread, (lo, hi), _workers(hi - lo)), hi]
+        bounds = [lo, *_line_cuts(pread, (lo, hi), _workers((hi - lo) // _SPLIT_BYTES)), hi]
         yield from run_ranges(list(zip(bounds, bounds[1:])), functools.partial(read_range, pread))
 
 

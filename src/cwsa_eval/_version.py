@@ -1,2 +1,2 @@
 TOOL_NAME = "cwsa-eval"
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -63,7 +63,7 @@ class RiskCoveragePoint(NamedTuple):
 
 
 def _calibration_errors(dataset: EvaluationSet, bins: BinningSpec) -> Tuple[float, float]:
-    """(ECE, MCE) from one binning, over the non-empty bins."""
+    """(ECE, MCE) from one binning, over the non-empty bins; ECE sums its terms in bin order."""
     b = bins.bin_count
     conf = dataset.confidence
     idx = np.minimum((conf * b).astype(np.int64), b - 1)  # conf * b rounds: corrected below
@@ -77,7 +77,7 @@ def _calibration_errors(dataset: EvaluationSet, bins: BinningSpec) -> Tuple[floa
     acc = sum_correct[occupied] / counts[occupied]
     avg_conf = sum_conf[occupied] / counts[occupied]
     gaps = np.abs(acc - avg_conf)
-    return float(np.sum((counts[occupied] / len(dataset)) * gaps)), float(gaps.max())
+    return sequential_sum((counts[occupied] / len(dataset)) * gaps), float(gaps.max())
 
 
 def ece(dataset: EvaluationSet, bins: BinningSpec = BinningSpec()) -> float:
@@ -95,11 +95,11 @@ def brier(dataset: EvaluationSet) -> float:
     """Top-1 Brier score: mean squared gap between confidence and correctness.
 
     Uses the binary (confidence vs. correctness-indicator) form since the
-    record model keeps only the top-1 confidence, not the full
-    probability vector.
+    record model keeps only the top-1 confidence, not the full probability
+    vector.  The squared gaps are summed left to right, then divided by n.
     """
     gaps = dataset.confidence - dataset.correct_u8
-    return float(np.mean(np.multiply(gaps, gaps, out=gaps)))
+    return sequential_sum(np.multiply(gaps, gaps, out=gaps)) / len(dataset)
 
 
 def _descending_order(confidence: np.ndarray) -> np.ndarray:

@@ -673,7 +673,7 @@ def write_predictions_csv(dataset: EvaluationSet, path) -> None:
         columns.append(dataset.credit)
         header += b",credit"
     n = len(dataset)
-    workers = _ranges._workers(sum(column.nbytes for column in columns))
+    workers = _ranges._workers(sum(column.nbytes for column in columns) // _ranges._SPLIT_BYTES)
     bounds = sorted({n * k // workers for k in range(workers + 1)})
     with open(path, "wb") as fh:
         fh.write(header + b"\n")

@@ -21,24 +21,25 @@ plus 0.5 for the subtract.  Each entry still takes one rounding in the
 subtract and one in the divide, so every sum is unchanged.
 
 The grid kernel splits a grid of ``m`` thresholds into ``w`` interleaved
-slices ``t[j::w]`` and runs the hits and the misses of every slice as
-one task on a thread pool of ``w`` workers.  ``w`` is the number of CPUs
-the process may run on (``os.sched_getaffinity``, else
-``os.cpu_count``), capped at ``m // 2`` so that every slice keeps at
-least 2 columns.  A column's sum depends only on that column, walked in
-record order, so the split changes no addition's order or grouping, and
-every sum is the same at any ``w``.  Interleaving balances the workers,
-since high thresholds are skipped more often than low ones; each slice
-is non-decreasing, so the column skip holds inside it.  NumPy releases
-the interpreter lock while it works on a block, so the slices run at
-the same time.  With ``w == 1`` the same tasks run inline.
+slices ``t[j::w]`` and works the hits and the misses of slice ``j`` as
+range ``j`` of ``_ranges.run_ranges``: this process works the first
+slice and a forked worker each other.  ``w`` is ``_ranges._workers``'
+count, one per CPU and one off Linux or beside a second thread, capped
+at ``m // 2`` so that every slice keeps at least 2 columns.  A column's
+sum depends only on that column, walked in record order by one worker,
+so the split changes no addition's order or grouping, and every sum is
+the same at any ``w``.  Interleaving balances the workers, since high
+thresholds are skipped more often than low ones; each slice is
+non-decreasing, so the column skip holds inside it.
 """
 
 from __future__ import annotations
 
-import os
+from functools import partial
 
 import numpy as np
+
+from . import _ranges
 
 __all__ = ["sequential_sum", "point_accumulate", "sweep_accumulate", "credit_accumulate"]
 
@@ -94,7 +95,7 @@ def sweep_accumulate(confidence: np.ndarray, correct: np.ndarray, thresholds):
     threshold, equal to what :func:`point_accumulate` gives for it.  The
     records are split once into hits and misses, each in input order,
     and each group is walked in blocks of rows, one slice of the grid per
-    task (see the module docstring).  A block fills a ``(rows + 1, k)``
+    range (see the module docstring).  A block fills a ``(rows + 1, k)``
     buffer, where ``k`` counts the slice's thresholds that the block's
     largest confidence reaches: row 0 carries the running sums, and the
     body holds ``max((c - t) / (1 - t), 0.0)``.  A record below a
@@ -107,32 +108,22 @@ def sweep_accumulate(confidence: np.ndarray, correct: np.ndarray, thresholds):
         return [point_accumulate(confidence, correct, float(tau)) for tau in t]
     hit = correct != 0
     groups = (np.compress(hit, confidence), np.compress(~hit, confidence))
-    w = min(_usable_cpus(), m // 2)
-    tasks = [(g, j) for g in range(2) for j in range(w)]
-    # Contiguous slices: a strided threshold row slows every block's subtract.
-    args = ([groups[g] for g, _ in tasks], [t[j::w].copy() for _, j in tasks])
-    if w == 1:
-        results = list(map(_grid_sums, *args))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(w) as pool:
-            results = list(pool.map(_grid_sums, *args))
+    w = _ranges._workers(m // 2)
+    slices = _ranges.run_ranges([(j, j + 1) for j in range(w)], partial(_slice_sums, groups, t, w))
     counts = np.empty((2, m), dtype=np.int64)
     sums = np.empty((2, m))
-    for (g, j), (count, acc) in zip(tasks, results):
-        counts[g, j::w] = count
-        sums[g, j::w] = acc
+    for j, slice_sums in enumerate(slices):
+        for g, (count, acc) in enumerate(slice_sums):
+            counts[g, j::w] = count
+            sums[g, j::w] = acc
     retained = (counts[0] + counts[1]).tolist()
     return list(zip(retained, counts[0].tolist(), sums[0].tolist(), sums[1].tolist()))
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _slice_sums(groups, t: np.ndarray, w: int, j: int, _stop: int):
+    """Yield, as one chunk, :func:`_grid_sums` of each group over the slice ``t[j::w]``."""
+    # Contiguous slices: a strided threshold row slows every block's subtract.
+    yield [_grid_sums(group, t[j::w].copy()) for group in groups]
 
 
 def _grid_sums(group: np.ndarray, t: np.ndarray):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cwsa_eval import EvaluationSet, _ranges, cwsa_plus, kernels
+from cwsa_eval import EvaluationSet, _ranges, cwsa_plus
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +58,8 @@ def weight_of(confidence, tau):
 @contextlib.contextmanager
 def forced_split(workers):
     """Let ``ingest`` split a CSV or JSONL file of any size between
-    ``workers`` readers; yields the list of the pids that ``os.fork``
-    returns meanwhile."""
+    ``workers`` readers, and a sweep its grid between ``workers`` workers;
+    yields the list of the pids that ``os.fork`` returns meanwhile."""
     forks = []
     real_fork = os.fork
 
@@ -70,7 +70,7 @@ def forced_split(workers):
         return pid
 
     with mock.patch.object(_ranges, "_SPLIT_BYTES", 1), \
-            mock.patch.object(kernels, "_usable_cpus", lambda: workers), \
+            mock.patch.object(_ranges, "_usable_cpus", lambda: workers), \
             mock.patch.object(os, "fork", counting_fork):
         yield forks
 

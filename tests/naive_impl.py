@@ -164,7 +164,7 @@ def _bin_gaps_naive(records: Sequence[Record], bin_count: int):
         count, conf_sum, hit_sum = bins.get(b, (0, 0.0, 0))
         bins[b] = (count + 1, conf_sum + confidence, hit_sum + (1 if correct else 0))
     gaps = []
-    for count, conf_sum, hit_sum in bins.values():
+    for _, (count, conf_sum, hit_sum) in sorted(bins.items()):  # in bin-index order
         gaps.append((count, abs(hit_sum / count - conf_sum / count)))
     return gaps
 

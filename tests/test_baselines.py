@@ -37,9 +37,7 @@ class TestEce:
         for _ in range(100):
             pairs = random_pairs(rng, int(rng.integers(1, 80)))
             bins = int(rng.integers(1, 25))
-            assert ece(make_set(pairs), BinningSpec(bins)) == pytest.approx(
-                naive_impl.ece_naive(pairs, bins), abs=1e-12
-            )
+            assert ece(make_set(pairs), BinningSpec(bins)) == naive_impl.ece_naive(pairs, bins)
 
 
     # c * b rounds 0.29 * 100, 0.57 * 100, 0.58 * 100 and 0.58 * 50 one bin low;
@@ -58,7 +56,7 @@ class TestEce:
         values = np.stack([np.nextafter(bounds, -1.0), bounds, np.nextafter(bounds, 2.0)], axis=1).ravel()
         pairs = [(c, c in bounds) for c in values[(values >= 0.0) & (values <= 1.0)].tolist()]
         ds = make_set(pairs)
-        assert ece(ds, BinningSpec(bins)) == pytest.approx(naive_impl.ece_naive(pairs, bins), abs=1e-12)
+        assert ece(ds, BinningSpec(bins)) == naive_impl.ece_naive(pairs, bins)
         assert mce(ds, BinningSpec(bins)) == naive_impl.mce_naive(pairs, bins)
 
 
@@ -102,9 +100,7 @@ class TestBrier:
         rng = np.random.default_rng(33)
         for _ in range(100):
             pairs = random_pairs(rng, int(rng.integers(1, 60)))
-            assert brier(make_set(pairs)) == pytest.approx(
-                naive_impl.brier_naive(pairs), abs=1e-12
-            )
+            assert brier(make_set(pairs)) == naive_impl.brier_naive(pairs)
 
 
 class TestAurc:

@@ -41,7 +41,7 @@ from cwsa_eval import (
     sweep,
     write_predictions_csv,
 )
-from cwsa_eval import _ranges, cli, dataio, kernels
+from cwsa_eval import _ranges, cli, dataio
 from cwsa_eval.cli import main
 from cwsa_eval.dataio import dumps_report, point_report_doc, sweep_report_doc
 from conftest import forced_split, splits
@@ -1680,7 +1680,7 @@ class TestPipeHead:
     def test_a_fault_after_the_first_region_spools_one_more_region(self, tmp_path, monkeypatch, capsys,
                                                                     fmt, row, bad, error):
         monkeypatch.setattr(_ranges, "_SPLIT_BYTES", 1 << 16)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_ranges, "_usable_cpus", lambda: 2)
         region = 3 << 16  # a later region: _SPLIT_BYTES for each of the 2 CPUs and one more
         spools = tmp_path / "spools"
         spools.mkdir()
@@ -1820,7 +1820,8 @@ class TestOneOpen:
         path.write_text(_ONE_OPEN_INPUTS[name])
         with forced_split(workers) as forks:
             assert run_cli(["evaluate", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
-        assert len(forks) == workers - 1
+            sweep_forks = _ranges._workers(len(ThresholdGrid().thresholds()) // 2) - 1
+        assert len(forks) == workers - 1 + sweep_forks
         assert opened["open"].count(str(path)) == 1
         assert str(path) not in opened["parsed"]
         assert bool(opened["parsed"]) == (name == "bulk.csv")
@@ -1832,7 +1833,9 @@ class TestOneOpen:
         with forced_split(2) as forks:
             assert run_cli(["compare", "--inputs", ",".join(map(str, paths)), "--by", "cwsa",
                             "--output", str(tmp_path / "r.json")]) == 0
-        assert len(forks) == sum(splits(path.read_bytes(), 2, path.suffix[1:]) for path in paths)
+            sweep_forks = _ranges._workers(len(ThresholdGrid().thresholds()) // 2) - 1
+        assert len(forks) == sum(splits(path.read_bytes(), 2, path.suffix[1:]) for path in paths) \
+            + len(paths) * sweep_forks
         assert [opened["open"].count(str(path)) for path in paths] == [1, 1, 1]
         assert opened["parsed"] and not set(map(str, paths)) & set(opened["parsed"])
 
@@ -2155,15 +2158,15 @@ class TestEvaluateDeterminism:
 
 
 class TestGoldenBytes:
-    # SHA-256 of outputs of version 0.1.0.  A refactor must leave them as
+    # SHA-256 of outputs of version 0.2.0.  A refactor must leave them as
     # they are; a version bump changes every report, and updates them.
     # Each test runs the grid kernel on 1 and on 2 workers: report bytes do
-    # not depend on the thread count.
+    # not depend on the worker count.
     EXPECTED = {
         "cal.csv": "7b4649ea3ca06babe7e23c70cf42c70219a2aa48429fac6a0645ee5166fc32da",
-        "sweep.json": "81f92e20afe14e1b0b019325133d7882704f049473e20f7b93ba7e544b999744",
-        "point.json": "845f0b76a80aa1363707a6363c21c5cceb93cecfbe79b42d2225019eed557e94",
-        "compare.json": "54fa89037b4511a03501846aa469fc000b7c80cdee8cd8de44044bc9494fc70e",
+        "sweep.json": "28690e85be683116d54ff706076df1bbb49088d6646243fb1b9fd760fdbb1293",
+        "point.json": "c7d782a1a5d31fc1ff63477e20c507edb0809d1a54e84f40d982cb4278607449",
+        "compare.json": "bba47976bafc5786ba913f683537a23da8b7eeb5d6c44aeb7f076a941c7aae04",
     }
 
     @staticmethod
@@ -2180,7 +2183,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_ranges, "_usable_cpus", lambda: workers)
         for argv in self._runs(tmp_path):
             assert run_cli(argv) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -2215,13 +2218,13 @@ class TestGoldenBytes:
     # A 1000-point grid on 5000 records, so the sweep sums carry across
     # many blocks of the grid kernel.
     DENSE_EXPECTED = {
-        "sweep.json": "7886c140fe59d486eb0c08378a49dbcebfeb58a0e742a29b73a3653af9084896",
-        "compare.json": "e6e167f11327fd33df8665496e247941be9c891724c375ae8e80f63207640ada",
+        "sweep.json": "ab150ca55a8519d7fa569516a83d3366d510129c0005b64ecdf2eb7cdd284a9a",
+        "compare.json": "9b922631861e9c386884b3b689dbf09ec6a17f51b8f424e3feca34e6298c2014",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dense_grid_outputs_match_pinned_digests(self, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_ranges, "_usable_cpus", lambda: workers)
         cal, over = tmp_path / "cal.csv", tmp_path / "over.csv"
         run_cli(["synth", "--kind", "calibrated", "--n", "5000", "--seed", "5", "--output", str(cal)])
         run_cli(["synth", "--kind", "overconfident", "--n", "5000", "--seed", "6", "--output", str(over)])
@@ -2242,7 +2245,8 @@ class TestGoldenBytes:
             assert run_cli(["evaluate", "--input", str(cal), "--output", str(tmp_path / "sweep.json")]) == 0
             assert run_cli(["evaluate", "--input", str(cal), "--tau", "0.7",
                             "--output", str(tmp_path / "point.json")]) == 0
-        assert len(forks) == 2 * (workers - 1)
+            sweep_forks = _ranges._workers(len(ThresholdGrid().thresholds()) // 2) - 1
+        assert len(forks) == 2 * (workers - 1) + sweep_forks
         names = ("cal.csv", "sweep.json", "point.json")
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
         assert digests == {name: self.EXPECTED[name] for name in names}
@@ -2251,7 +2255,7 @@ class TestGoldenBytes:
     # between two forked readers.
     JSONL_EXPECTED = {
         "cal.jsonl": "8f4cd19f75a14e1ddbf5a5d27718da4cb1825217f4f3b1deec7ad55e79687cc7",
-        "point.json": "831f6ede9d82bfe846bccc7af14751e1ff9cc5fd7135cde4041fceeb3840faad",
+        "point.json": "846ecd2546634c8b8532b57c2b883ff15981c9284900c5e2fbc70e98bbecb965",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -91,7 +91,7 @@ def test_ingest_peak_stays_within_its_budget(tmp_path, monkeypatch, source, read
     write, budget = BUDGETS[reader]
     path = tmp_path / ("p.jsonl" if reader == "jsonl" else "p.csv")
     write(source, path)
-    monkeypatch.setattr(_ranges, "_workers", lambda size: 1)  # a forked reader's memory goes untraced
+    monkeypatch.setattr(_ranges, "_workers", lambda most: 1)  # a forked reader's memory goes untraced
     row_reader, row_reads = dataio._read_csv, []
     monkeypatch.setattr(dataio, "_read_csv", lambda pread: row_reads.append(pread) or row_reader(pread))
     ds, peak = _traced_peak(lambda: ingest(path))
@@ -120,7 +120,7 @@ def test_split_ingest_peak_stays_within_its_budget(tmp_path, monkeypatch, source
     write, _ = BUDGETS[reader]
     path = tmp_path / ("p.jsonl" if reader == "jsonl" else "p.csv")
     write(source, path)
-    monkeypatch.setattr(_ranges, "_workers", lambda size: 2)
+    monkeypatch.setattr(_ranges, "_workers", lambda most: 2)
     forks = _counted_forks(monkeypatch)
     ds, peak = _traced_peak(lambda: ingest(path))
     assert len(forks) == 1
@@ -148,7 +148,7 @@ def _piped_ingest(tmp_path, monkeypatch, source, fmt, readers):
     write, _ = PIPED_BUDGETS[fmt]
     path = tmp_path / f"p.{fmt}"
     write(source, path)
-    monkeypatch.setattr(_ranges, "_workers", lambda size: readers)
+    monkeypatch.setattr(_ranges, "_workers", lambda most: readers)
     # a process feeds the pipe, not a thread: readers fork only beside no other thread
     with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as feed:
         ds, peak = _traced_peak(lambda: ingest(f"/dev/fd/{feed.stdout.fileno()}", fmt))
@@ -179,7 +179,7 @@ def test_blank_lines_cost_no_memory_per_line(tmp_path, monkeypatch, reader, read
     path.write_bytes(header + record + b"\n" * 1_000_000 + record)
     if piece is not None:
         monkeypatch.setattr(dataio, "_SCAN_BLOCK", piece)
-    monkeypatch.setattr(_ranges, "_workers", lambda size: readers)
+    monkeypatch.setattr(_ranges, "_workers", lambda most: readers)
     ds, peak = _traced_peak(lambda: ingest(path))
     assert len(ds) == 2
     assert peak < 4 << 20, f"{peak / (1 << 20):.1f} MiB"
@@ -220,7 +220,7 @@ CALL_BUDGETS = {
 @pytest.mark.parametrize("entry", list(CALL_BUDGETS))
 def test_entry_point_peak_stays_within_its_budget(tmp_path, monkeypatch, source, credited, tied, entry):
     call, budget = CALL_BUDGETS[entry]
-    monkeypatch.setattr(_ranges, "_workers", lambda size: 1)  # a forked writer's memory goes untraced
+    monkeypatch.setattr(_ranges, "_workers", lambda most: 1)  # the memory of a forked writer or sweep worker goes untraced
     result, peak = _traced_peak(lambda: call(source, credited, tied, tmp_path))
     del result
     assert peak <= budget * COLUMN_BYTES, f"{peak / COLUMN_BYTES:.2f} x the columns"

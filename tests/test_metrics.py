@@ -1,4 +1,5 @@
 import builtins
+import os
 import threading
 import tracemalloc
 import warnings
@@ -19,8 +20,8 @@ from cwsa_eval import (
     point_metrics,
     selective_accuracy,
 )
-from cwsa_eval import kernels
-from conftest import make_set, random_pairs
+from cwsa_eval import _ranges, kernels
+from conftest import forced_split, make_set, random_pairs
 import naive_impl
 
 
@@ -249,7 +250,7 @@ class TestSweepAccumulate:
         expected = [naive_impl.point_sums_naive(pairs, tau) for tau in taus]
         for workers in WORKER_COUNTS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "_usable_cpus", lambda: workers)
+                mp.setattr(_ranges, "_usable_cpus", lambda: workers)
                 got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
             assert len(got) == len(taus)
             for tau, sums, want in zip(taus, got, expected):
@@ -332,7 +333,7 @@ class TestSweepAccumulate:
         pairs = random_pairs(np.random.default_rng(68), 3000, low=0.0, high=0.1)
         ds = make_set(pairs)
         for workers in WORKER_COUNTS:
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(_ranges, "_usable_cpus", lambda: workers)
             widths.clear()
             kernels.sweep_accumulate(ds.confidence, ds.correct_u8,
                                      ThresholdGrid(0.0, 0.999, 0.001).thresholds())
@@ -348,6 +349,12 @@ class TestSweepAccumulate:
         self.check(pairs, taus)
         slices = []
 
+        def no_fork():
+            raise OSError("no fork")
+
+        # No worker starts, so every slice is worked, and recorded, in this process.
+        monkeypatch.setattr(os, "fork", no_fork)
+
         def recorded(group, t, _fn=kernels._grid_sums):
             slices.append(t.tolist())
             return _fn(group, t)
@@ -355,7 +362,7 @@ class TestSweepAccumulate:
         monkeypatch.setattr(kernels, "_grid_sums", recorded)
         ds = make_set(pairs)
         for workers in WORKER_COUNTS:
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(_ranges, "_usable_cpus", lambda: workers)
             slices.clear()
             kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
             used = min(workers, m // 2)
@@ -373,8 +380,9 @@ class TestSweepAccumulate:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_worker_fault_reaches_the_caller(self, monkeypatch, workers):
-        # The slice that starts at the grid's second threshold raises; the
-        # caller gets that exception, and no worker thread outlives the call.
+        # The slice that starts at the grid's second threshold raises in its
+        # forked worker, which dies; the caller works that slice again and
+        # gets that exception, and no thread is started.
         taus = ThresholdGrid().thresholds()
         fault = RuntimeError("slice failed")
 
@@ -384,13 +392,54 @@ class TestSweepAccumulate:
             return _fn(group, t)
 
         monkeypatch.setattr(kernels, "_grid_sums", failing)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_ranges, "_usable_cpus", lambda: workers)
         ds = make_set(random_pairs(np.random.default_rng(78), 2000))
         before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:
             kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
         assert excinfo.value is fault
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_worker_that_dies_before_it_sends(self, monkeypatch, workers):
+        # Every forked worker exits without sending its slice, and the
+        # caller works each such slice itself.
+        pid = os.getpid()
+
+        def dying(*args, _fn=kernels._slice_sums):
+            if os.getpid() != pid:
+                os._exit(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, "_slice_sums", dying)
+        pairs = random_pairs(np.random.default_rng(79), 3000, p_correct=0.6)
+        ds = make_set(pairs)
+        taus = ThresholdGrid().thresholds()
+        with forced_split(workers) as forks:
+            got = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+        assert len(forks) == workers - 1
+        assert got == [naive_impl.point_sums_naive(pairs, tau) for tau in taus]
+
+    def test_no_fork_beside_another_thread(self):
+        # Forking is unsafe beside a second thread, so this process works every slice.
+        ds = make_set(random_pairs(np.random.default_rng(80), 3000))
+        taus = ThresholdGrid(0.0, 0.999, 0.001).thresholds()
+        with forced_split(1):
+            alone = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with forced_split(2) as forks:
+                beside = kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and beside == alone
+        with forced_split(2) as forks:
+            assert kernels.sweep_accumulate(ds.confidence, ds.correct_u8, taus) == alone
+        assert len(forks) == 1  # the same sweep forks once the thread is gone
 
 
 class TestGeneralized:

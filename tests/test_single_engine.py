@@ -11,7 +11,10 @@ engine's reader and range runner yield their chunks, and one join, a function
 that takes the chunks of the ranges or of the row reader alike, alone adds
 the lines before a chunk to a fault's line; the engine reads every file, one
 range or many, so it never declines one.  Every reader and the writer's
-formatter yield one chunk at a time, which the join takes as it comes."""
+formatter yield one chunk at a time, which the join takes as it comes.  The
+sweep's grid kernel runs its slices on the same engine: no module starts a
+thread or a thread pool, and the engine, which counts the CPUs, uses nothing
+of ``kernels``."""
 
 import ast
 import inspect
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import cwsa_eval
-from cwsa_eval import _ranges, dataio
+from cwsa_eval import _ranges, dataio, kernels
 
 PACKAGE = Path(cwsa_eval.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -116,3 +119,23 @@ def test_the_range_engine_yields_its_chunks_to_no_join_callback(name):
     function = getattr(_ranges, name)
     assert inspect.isgeneratorfunction(function)
     assert "join" not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("needle", ["ThreadPoolExecutor", "concurrent.futures", "threading.Thread("])
+def test_no_module_starts_a_thread_or_a_thread_pool(needle):
+    assert [path.name for path in SOURCES if needle in path.read_text()] == []
+
+
+def test_the_range_engine_alone_counts_the_cpus_and_uses_no_kernels():
+    assert callable(_ranges._usable_cpus) and not hasattr(kernels, "_usable_cpus")
+    tree = ast.parse((PACKAGE / "_ranges.py").read_text())
+    imported = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]]
+    assert not [name for name in imported if "kernels" in name]
+
+
+def test_the_sweep_runs_its_slices_only_through_the_range_engine():
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert {call for call in calls if call.startswith("_ranges.")} == {"_ranges._workers", "_ranges.run_ranges"}
+    assert not {call for call in calls if call.startswith(("os.", "pickle."))}
